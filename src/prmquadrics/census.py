@@ -8,25 +8,33 @@ interpolation spaces, for pairs of quadrics whose rational point sets are
 strictly nested, asserting that every such pair has one of the admissible
 shapes (the q = 2 elliptic/hyperbolic rank-4 pair, or low-rank cones inside
 hyperplane pairs).
+
+``survey(q, n)`` is the one per-form record, ``(coeffs, class, rank,
+zero-set mask)`` in ``iter_monic_coeffs`` order; ``prm.monic_index`` maps
+any nonzero form to its row.  The census and the containment search are
+reductions over one chunk function each, run by ``_scan`` over balanced
+index ranges of the survey, in-process or in a worker pool, with the same
+result either way.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gf import field_from_order
 from .prm import (
     PrmCode,
     build_code,
+    characterization_minimal,
     interpolation_space,
-    is_minimal_characterization,
     is_minimal_exhaustive,
     is_minimal_interpolation,
     iter_monic_coeffs,
     iter_span_monic,
+    monic_index,
 )
 from .projspace import gaussian_binomial, projective_size
 from .quadric import (
@@ -35,6 +43,7 @@ from .quadric import (
     QuadricClass,
     classify,
     discriminate,
+    form_from_terms,
     monomials,
     point_set,
     radical_quadratic,
@@ -60,6 +69,7 @@ class InadmissibleViolation(CensusError):
 DEFAULT_FORM_BUDGET = 60_000
 
 TESTERS = ("characterization", "interpolation", "exhaustive")
+_RANGE_FORMS = 256
 
 
 def orbit_count(cls: QuadricClass, r: int, q: int) -> int:
@@ -265,30 +275,43 @@ def serre_scan(q: int, n: int) -> tuple[int, int, bool]:
     return bound, max_seen, only_pairs and max_seen == bound
 
 
-def _minimal_by_tester(
-    tester: str, code: PrmCode, form: QuadraticForm
-) -> bool:
+def _scan(chunk_fn, args, q: int, n: int, workers: int):
+    """Yield ``chunk_fn((*args, start, stop))`` over balanced index ranges of
+    ``survey(q, n)`` of at most ``_RANGE_FORMS`` forms each, in index order.
+
+    Small ranges keep one range's results, not the whole scan's, in memory
+    at a time (containments cluster among the low-lead forms), and keep the
+    workers evenly loaded; the split is the same serial or parallel.
+    """
+    total = len(survey(q, n))
+    parts = -(-total // _RANGE_FORMS)
+    bounds = [total * k // parts for k in range(parts + 1)]
+    ranges = [(*args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if workers <= 1:
+        yield from map(chunk_fn, ranges)
+        return
+    # Forked workers inherit the survey computed above; under other start
+    # methods each worker rebuilds it, which is correct but slower.
+    with multiprocessing.Pool(min(workers, parts, os.cpu_count() or 1)) as pool:
+        yield from pool.imap(chunk_fn, ranges)
+
+
+def _minimal_by_tester(tester: str, code: PrmCode, coeffs, cls, rk) -> bool:
     if tester == "characterization":
-        return is_minimal_characterization(form).minimal
+        return characterization_minimal(cls, rk, code.field.q)
+    form = QuadraticForm(code.field, code.n, coeffs)
     if tester == "interpolation":
         return is_minimal_interpolation(code, form).minimal
-    if tester == "exhaustive":
-        return is_minimal_exhaustive(code, code.encode(form)).minimal
-    raise CensusError(f"unknown tester {tester!r}; expected one of {TESTERS}")
+    return is_minimal_exhaustive(code, code.encode(form)).minimal
 
 
-def _census_block(args) -> dict[int, int]:
-    q, n, tester, lead = args
-    field = field_from_order(q)
-    code = build_code(field, n)
-    m = code.dimension
+def _census_chunk(args) -> dict[int, int]:
+    q, n, tester, start, stop = args
+    code = build_code(field_from_order(q), n)
     tally: dict[int, int] = {}
-    head = (0,) * lead + (1,)
-    for tail in itertools.product(field.elements, repeat=m - lead - 1):
-        coeffs = head + tail
-        form = QuadraticForm(field, n, coeffs)
-        if _minimal_by_tester(tester, code, form):
-            weight = code.length - point_set(form).bit_count()
+    for coeffs, cls, rk, mask in survey(q, n)[start:stop]:
+        if _minimal_by_tester(tester, code, coeffs, cls, rk):
+            weight = code.length - mask.bit_count()
             tally[weight] = tally.get(weight, 0) + (q - 1)
     return tally
 
@@ -308,21 +331,10 @@ def brute_force_census(
     if tester not in TESTERS:
         raise CensusError(f"unknown tester {tester!r}; expected one of {TESTERS}")
     _check_budget(q, n, budget)
-    field = field_from_order(q)
     tally: dict[int, int] = {}
-    if workers > 1:
-        blocks = [(q, n, tester, lead) for lead in range(len(monomials(n)))]
-        with multiprocessing.Pool(workers) as pool:
-            for part in pool.imap(_census_block, blocks):
-                for w, c in part.items():
-                    tally[w] = tally.get(w, 0) + c
-    else:
-        code = build_code(field, n)
-        for coeffs, _, _, mask in survey(q, n):
-            form = QuadraticForm(field, n, coeffs)
-            if _minimal_by_tester(tester, code, form):
-                weight = code.length - mask.bit_count()
-                tally[weight] = tally.get(weight, 0) + (q - 1)
+    for part in _scan(_census_chunk, (q, n, tester), q, n, workers):
+        for w, c in part.items():
+            tally[w] = tally.get(w, 0) + c
     closed = minimal_count_closed_form(q, n)
     closed_map = closed.closed_dict()
     weights = sorted(set(closed_map) | set(tally))
@@ -338,9 +350,15 @@ def brute_force_census(
 class ContainmentViolation:
     form: QuadraticForm
     witness: QuadraticForm
-    form_report: ClassificationReport
-    witness_report: ClassificationReport
     shape: str
+
+    @cached_property
+    def form_report(self) -> ClassificationReport:
+        return classify(self.form)
+
+    @cached_property
+    def witness_report(self) -> ClassificationReport:
+        return classify(self.witness)
 
     def to_json(self, renderer) -> dict:
         return {
@@ -375,72 +393,30 @@ def _admissible_shape(
     return None
 
 
-def _containment_block(args):
-    q, n, lead = args
-    field = field_from_order(q)
-    code = build_code(field, n)
-    m = code.dimension
+def _containment_chunk(args) -> list[tuple[tuple, tuple, str]]:
+    """(form coeffs, witness coeffs, shape) for the strict containments of
+    the chunk's forms; every span member is looked up in the survey."""
+    q, n, start, stop = args
+    rows = survey(q, n)
+    code = build_code(field_from_order(q), n)
+    field = code.field
     out = []
-    cache: dict = {}
-    head = (0,) * lead + (1,)
-    for tail in itertools.product(field.elements, repeat=m - lead - 1):
-        coeffs = head + tail
-        form = QuadraticForm(field, n, coeffs)
-        out.extend(_violations_for_form(q, code, form, point_set(form), cache))
-    return [
-        (v.form.coeffs, v.witness.coeffs, v.shape) for v in out
-    ]
-
-
-def _cached_report(cache: dict, q: int, n: int, form: QuadraticForm):
-    """Witnesses repeat heavily across the scan; share form and report."""
-    hit = cache.get(form.coeffs)
-    if hit is None:
-        hit = (form, classify(form))
-        cache[form.coeffs] = hit
-    return hit
-
-
-def _violations_for_form(
-    q: int,
-    code: PrmCode,
-    form: QuadraticForm,
-    mask: int,
-    cache: dict,
-) -> list[ContainmentViolation]:
-    form, report = _cached_report(cache, q, code.n, form)
-    if report.quadric_class in (
-        QuadricClass.DOUBLE_HYPERPLANE,
-        QuadricClass.CONJUGATE_PAIR,
-    ):
-        return []
-    count = mask.bit_count()
-    out = []
-    for candidate in iter_span_monic(code.field, interpolation_space(code, mask)):
-        if point_set(candidate).bit_count() <= count:
+    witnesses: dict[tuple, tuple] = {}  # few distinct witnesses, many pairs
+    for coeffs, cls, rk, mask in rows[start:stop]:
+        if cls in (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.CONJUGATE_PAIR):
             continue
-        candidate, wreport = _cached_report(cache, q, code.n, candidate)
-        shape = _admissible_shape(
-            q,
-            report.quadric_class,
-            report.rank,
-            wreport.quadric_class,
-            wreport.rank,
-        )
-        if shape is None:
-            raise InadmissibleViolation(
-                f"inadmissible containment: {report.quadric_class.value} rank "
-                f"{report.rank} inside {wreport.quadric_class.value} rank {wreport.rank}"
-            )
-        out.append(
-            ContainmentViolation(
-                form=form,
-                witness=candidate,
-                form_report=report,
-                witness_report=wreport,
-                shape=shape,
-            )
-        )
+        count = mask.bit_count()
+        for member in iter_span_monic(field, interpolation_space(code, mask)):
+            _, wcls, wrk, wmask = rows[monic_index(field, member.coeffs)]
+            if wmask.bit_count() <= count:
+                continue
+            shape = _admissible_shape(q, cls, rk, wcls, wrk)
+            if shape is None:
+                raise InadmissibleViolation(
+                    f"inadmissible containment: {cls.value} rank "
+                    f"{rk} inside {wcls.value} rank {wrk}"
+                )
+            out.append((coeffs, witnesses.setdefault(member.coeffs, member.coeffs), shape))
     return out
 
 
@@ -457,35 +433,19 @@ def verify_containment(
     """
     _check_budget(q, n, budget)
     field = field_from_order(q)
-    cache: dict = {}
-    if workers > 1:
-        blocks = [(q, n, lead) for lead in range(len(monomials(n)))]
-        triples = []
-        with multiprocessing.Pool(workers) as pool:
-            for part in pool.imap(_containment_block, blocks):
-                triples.extend(part)
-        out = []
-        for fc, wc, shape in triples:
-            form, form_report = _cached_report(cache, q, n, QuadraticForm(field, n, fc))
-            witness, witness_report = _cached_report(
-                cache, q, n, QuadraticForm(field, n, wc)
-            )
-            out.append(
-                ContainmentViolation(
-                    form=form,
-                    witness=witness,
-                    form_report=form_report,
-                    witness_report=witness_report,
-                    shape=shape,
-                )
-            )
-        return out
-    code = build_code(field, n)
-    out = []
-    for coeffs, _, _, mask in survey(q, n):
-        form = QuadraticForm(field, n, coeffs)
-        out.extend(_violations_for_form(q, code, form, mask, cache))
-    return out
+    forms: dict[tuple, QuadraticForm] = {}
+
+    def shared(coeffs) -> QuadraticForm:
+        form = forms.get(coeffs)
+        if form is None:
+            form = forms[coeffs] = QuadraticForm(field, n, coeffs)
+        return form
+
+    return [
+        ContainmentViolation(shared(fc), shared(wc), shape)
+        for part in _scan(_containment_chunk, (q, n), q, n, workers)
+        for fc, wc, shape in part
+    ]
 
 
 def containment_pairs_bruteforce(q: int, n: int) -> set[tuple]:
@@ -508,12 +468,8 @@ def verify_exception_example() -> bool:
     """The explicit q = 2 nesting: an elliptic rank-4 quadric with 5 points
     strictly inside a hyperbolic rank-4 quadric with 9 points in P^3."""
     field = field_from_order(2)
-    inner = QuadraticForm(
-        field, 3, _coeffs_from_terms(field, 3, {(0, 0): 1, (0, 1): 1, (1, 1): 1, (2, 3): 1})
-    )
-    outer = QuadraticForm(
-        field, 3, _coeffs_from_terms(field, 3, {(0, 0): 1, (0, 3): 1, (1, 1): 1, (1, 2): 1})
-    )
+    inner = form_from_terms(field, 3, {(0, 0): 1, (0, 1): 1, (1, 1): 1, (2, 3): 1})
+    outer = form_from_terms(field, 3, {(0, 0): 1, (0, 3): 1, (1, 1): 1, (1, 2): 1})
     ri, ro = classify(inner), classify(outer)
     mi, mo = point_set(inner), point_set(outer)
     return (
@@ -526,12 +482,6 @@ def verify_exception_example() -> bool:
         and mi != mo
         and mi | mo == mo
     )
-
-
-def _coeffs_from_terms(field, n, terms):
-    from .quadric import form_from_terms
-
-    return form_from_terms(field, n, terms).coeffs
 
 
 @dataclass(frozen=True)
@@ -550,14 +500,15 @@ def conic_interpolation_profile(q: int) -> PencilProfile:
     """
     field = field_from_order(q)
     code = build_code(field, 2)
+    rows = survey(q, 2)
     profile = None
-    for _, _, rk, mask in survey(q, 2):
+    for _, _, rk, mask in rows:
         if rk != 3:
             continue
         members = reducible = irreducible = 0
         for candidate in iter_span_monic(field, interpolation_space(code, mask)):
             members += 1
-            ccls = classify(candidate).quadric_class
+            ccls = rows[monic_index(field, candidate.coeffs)][1]
             if ccls is QuadricClass.HYPERPLANE_PAIR:
                 reducible += 1
             elif ccls in (QuadricClass.PARABOLIC,):

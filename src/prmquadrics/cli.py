@@ -288,6 +288,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise UsageError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except VerificationFailure as exc:
         sys.stderr.write(f"verification failed: {json.dumps(exc.payload, sort_keys=True)}\n")
@@ -302,6 +304,7 @@ def main(argv=None) -> int:
         PrmError,
         BudgetExceeded,
         CensusError,
+        OSError,
     ) as exc:
         if isinstance(exc, InadmissibleViolation):
             sys.stderr.write(f"verification failed: {exc}\n")

@@ -146,6 +146,24 @@ def iter_monic_coeffs(field: Field, length: int):
             yield head + tail
 
 
+def monic_index(field: Field, coeffs) -> int:
+    """Position of a nonzero form's scalar class in ``iter_monic_coeffs``.
+
+    The form is normalised to leading coefficient 1; the forms with an
+    earlier lead come first, then the tail is read as mixed-radix digits
+    under the field element order.
+    """
+    lead = next((k for k, c in enumerate(coeffs) if c), None)
+    if lead is None:
+        raise ZeroForm("the zero form has no scalar class")
+    q, m = field.q, len(coeffs)
+    order, scale = field._order_index, field._mul[field.inv(coeffs[lead])]
+    index = 0
+    for c in coeffs[lead + 1 :]:
+        index = index * q + order[scale[c]]
+    return (q**m - q ** (m - lead)) // (q - 1) + index
+
+
 def interpolation_space(code: PrmCode, point_indices) -> list[QuadraticForm]:
     """Basis of the space of forms vanishing at the given points.
 
@@ -202,20 +220,23 @@ class MinimalityVerdict:
         return {"minimal": self.minimal, "method": self.method, "witness": witness}
 
 
-def is_minimal_characterization(form: QuadraticForm) -> MinimalityVerdict:
-    """Class-based verdict: hyperplane pairs and absolutely irreducible
-    quadrics are minimal, except rank 3 when q <= 3 and elliptic rank 4
-    when q = 2.  Produces no witness."""
-    if form.is_zero:
-        raise ZeroForm("minimality of the zero form is undefined")
-    report = classify(form)
-    q = form.field.q
-    cls, rk = report.quadric_class, report.rank
-    minimal = cls is QuadricClass.HYPERPLANE_PAIR or (
+def characterization_minimal(cls: QuadricClass, rk: int, q: int) -> bool:
+    """Hyperplane pairs and absolutely irreducible quadrics are minimal,
+    except rank 3 when q <= 3 and elliptic rank 4 when q = 2."""
+    return cls is QuadricClass.HYPERPLANE_PAIR or (
         cls in ABSOLUTELY_IRREDUCIBLE
         and not (rk == 3 and q <= 3)
         and not (cls is QuadricClass.ELLIPTIC and rk == 4 and q == 2)
     )
+
+
+def is_minimal_characterization(form: QuadraticForm) -> MinimalityVerdict:
+    """Class-based verdict by :func:`characterization_minimal`.  Produces
+    no witness."""
+    if form.is_zero:
+        raise ZeroForm("minimality of the zero form is undefined")
+    report = classify(form)
+    minimal = characterization_minimal(report.quadric_class, report.rank, form.field.q)
     return MinimalityVerdict(minimal=minimal, method="characterization")
 
 

@@ -163,10 +163,6 @@ def form_from_terms(field: Field, ambient: int, terms: dict) -> QuadraticForm:
     return QuadraticForm(field, ambient, tuple(coeffs))
 
 
-def evaluate(form: QuadraticForm, point) -> int:
-    return form.evaluate(point)
-
-
 def polarize(form: QuadraticForm):
     """Gram table of the polar bilinear form B(u,v) = F(u+v) - F(u) - F(v).
 

@@ -149,6 +149,12 @@ def test_census_workers_deterministic():
     assert a == b
     c = brute_force_census(2, 2, "interpolation", workers=2)
     assert c.brute_dict() == a.brute_dict()
+    for q, n in [(2, 3), (3, 2)]:
+        serial, parallel = (
+            [(v.form.coeffs, v.witness.coeffs, v.shape) for v in verify_containment(q, n, workers=w)]
+            for w in (1, 2)
+        )
+        assert serial and parallel == serial
 
 
 def test_budget_guard():

@@ -77,10 +77,13 @@ def test_census_csv_and_out_file(tmp_path):
 
 
 def test_census_worker_output_identical():
-    argv = ["census", "--q", "2", "--N", "2", "--method", "char"]
-    _, out1, _ = run_cli(argv + ["--workers", "1"])
-    _, out2, _ = run_cli(argv + ["--workers", "2"])
-    assert out1 == out2
+    for argv in (
+        ["census", "--q", "2", "--N", "2", "--method", "char"],
+        ["verify", "containment", "--q", "3", "--N", "2", "--limit", "50"],
+    ):
+        _, out1, _ = run_cli(argv + ["--workers", "1"])
+        _, out2, _ = run_cli(argv + ["--workers", "2"])
+        assert out1 and out1 == out2
 
 
 def test_verify_subcommands_pass():
@@ -109,7 +112,7 @@ def test_verify_containment_dump_shape():
     assert {"form", "witness", "form_report", "witness_report", "shape"} == set(v)
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     cases = [
         ["classify", "X0 + X1", "--q", "2", "--N", "3"],      # non-homogeneous
         ["classify", "X0*X9", "--q", "2", "--N", "3"],        # unknown variable
@@ -119,10 +122,16 @@ def test_usage_errors_exit_2():
         ["census", "--q", "2", "--N", "5"],                   # budget exceeded
         ["code", "info"],                                     # missing --q/--N
         ["minimal", "X0^2", "--q", "4", "--N", "2", "--format", "csv"],  # no csv here
+        ["census", "--q", "2", "--N", "2", "--workers", "0"],
+        ["verify", "containment", "--workers", "-3"],
+        ["verify", "exception", "--out", str(tmp_path / "missing" / "x")],
     ]
     for argv in cases:
         code, _, err = run_cli(argv)
         assert code == 2, (argv, err)
+    for argv in cases[-3:]:
+        _, _, err = run_cli(argv)
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_table_format():
