@@ -9,12 +9,11 @@ strictly nested, asserting that every such pair has one of the admissible
 shapes (the q = 2 elliptic/hyperbolic rank-4 pair, or low-rank cones inside
 hyperplane pairs).
 
-``survey(q, n)`` is the one per-form record, ``(coeffs, class, rank,
-zero-set mask)`` in ``iter_monic_coeffs`` order; ``prm.monic_index`` maps
-any nonzero form to its row.  The census and the containment search are
-reductions over one chunk function each, run by ``_scan`` over balanced
-index ranges of the survey, in-process or in a worker pool, with the same
-result either way.
+Every scan reads ``prm.survey(q, n)``, the one per-form record ``(coeffs,
+class, rank, zero-set mask)``; the scans the CLI runs check the form budget
+first.  The census and the containment search are reductions over one
+chunk function each, run by ``_scan`` over balanced index ranges of the
+survey, in-process or in a worker pool, with the same result either way.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .gf import field_from_order
 from .prm import (
@@ -32,9 +31,9 @@ from .prm import (
     interpolation_space,
     is_minimal_exhaustive,
     is_minimal_interpolation,
-    iter_monic_coeffs,
     iter_span_monic,
     monic_index,
+    survey,
 )
 from .projspace import gaussian_binomial, projective_size
 from .quadric import (
@@ -42,11 +41,9 @@ from .quadric import (
     QuadraticForm,
     QuadricClass,
     classify,
-    discriminate,
     form_from_terms,
     monomials,
     point_set,
-    radical_quadratic,
 )
 
 
@@ -238,20 +235,6 @@ def _check_budget(q: int, n: int, budget: int | None) -> None:
         )
 
 
-@lru_cache(maxsize=8)
-def survey(q: int, n: int):
-    """Classify every monic form: (coeffs, class, rank, zero-set mask)."""
-    field = field_from_order(q)
-    rows = []
-    for coeffs in iter_monic_coeffs(field, len(monomials(n))):
-        form = QuadraticForm(field, n, coeffs)
-        mask = point_set(form)
-        rk = (n + 1) - len(radical_quadratic(form))
-        cls = discriminate(rk, mask.bit_count(), n, q)
-        rows.append((coeffs, cls, rk, mask))
-    return tuple(rows)
-
-
 def class_rank_census(q: int, n: int) -> dict[tuple[QuadricClass, int], int]:
     """Monic form counts per (class, rank), from the exhaustive survey."""
     out: dict[tuple[QuadricClass, int], int] = {}
@@ -261,8 +244,11 @@ def class_rank_census(q: int, n: int) -> dict[tuple[QuadricClass, int], int]:
     return out
 
 
-def serre_scan(q: int, n: int) -> tuple[int, int, bool]:
+def serre_scan(q: int, n: int, budget: int | None = None) -> tuple[int, int, bool]:
     """(closed-form bound, max observed zeros, attained only by pairs)."""
+    if n < 1:
+        raise CensusError(f"serre scan needs N >= 1, got N = {n}")
+    _check_budget(q, n, budget)
     bound = 2 * q ** (n - 1) + projective_size(q, n - 2)
     max_seen = 0
     only_pairs = True
@@ -491,13 +477,14 @@ class PencilProfile:
     irreducible: int
 
 
-def conic_interpolation_profile(q: int) -> PencilProfile:
+def conic_interpolation_profile(q: int, budget: int | None = None) -> PencilProfile:
     """Common profile of the linear system through a smooth conic's points.
 
     For every smooth conic in P^2 the forms vanishing on its rational
     points are enumerated and classified; the profile (members, reducible
     pairs of lines, irreducible conics) must be identical across conics.
     """
+    _check_budget(q, 2, budget)
     field = field_from_order(q)
     code = build_code(field, 2)
     rows = survey(q, 2)

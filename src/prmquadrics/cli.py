@@ -165,7 +165,7 @@ def cmd_verify(args) -> int:
             raise VerificationFailure({"target": "exception"})
         return 0
     if args.target == "pencil":
-        profile = conic_interpolation_profile(args.q)
+        profile = conic_interpolation_profile(args.q, budget=args.budget)
         expected_reducible = {2: 6, 3: 3}.get(args.q, 0)
         ok = (
             profile.irreducible == 1
@@ -185,7 +185,7 @@ def cmd_verify(args) -> int:
             raise VerificationFailure(payload)
         return 0
     if args.target == "serre":
-        bound, max_seen, attained = serre_scan(args.q, args.N)
+        bound, max_seen, attained = serre_scan(args.q, args.N, budget=args.budget)
         payload = {
             "target": "serre",
             "q": args.q,
@@ -290,6 +290,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "workers", 1) < 1:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
+        if getattr(args, "limit", 0) < 0:
+            raise UsageError(f"--limit must be at least 0, got {args.limit}")
         return args.func(args)
     except VerificationFailure as exc:
         sys.stderr.write(f"verification failed: {json.dumps(exc.payload, sort_keys=True)}\n")

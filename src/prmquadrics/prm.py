@@ -6,20 +6,25 @@ degree 2 the map is injective for every q (values at e_i and e_i + e_j
 recover all coefficients), so codewords correspond to forms and codewords
 up to scalar to quadrics.
 
+``survey(q, n)`` classifies every form up to scalar once, in
+``iter_monic_coeffs`` order, and ``monic_index`` finds any form's row;
+``build_code`` shares one immutable code per (field, N).
+
 A nonzero codeword is minimal when no other nonzero codeword has support
 strictly inside its own; equivalently, the zero set of its form is maximal
 under inclusion among quadric point sets.  Three independent testers are
 provided: a classification-based characterization, an interpolation search
-through the linear system of forms vanishing on the zero set, and a raw
-exhaustive support scan.
+through the linear system of forms vanishing on the zero set, and an
+exhaustive support scan over the survey.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .gf import Field
+from .gf import Field, field_from_order
 from .linalg import kernel_basis, kernel_basis_gf2, matrix_rank
 from .projspace import bits_to_indices, projective_space
 from .quadric import (
@@ -29,8 +34,10 @@ from .quadric import (
     QuadricClass,
     ZeroForm,
     classify,
+    discriminate,
     monomials,
     point_set,
+    radical_quadratic,
 )
 
 
@@ -65,7 +72,7 @@ class Codeword:
 
 
 class PrmCode:
-    """Generator-matrix view of the order-2 code on P^N(F_q)."""
+    """The order-2 code on P^N(F_q); immutable, shared by :func:`build_code`."""
 
     def __init__(self, field: Field, n: int):
         if n < 1:
@@ -77,13 +84,11 @@ class PrmCode:
         self.length = len(self.space)
         self.dimension = len(self.monomials)
         rows = self.space.monomial_rows(self.monomials)
-        self.generator = tuple(
-            tuple(rows[p][k] for p in range(self.length))
-            for k in range(self.dimension)
-        )
-        if matrix_rank(field, [list(r) for r in self.generator]) != self.dimension:
+        generator = [
+            [rows[p][k] for p in range(self.length)] for k in range(self.dimension)
+        ]
+        if matrix_rank(field, generator) != self.dimension:
             raise PrmError("evaluation map is not injective; generator is rank-deficient")
-        self._monic_supports = None
 
     def encode(self, form: QuadraticForm) -> Codeword:
         if form.field != self.field or form.ambient != self.n:
@@ -98,27 +103,6 @@ class PrmCode:
         q, n = self.field.q, self.n
         return q**n - q ** (n - 1)
 
-    def monic_supports(self) -> list[tuple[tuple[int, ...], int]]:
-        """(coefficients, support) for every monic form, scan-order cached."""
-        if self._monic_supports is None:
-            self._check_exhaustive_budget()
-            out = []
-            for coeffs in iter_monic_coeffs(self.field, self.dimension):
-                form = QuadraticForm(self.field, self.n, coeffs)
-                out.append((coeffs, self.space.full_mask ^ point_set(form)))
-            self._monic_supports = out
-        return self._monic_supports
-
-    def _check_exhaustive_budget(self) -> None:
-        if self.dimension > EXHAUSTIVE_MAX_DIMENSION:
-            raise CodeTooLarge(
-                f"dimension {self.dimension} exceeds {EXHAUSTIVE_MAX_DIMENSION}"
-            )
-        if self.field.q**self.dimension > EXHAUSTIVE_MAX_CODE_SIZE:
-            raise CodeTooLarge(
-                f"code size {self.field.q}**{self.dimension} exceeds scan bound"
-            )
-
     def to_json(self) -> dict:
         return {
             "q": self.field.q,
@@ -129,6 +113,7 @@ class PrmCode:
         }
 
 
+@lru_cache(maxsize=None)
 def build_code(field: Field, n: int) -> PrmCode:
     return PrmCode(field, n)
 
@@ -162,6 +147,20 @@ def monic_index(field: Field, coeffs) -> int:
     for c in coeffs[lead + 1 :]:
         index = index * q + order[scale[c]]
     return (q**m - q ** (m - lead)) // (q - 1) + index
+
+
+@lru_cache(maxsize=8)
+def survey(q: int, n: int):
+    """Classify every monic form: (coeffs, class, rank, zero-set mask)."""
+    field = field_from_order(q)
+    rows = []
+    for coeffs in iter_monic_coeffs(field, len(monomials(n))):
+        form = QuadraticForm(field, n, coeffs)
+        mask = point_set(form)
+        rk = (n + 1) - len(radical_quadratic(form))
+        cls = discriminate(rk, mask.bit_count(), n, q)
+        rows.append((coeffs, cls, rk, mask))
+    return tuple(rows)
 
 
 def interpolation_space(code: PrmCode, point_indices) -> list[QuadraticForm]:
@@ -259,12 +258,17 @@ def is_minimal_interpolation(code: PrmCode, form: QuadraticForm) -> MinimalityVe
 
 
 def is_minimal_exhaustive(code: PrmCode, codeword: Codeword) -> MinimalityVerdict:
-    """Verdict by scanning every codeword for a strictly smaller support."""
+    """Verdict by scanning ``survey`` for a strictly smaller support, that
+    is, a zero set strictly containing ``full_mask ^ support``."""
     if codeword.weight == 0:
         raise ZeroCodeword("minimality of the zero codeword is undefined")
-    supp = codeword.support
-    for coeffs, other in code.monic_supports():
-        if other != supp and other | supp == supp:
+    if code.dimension > EXHAUSTIVE_MAX_DIMENSION:
+        raise CodeTooLarge(f"dimension {code.dimension} exceeds {EXHAUSTIVE_MAX_DIMENSION}")
+    if code.field.q**code.dimension > EXHAUSTIVE_MAX_CODE_SIZE:
+        raise CodeTooLarge(f"code size {code.field.q}**{code.dimension} exceeds scan bound")
+    zeros = code.space.full_mask ^ codeword.support
+    for coeffs, _, _, mask in survey(code.field.q, code.n):
+        if mask != zeros and mask & zeros == zeros:
             return MinimalityVerdict(
                 minimal=False,
                 method="exhaustive",

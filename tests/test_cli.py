@@ -122,16 +122,25 @@ def test_usage_errors_exit_2(tmp_path):
         ["census", "--q", "2", "--N", "5"],                   # budget exceeded
         ["code", "info"],                                     # missing --q/--N
         ["minimal", "X0^2", "--q", "4", "--N", "2", "--format", "csv"],  # no csv here
+    ]
+    one_line = [
         ["census", "--q", "2", "--N", "2", "--workers", "0"],
         ["verify", "containment", "--workers", "-3"],
         ["verify", "exception", "--out", str(tmp_path / "missing" / "x")],
+        ["verify", "pencil", "--q", "16"],                    # budget exceeded
+        ["verify", "serre", "--q", "7", "--N", "3"],          # budget exceeded
+        ["verify", "serre", "--q", "3", "--N", "3", "--budget", "10"],
+        ["verify", "serre", "--q", "2", "--N", "0"],
+        ["verify", "containment", "--q", "2", "--N", "2", "--limit", "-1"],
     ]
-    for argv in cases:
+    for argv in cases + one_line:
         code, _, err = run_cli(argv)
         assert code == 2, (argv, err)
-    for argv in cases[-3:]:
+    for argv in one_line:
         _, _, err = run_cli(argv)
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    _, _, err = run_cli(["verify", "serre", "--q", "2", "--N", "0"])
+    assert "N >= 1" in err, err
 
 
 def test_table_format():

@@ -18,6 +18,7 @@ from prmquadrics.prm import (
     iter_monic_coeffs,
     iter_span_monic,
     monic_index,
+    survey,
 )
 from prmquadrics.projspace import bits_to_indices
 from prmquadrics.quadric import (
@@ -32,6 +33,7 @@ from prmquadrics.quadric import (
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
 F4 = field_create(2, 2)
+F5 = field_create(5, 1)
 
 
 def test_build_code_parameters():
@@ -42,6 +44,7 @@ def test_build_code_parameters():
     code4 = build_code(F4, 2)
     assert (code4.length, code4.dimension) == (21, 6)
     assert code4.minimum_distance() == 12
+    assert build_code(F2, 3) is build_code(F2, 3)
 
 
 def test_encode_examples():
@@ -91,9 +94,11 @@ def test_monic_index_matches_enumeration():
     # GF(4) lists its elements as (0, 2, 1, 3): a digit read as the raw
     # element instead of its order index lands in the wrong place.
     assert F4.elements == (0, 2, 1, 3)
-    for field, n in [(F2, 3), (F3, 2), (F4, 2)]:
+    for field, n in [(F2, 3), (F2, 4), (F3, 2), (F3, 3), (F4, 2), (F5, 2)]:
         m = len(build_code(field, n).monomials)
+        rows = survey(field.q, n)
         for position, coeffs in enumerate(iter_monic_coeffs(field, m)):
+            assert rows[position][0] == coeffs
             for lam in range(1, field.q):
                 scaled = tuple(field.mul(lam, c) for c in coeffs)
                 assert monic_index(field, scaled) == position
