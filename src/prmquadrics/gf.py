@@ -271,6 +271,7 @@ def field_from_order(q: int) -> Field:
     return field_create(p, e)
 
 
+@lru_cache(maxsize=None)
 def irreducible_binary_constants(field: Field) -> tuple[int, int]:
     """Constants (alpha, d) of the anisotropic binary form.
 
@@ -278,7 +279,7 @@ def irreducible_binary_constants(field: Field) -> tuple[int, int]:
     In odd characteristic alpha = 0 and d is the least element (canonical
     order) making the form anisotropic; in characteristic 2 alpha = 1 and d
     is the least element of trace 1.  Anisotropy is re-checked by exhaustive
-    enumeration before returning.
+    enumeration before returning, once per field.
     """
     if field.p == 2:
         alpha = 1

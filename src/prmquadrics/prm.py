@@ -163,21 +163,15 @@ def survey(q: int, n: int):
     return tuple(rows)
 
 
-def interpolation_space(code: PrmCode, point_indices) -> list[QuadraticForm]:
-    """Basis of the space of forms vanishing at the given points.
+def interpolation_space(code: PrmCode, zero_mask: int) -> list[QuadraticForm]:
+    """Basis of the space of forms vanishing at the points of a bitmask.
 
-    Accepts a bitmask or an iterable of point indices.  The basis is the
-    deterministic free-column kernel basis of the evaluation constraints.
+    The basis is the deterministic free-column kernel basis of the
+    evaluation constraints; with no points it is the unit basis.
     """
-    if isinstance(point_indices, int):
-        indices = bits_to_indices(point_indices)
-    else:
-        indices = sorted(set(point_indices))
+    indices = bits_to_indices(zero_mask)
     field = code.field
     m = code.dimension
-    if not indices:
-        basis_vecs = [[1 if k == i else 0 for k in range(m)] for i in range(m)]
-        return [QuadraticForm(field, code.n, tuple(v)) for v in basis_vecs]
     if field.q == 2:
         packed = code.space.monomial_bitmasks(code.monomials)
         basis_masks = kernel_basis_gf2([packed[i] for i in indices], m)

@@ -10,10 +10,12 @@ evaluation.  Each class/rank pair admits a closed-form point count, and
 ``classify`` insists the measured count matches it, so every call doubles
 as a self-check of the counting identities.
 
-Canonicalization performs an explicit Witt decomposition: split off the
-radical, peel hyperbolic planes, and normalize the anisotropic remainder,
-returning an invertible substitution that maps the input to a scalar
-multiple of the canonical form of its class.
+Canonicalization performs an explicit Witt decomposition in the input's
+own coordinates: split off the radical, peel hyperbolic pairs, and match
+the anisotropic remainder, returning an invertible substitution T that maps
+the input to a scalar multiple of the canonical form of its class.  The
+columns of T are the anisotropic part, then the hyperbolic pairs, then the
+radical.
 """
 
 from __future__ import annotations
@@ -339,8 +341,6 @@ def discriminate(rk: int, count: int, n: int, q: int) -> QuadricClass:
 class ClassificationReport:
     quadric_class: QuadricClass
     rank: int
-    radical_bilinear: tuple[tuple[int, ...], ...]
-    radical_quadratic: tuple[tuple[int, ...], ...]
     singular_locus: LinearSubspace
     point_count: int
     projective_index: int
@@ -364,7 +364,6 @@ def classify(form: QuadraticForm) -> ClassificationReport:
     if form.is_zero:
         raise ZeroForm("cannot classify the zero form")
     field, n = form.field, form.ambient
-    radb = radical_bilinear(form)
     radq = radical_quadratic(form)
     rk = (n + 1) - len(radq)
     count = point_set(form).bit_count()
@@ -372,8 +371,6 @@ def classify(form: QuadraticForm) -> ClassificationReport:
     return ClassificationReport(
         quadric_class=cls,
         rank=rk,
-        radical_bilinear=tuple(tuple(v) for v in radb),
-        radical_quadratic=tuple(tuple(v) for v in radq),
         singular_locus=subspace_from_vectors(field, n, radq),
         point_count=count,
         projective_index=closed_form_projective_index(cls, rk, n),
@@ -541,36 +538,6 @@ class CanonicalizationResult:
     scalar: int
 
 
-def _block_diag(a, k: int) -> list[list[int]]:
-    n = len(a) + k
-    out = [[0] * n for _ in range(n)]
-    for i, row in enumerate(a):
-        for j, v in enumerate(row):
-            out[i][j] = v
-    for i in range(len(a), n):
-        out[i][i] = 1
-    return out
-
-
-def _shifted_block(size: int, offset: int, s) -> list[list[int]]:
-    out = identity(size)
-    for i, row in enumerate(s):
-        for j, v in enumerate(row):
-            out[offset + i][offset + j] = v
-    return out
-
-
-def _subform(form: QuadraticForm, start: int) -> QuadraticForm:
-    """Restriction to the trailing variables X_start..X_N."""
-    n = form.ambient
-    m = n - start
-    idx = _monomial_index(n)
-    coeffs = tuple(
-        form.coeffs[idx[(i + start, j + start)]] for i, j in monomials(m)
-    )
-    return QuadraticForm(form.field, m, coeffs)
-
-
 def _dot(field: Field, u, v) -> int:
     add, mul = field._add, field._mul
     acc = 0
@@ -579,141 +546,106 @@ def _dot(field: Field, u, v) -> int:
     return acc
 
 
-def _peel_hyperbolic(work: QuadraticForm):
-    """One Witt step: returns (S, residual) with work(S y) = Y0 Y1 + residual.
+def _in_span(field: Field, span, coords):
+    """The vectors sum(c_i * span_i), lazily, one per coordinate tuple c."""
+    add, mul = field._add, field._mul
+    for c in coords:
+        v = [0] * len(span[0])
+        for ci, b in zip(c, span):
+            if ci:
+                v = [add[x][mul[ci][y]] for x, y in zip(v, b)]
+        yield v
 
-    The isotropic vector is the first zero of the form in canonical point
-    order; its hyperbolic partner is built from the first point not polar
-    to it.  Returns None when the form is anisotropic.
+
+def _peel_hyperbolic(form: QuadraticForm, gram, span):
+    """One Witt step inside the subspace spanned by ``span``.
+
+    Returns (u, w, rest) with F(u) = F(w) = 0 and B(u, w) = 1: u is the first
+    isotropic vector of the span in canonical point order, w is built from
+    the first vector not polar to u, and rest is a basis of the part of the
+    span B-orthogonal to both.  Returns None when F is anisotropic there.
     """
-    field = work.field
-    m = work.ambient + 1
-    space = projective_space(field, m - 1)
-    u = next((pt for pt in space.points if work.evaluate(pt) == 0), None)
+    field = form.field
+    points = projective_space(field, len(span) - 1).points
+    u = next((v for v in _in_span(field, span, points) if form.evaluate(v) == 0), None)
     if u is None:
         return None
-    gram = polarize(work)
     bu = mat_vec(field, gram, u)
-    w = next(pt for pt in space.points if _dot(field, bu, pt) != 0)
+    w = next(v for v in _in_span(field, span, points) if _dot(field, bu, v))
     w = vec_scale(field, field.inv(_dot(field, bu, w)), w)
-    c = work.evaluate(w)
+    c = form.evaluate(w)
     if c:
         w = vec_add(field, w, vec_scale(field, field.neg(c), u))
-    comp = kernel_basis(field, [bu, mat_vec(field, gram, w)], m)
-    cols = [list(u), list(w)] + comp
-    s = [[cols[c2][r] for c2 in range(m)] for r in range(m)]
-    moved = substitute(work, s)
-    assert moved.coeff(0, 1) == 1 and moved.coeff(0, 0) == 0 and moved.coeff(1, 1) == 0
-    residual = _subform(moved, 2) if m > 2 else None
-    return s, residual
+    bw = mat_vec(field, gram, w)
+    polar = [[_dot(field, bu, b) for b in span], [_dot(field, bw, b) for b in span]]
+    return u, w, list(_in_span(field, span, kernel_basis(field, polar)))
 
 
-def _match_anisotropic(work: QuadraticForm) -> list[list[int]]:
-    """2x2 substitution carrying an anisotropic binary form onto the
-    canonical irreducible one, found by deterministic vector scan.
+def _match_anisotropic(form: QuadraticForm, gram, span) -> list[list[int]]:
+    """Basis (u0, u1) of an anisotropic plane on which F(x u0 + y u1) is the
+    canonical irreducible x^2 + alpha x y + d y^2, found by deterministic
+    vector scan.
 
     All anisotropic binary forms lie in a single GL_2 orbit (each is the
     norm form of GF(q^2) composed with a multiplication), so an exact match
     with scalar 1 always exists.
     """
-    field = work.field
+    field = form.field
     alpha, d = irreducible_binary_constants(field)
-    vecs = [
-        (a, b)
-        for a in field.elements
-        for b in field.elements
-        if a or b
-    ]
-    u0 = next(v for v in vecs if work.evaluate(v) == 1)
-    gram = polarize(work)
+    coords = [(a, b) for a in field.elements for b in field.elements if a or b]
+    u0 = next(v for v in _in_span(field, span, coords) if form.evaluate(v) == 1)
     bu = mat_vec(field, gram, u0)
     u1 = next(
         v
-        for v in vecs
-        if _dot(field, bu, v) == alpha and work.evaluate(v) == d
+        for v in _in_span(field, span, coords)
+        if _dot(field, bu, v) == alpha and form.evaluate(v) == d
     )
-    return [[u0[0], u1[0]], [u0[1], u1[1]]]
+    return [u0, u1]
 
 
 def canonicalize(form: QuadraticForm) -> CanonicalizationResult:
     """Witt decomposition: invertible T and scalar lam with F(T y) = lam * C.
 
-    C is the canonical form of the detected class and rank; the identity is
-    checked coefficient-wise before returning.
+    C is the canonical form of the detected class and rank.  The columns of
+    T are collected in the input's coordinates: starting from unit vectors
+    on the free columns of the quadratic radical, hyperbolic pairs are
+    peeled until an anisotropic rest of dimension at most 2 remains.  T
+    lists the anisotropic part, then the pairs, then the radical basis; the
+    identity is checked coefficient-wise before returning.
     """
     if form.is_zero:
         raise ZeroForm("cannot canonicalize the zero form")
     field, n = form.field, form.ambient
-    radq = radical_quadratic(form)
-    k = len(radq)
-    r = (n + 1) - k
-    if k:
-        pivots = rref(field, radq)[1]
-        free = [c for c in range(n + 1) if c not in pivots]
-        cols = [[1 if i == f else 0 for i in range(n + 1)] for f in free]
-        cols += [list(v) for v in radq]
-        t1 = [[cols[c][row] for c in range(n + 1)] for row in range(n + 1)]
-    else:
-        t1 = identity(n + 1)
-    g = substitute(form, t1)
-    for (i, j), c in zip(monomials(n), g.coeffs):
-        if c and (i >= r or j >= r):
-            raise InternalInconsistency("radical split left trailing terms")
-    if r <= n:
-        idx = _monomial_index(n)
-        work = QuadraticForm(
-            field, r - 1, tuple(g.coeffs[idx[(i, j)]] for i, j in monomials(r - 1))
-        )
-    else:
-        work = g
+    radical = radical_quadratic(form)
+    r = (n + 1) - len(radical)
+    pivots = rref(field, radical)[1]
+    span = [[int(i == c) for i in range(n + 1)] for c in range(n + 1) if c not in pivots]
+    gram = polarize(form)
+    pairs: list[list[int]] = []
+    while span and (peeled := _peel_hyperbolic(form, gram, span)) is not None:
+        u, w, span = peeled
+        pairs += [u, w]
 
-    t_r = identity(r)
-    pairs = 0
-    while work is not None:
-        peeled = _peel_hyperbolic(work)
-        if peeled is None:
-            break
-        s, work = peeled
-        t_r = mat_mul(field, t_r, _shifted_block(r, 2 * pairs, s))
-        pairs += 1
-
-    m = r - 2 * pairs
     lam = 1
-    if m == 0:
+    if not span:
         cls = QuadricClass.HYPERBOLIC if r >= 4 else QuadricClass.HYPERPLANE_PAIR
-    elif m == 1:
-        lam = work.coeffs[0]
+    elif len(span) == 1:
+        lam = form.evaluate(span[0])
         cls = QuadricClass.PARABOLIC if r >= 3 else QuadricClass.DOUBLE_HYPERPLANE
-        perm = [[0] * r for _ in range(r)]
-        perm[r - 1][0] = 1
-        for j in range(1, r):
-            perm[j - 1][j] = 1
-        t_r = mat_mul(field, t_r, perm)
-        if lam != 1 and pairs:
-            d = identity(r)
-            for p in range(1, 2 * pairs, 2):
-                d[p][p] = lam
-            t_r = mat_mul(field, t_r, d)
-    else:
-        if m != 2:
-            raise InternalInconsistency("anisotropic residual of dimension > 2")
-        s2 = _match_anisotropic(work)
+        pairs[::2] = [vec_scale(field, lam, u) for u in pairs[::2]]
+    elif len(span) == 2:
+        span = _match_anisotropic(form, gram, span)
         cls = QuadricClass.ELLIPTIC if r >= 4 else QuadricClass.CONJUGATE_PAIR
-        t_r = mat_mul(field, t_r, _shifted_block(r, 2 * pairs, s2))
-        perm = [[0] * r for _ in range(r)]
-        perm[r - 2][0] = 1
-        perm[r - 1][1] = 1
-        for j in range(2, r):
-            perm[j - 2][j] = 1
-        t_r = mat_mul(field, t_r, perm)
+    else:
+        raise InternalInconsistency("anisotropic residual of dimension > 2")
 
-    t_full = mat_mul(field, t1, _block_diag(t_r, k))
+    t = transpose(span + pairs + radical)
     target = canonical_form(field, n, cls, r).scale(lam)
-    if substitute(form, t_full).coeffs != target.coeffs:
+    if substitute(form, t).coeffs != target.coeffs:
         raise InternalInconsistency("canonicalization identity failed")
     return CanonicalizationResult(
         quadric_class=cls,
         rank=r,
-        transform=tuple(tuple(row) for row in t_full),
+        transform=tuple(tuple(row) for row in t),
         scalar=lam,
     )

@@ -131,6 +131,7 @@ def test_usage_errors_exit_2(tmp_path):
         ["verify", "serre", "--q", "7", "--N", "3"],          # budget exceeded
         ["verify", "serre", "--q", "3", "--N", "3", "--budget", "10"],
         ["verify", "serre", "--q", "2", "--N", "0"],
+        ["verify", "serre", "--q", "27", "--N", "1"],          # beyond max order
         ["verify", "containment", "--q", "2", "--N", "2", "--limit", "-1"],
     ]
     for argv in cases + one_line:
