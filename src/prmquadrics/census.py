@@ -4,16 +4,17 @@ Two independent routes to the same numbers: product formulas for the count
 of smooth quadrics per class and for minimal codewords per weight, and a
 brute-force scan that enumerates every form up to scalar, classifies it,
 and applies a selected minimality tester.  The scan also searches, through
-interpolation spaces, for pairs of quadrics whose rational point sets are
-strictly nested, asserting that every such pair has one of the admissible
-shapes (the q = 2 elliptic/hyperbolic rank-4 pair, or low-rank cones inside
-hyperplane pairs).
+the survey's point index, for pairs of quadrics whose rational point sets
+are strictly nested, asserting that every such pair has one of the
+admissible shapes (the q = 2 elliptic/hyperbolic rank-4 pair, or low-rank
+cones inside hyperplane pairs).
 
 Every scan reads ``prm.survey(q, n)``, the one per-form record ``(coeffs,
-class, rank, zero-set mask)``; the scans the CLI runs check the form budget
-first.  The census and the containment search are reductions over one
-chunk function each, run by ``_scan`` over balanced index ranges of the
-survey, in-process or in a worker pool, with the same result either way.
+class, rank, zero-set mask)``, or its point index; the scans the CLI runs
+check the form budget first.  The census and the containment search are
+reductions over one chunk function each, run by ``_scan`` over balanced
+index ranges of the survey, in-process or in a worker pool, with the same
+result either way.
 """
 
 from __future__ import annotations
@@ -28,11 +29,8 @@ from .prm import (
     PrmCode,
     build_code,
     characterization_minimal,
-    interpolation_space,
     is_minimal_exhaustive,
     is_minimal_interpolation,
-    iter_span_monic,
-    monic_index,
     survey,
 )
 from .projspace import gaussian_binomial, projective_size
@@ -379,30 +377,61 @@ def _admissible_shape(
     return None
 
 
+def _last_nonzero(coeffs) -> int:
+    k = len(coeffs) - 1
+    while not coeffs[k]:
+        k -= 1
+    return k
+
+
 def _containment_chunk(args) -> list[tuple[tuple, tuple, str]]:
     """(form coeffs, witness coeffs, shape) for the strict containments of
-    the chunk's forms; every span member is looked up in the survey."""
+    the chunk's forms.
+
+    The forms vanishing on a zero set are the survey rows the point index
+    gives.  Witnesses come in the order and with the scalars of
+    ``iter_span_monic(interpolation_space(...))``.  That kernel basis has
+    vector i equal to 1 at free column f_i, 0 at the other free columns and
+    0 right of f_i, so the free columns are the members' last nonzero
+    positions, a member's span coordinates are its coefficients there, and
+    the span lists each member scaled to monic coordinates, in
+    ``iter_monic_coeffs`` order of those coordinates.
+    """
     q, n, start, stop = args
     rows = survey(q, n)
-    code = build_code(field_from_order(q), n)
-    field = code.field
+    field = field_from_order(q)
+    inv, mul, order = field.inv, field._mul, field._order_index
     out = []
     witnesses: dict[tuple, tuple] = {}  # few distinct witnesses, many pairs
     for coeffs, cls, rk, mask in rows[start:stop]:
         if cls in (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.CONJUGATE_PAIR):
             continue
+        members = [rows[i] for i in rows.containing(mask)]
         count = mask.bit_count()
-        for member in iter_span_monic(field, interpolation_space(code, mask)):
-            _, wcls, wrk, wmask = rows[monic_index(field, member.coeffs)]
-            if wmask.bit_count() <= count:
-                continue
+        strict = [row for row in members if row[3].bit_count() > count]
+        if not strict:
+            continue
+        free = sorted({_last_nonzero(wc) for wc, *_ in members})
+        found = []
+        for wc, wcls, wrk, _ in strict:
+            coords = [wc[f] for f in free]
+            lead = next(j for j, c in enumerate(coords) if c)
+            scalar = inv(coords[lead])
+            if scalar != 1:
+                scale = mul[scalar]
+                coords = [scale[c] for c in coords]
+                wc = tuple(scale[c] for c in wc)
+                wc = witnesses.setdefault(wc, wc)
+            found.append(((lead, [order[c] for c in coords[lead + 1 :]]), wc, wcls, wrk))
+        found.sort(key=lambda item: item[0])
+        for _, witness, wcls, wrk in found:
             shape = _admissible_shape(q, cls, rk, wcls, wrk)
             if shape is None:
                 raise InadmissibleViolation(
                     f"inadmissible containment: {cls.value} rank "
                     f"{rk} inside {wcls.value} rank {wrk}"
                 )
-            out.append((coeffs, witnesses.setdefault(member.coeffs, member.coeffs), shape))
+            out.append((coeffs, witness, shape))
     return out
 
 
@@ -418,6 +447,7 @@ def verify_containment(
     outside the admissible shapes appears (a theorem failure).
     """
     _check_budget(q, n, budget)
+    survey(q, n).columns  # built here, so forked workers inherit it
     field = field_from_order(q)
     forms: dict[tuple, QuadraticForm] = {}
 
@@ -432,22 +462,6 @@ def verify_containment(
         for part in _scan(_containment_chunk, (q, n), q, n, workers)
         for fc, wc, shape in part
     ]
-
-
-def containment_pairs_bruteforce(q: int, n: int) -> set[tuple]:
-    """All-pairs subset scan (quadratic cost): cross-check for the
-    interpolation-driven search, intended for small grids only."""
-    _check_budget(q, n, None)
-    rows = survey(q, n)
-    out = set()
-    skip = (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.CONJUGATE_PAIR)
-    for coeffs_a, cls_a, _, mask_a in rows:
-        if cls_a in skip:
-            continue
-        for coeffs_b, _, _, mask_b in rows:
-            if mask_a != mask_b and mask_a | mask_b == mask_b:
-                out.add((coeffs_a, coeffs_b))
-    return out
 
 
 def verify_exception_example() -> bool:
@@ -481,26 +495,22 @@ def conic_interpolation_profile(q: int, budget: int | None = None) -> PencilProf
     """Common profile of the linear system through a smooth conic's points.
 
     For every smooth conic in P^2 the forms vanishing on its rational
-    points are enumerated and classified; the profile (members, reducible
-    pairs of lines, irreducible conics) must be identical across conics.
+    points are read from the survey's point index; the profile (members,
+    reducible pairs of lines, irreducible conics) must be identical across
+    conics.
     """
     _check_budget(q, 2, budget)
-    field = field_from_order(q)
-    code = build_code(field, 2)
     rows = survey(q, 2)
     profile = None
     for _, _, rk, mask in rows:
         if rk != 3:
             continue
-        members = reducible = irreducible = 0
-        for candidate in iter_span_monic(field, interpolation_space(code, mask)):
-            members += 1
-            ccls = rows[monic_index(field, candidate.coeffs)][1]
-            if ccls is QuadricClass.HYPERPLANE_PAIR:
-                reducible += 1
-            elif ccls in (QuadricClass.PARABOLIC,):
-                irreducible += 1
-        found = PencilProfile(members, reducible, irreducible)
+        classes = [rows[i][1] for i in rows.containing(mask)]
+        found = PencilProfile(
+            len(classes),
+            classes.count(QuadricClass.HYPERPLANE_PAIR),
+            classes.count(QuadricClass.PARABOLIC),
+        )
         if profile is None:
             profile = found
         elif profile != found:

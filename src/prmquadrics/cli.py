@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .census import (
     CensusError,
@@ -42,6 +43,7 @@ METHODS = {
 }
 
 MAX_Q = 25
+MAX_POINTS = 500_000
 
 
 class UsageError(Exception):
@@ -212,6 +214,7 @@ def cmd_verify(args) -> int:
         return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prmquadrics",
@@ -269,6 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exceeds_max_points(q: int, n: int) -> bool:
+    """Whether P^n(F_q) has more than MAX_POINTS points, summing
+    1 + q + ... + q^n only until the sum passes the bound."""
+    if q < 2:
+        return False  # not a field order; field_from_order reports it
+    size = 0
+    for _ in range(n + 1):
+        size = size * q + 1
+        if size > MAX_POINTS:
+            return True
+    return False
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -278,6 +294,10 @@ def main(argv=None) -> int:
     try:
         if args.q > MAX_Q:
             raise UsageError(f"field order {args.q} exceeds the supported bound {MAX_Q}")
+        if _exceeds_max_points(args.q, args.N):
+            raise UsageError(
+                f"P^{args.N} over GF({args.q}) has more than {MAX_POINTS} points"
+            )
         if getattr(args, "workers", 1) < 1:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
         if getattr(args, "limit", 0) < 0:

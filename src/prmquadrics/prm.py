@@ -7,7 +7,9 @@ recover all coefficients), so codewords correspond to forms and codewords
 up to scalar to quadrics.
 
 ``survey(q, n)`` classifies every form up to scalar once, in
-``iter_monic_coeffs`` order, and ``monic_index`` finds any form's row;
+``iter_monic_coeffs`` order, and ``monic_index`` finds any form's row.
+Its point index, built on first use, gives the rows whose zero set
+contains a given set of points by ANDing one bitset per point.
 ``build_code`` shares one immutable code per (field, N).
 
 A nonzero codeword is minimal when no other nonzero codeword has support
@@ -22,11 +24,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gf import Field, field_from_order
 from .linalg import kernel_basis, kernel_basis_gf2, matrix_rank
-from .projspace import bits_to_indices, projective_space
+from .projspace import bits_to_indices, projective_size, projective_space
 from .quadric import (
     ABSOLUTELY_IRREDUCIBLE,
     DimensionMismatch,
@@ -149,8 +151,40 @@ def monic_index(field: Field, coeffs) -> int:
     return (q**m - q ** (m - lead)) // (q - 1) + index
 
 
+class Survey(tuple):
+    """The rows of :func:`survey`, with the point index over them."""
+
+    def __new__(cls, rows, points: int):
+        self = super().__new__(cls, rows)
+        self.points = points
+        return self
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """The point index: bit i of ``columns[p]`` is set when row i's
+        zero set contains point p."""
+        width = self.points
+        # One row per `width` characters, highest row first and each row's
+        # highest point first, so every column is a binary numeral.
+        table = "".join(format(mask, f"0{width}b") for *_, mask in reversed(self))
+        return tuple(int(table[width - 1 - p :: width], 2) for p in range(width))
+
+    def containing(self, zeros: int) -> list[int]:
+        """Ascending indices of the rows whose zero set contains ``zeros``."""
+        columns = self.columns
+        through = (1 << len(self)) - 1
+        for p in bits_to_indices(zeros):
+            through &= columns[p]
+        out = []
+        while through:
+            low = through & -through
+            out.append(low.bit_length() - 1)
+            through ^= low
+        return out
+
+
 @lru_cache(maxsize=8)
-def survey(q: int, n: int):
+def survey(q: int, n: int) -> Survey:
     """Classify every monic form: (coeffs, class, rank, zero-set mask)."""
     field = field_from_order(q)
     rows = []
@@ -160,7 +194,7 @@ def survey(q: int, n: int):
         rk = (n + 1) - len(radical_quadratic(form))
         cls = discriminate(rk, mask.bit_count(), n, q)
         rows.append((coeffs, cls, rk, mask))
-    return tuple(rows)
+    return Survey(rows, projective_size(q, n))
 
 
 def interpolation_space(code: PrmCode, zero_mask: int) -> list[QuadraticForm]:

@@ -6,10 +6,10 @@ from prmquadrics.census import (
     BudgetExceeded,
     OrbitCounts,
     ParityMismatch,
+    _admissible_shape,
     brute_force_census,
     class_rank_census,
     conic_interpolation_profile,
-    containment_pairs_bruteforce,
     minimal_count_closed_form,
     orbit_count,
     orbit_counts,
@@ -21,6 +21,8 @@ from prmquadrics.census import (
     verify_exception_example,
 )
 from prmquadrics.formexpr import render_form
+from prmquadrics.gf import field_from_order
+from prmquadrics.prm import build_code, interpolation_space, iter_span_monic, monic_index
 from prmquadrics.projspace import gaussian_binomial, projective_size
 from prmquadrics.quadric import QuadricClass, monomials
 
@@ -205,11 +207,48 @@ def test_containment_empty_for_large_q():
     assert verify_containment(5, 2) == []
 
 
-def test_containment_allpairs_crosscheck_matches():
-    interp = {
-        (v.form.coeffs, v.witness.coeffs) for v in verify_containment(2, 3)
+SKIP_SMALL_SIDE = (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.CONJUGATE_PAIR)
+
+
+def containment_pairs_allpairs(q, n):
+    """Every (form, monic witness) with nested zero sets, by comparing all
+    pairs of survey rows (quadratic cost)."""
+    rows = survey(q, n)
+    return {
+        (coeffs_a, coeffs_b)
+        for coeffs_a, cls_a, _, mask_a in rows
+        if cls_a not in SKIP_SMALL_SIDE
+        for coeffs_b, _, _, mask_b in rows
+        if mask_a != mask_b and mask_a | mask_b == mask_b
     }
-    assert interp == containment_pairs_bruteforce(2, 3)
+
+
+def containment_by_interpolation(q, n):
+    """The containment search by linear algebra: every member of the span
+    of forms vanishing on a zero set, in ``iter_span_monic`` order and with
+    its scalars."""
+    field = field_from_order(q)
+    code = build_code(field, n)
+    rows = survey(q, n)
+    out = []
+    for coeffs, cls, rk, mask in rows:
+        if cls in SKIP_SMALL_SIDE:
+            continue
+        count = mask.bit_count()
+        for member in iter_span_monic(field, interpolation_space(code, mask)):
+            _, wcls, wrk, wmask = rows[monic_index(field, member.coeffs)]
+            if wmask.bit_count() > count:
+                out.append((coeffs, member.coeffs, _admissible_shape(q, cls, rk, wcls, wrk)))
+    return out
+
+
+def test_containment_allpairs_crosscheck_matches():
+    for q, n in [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)]:
+        field = field_from_order(q)
+        found = [(v.form.coeffs, v.witness.coeffs, v.shape) for v in verify_containment(q, n)]
+        assert found == containment_by_interpolation(q, n), (q, n)
+        monic = {(fc, survey(q, n)[monic_index(field, wc)][0]) for fc, wc, _ in found}
+        assert monic == containment_pairs_allpairs(q, n), (q, n)
 
 
 def test_serre_scan_small():

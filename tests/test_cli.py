@@ -133,6 +133,8 @@ def test_usage_errors_exit_2(tmp_path):
         ["verify", "serre", "--q", "2", "--N", "0"],
         ["verify", "serre", "--q", "27", "--N", "1"],          # beyond max order
         ["verify", "containment", "--q", "2", "--N", "2", "--limit", "-1"],
+        ["classify", "X0*X1", "--q", "2", "--N", "40"],       # too many points
+        ["classify", "X0*X1", "--q", "2", "--N", "1000000000"],
     ]
     for argv in cases + one_line:
         code, _, err = run_cli(argv)

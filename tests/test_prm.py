@@ -106,6 +106,22 @@ def test_monic_index_matches_enumeration():
         monic_index(F3, (0,) * 6)
 
 
+def test_point_index_is_the_transpose_of_the_survey():
+    for field, n in [(F2, 3), (F3, 2), (F4, 2)]:
+        rows = survey(field.q, n)
+        assert len(rows.columns) == build_code(field, n).length
+        for p, column in enumerate(rows.columns):
+            for i, (*_, mask) in enumerate(rows):
+                assert column >> i & 1 == mask >> p & 1, (field.q, n, p, i)
+    before = survey(2, 3)
+    columns = before.columns
+    survey.cache_clear()
+    after = survey(2, 3)
+    assert after is not before and after == before
+    assert "columns" not in vars(after)
+    assert after.columns == columns and after.columns is not columns
+
+
 def test_minimum_distance_bruteforce():
     for field, n in [(F2, 2), (F3, 2)]:
         code = build_code(field, n)
