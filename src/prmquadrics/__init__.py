@@ -33,7 +33,6 @@ from .prm import (
 from .projspace import (
     LinearSubspace,
     ProjectiveSpace,
-    enumerate_points,
     gaussian_binomial,
     line_through,
     projective_size,

@@ -225,6 +225,8 @@ def minimal_count_closed_form(q: int, n: int) -> MinimalCountTable:
 
 
 def _check_budget(q: int, n: int, budget: int | None) -> None:
+    if n < 1:
+        raise CensusError(f"scan needs N >= 1, got N = {n}")
     budget = DEFAULT_FORM_BUDGET if budget is None else budget
     size = q ** len(monomials(n))
     if size > budget:
@@ -244,8 +246,6 @@ def class_rank_census(q: int, n: int) -> dict[tuple[QuadricClass, int], int]:
 
 def serre_scan(q: int, n: int, budget: int | None = None) -> tuple[int, int, bool]:
     """(closed-form bound, max observed zeros, attained only by pairs)."""
-    if n < 1:
-        raise CensusError(f"serre scan needs N >= 1, got N = {n}")
     _check_budget(q, n, budget)
     bound = 2 * q ** (n - 1) + projective_size(q, n - 2)
     max_seen = 0

@@ -212,9 +212,6 @@ class Field:
             raise ZeroDivisionError("inverse of 0 in GF(q)")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self._mul[a][self.inv(b)]
-
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             a, n = self.inv(a), -n

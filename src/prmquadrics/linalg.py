@@ -137,11 +137,6 @@ def invert(field: Field, rows) -> list[list[int]]:
     return [r[n:] for r in red]
 
 
-def is_invertible(field: Field, rows) -> bool:
-    n = len(rows)
-    return matrix_rank(field, rows) == n
-
-
 def vec_add(field: Field, u, v) -> list[int]:
     add = field._add
     return [add[x][y] for x, y in zip(u, v)]

@@ -7,7 +7,7 @@ recover all coefficients), so codewords correspond to forms and codewords
 up to scalar to quadrics.
 
 ``survey(q, n)`` classifies every form up to scalar once, in
-``iter_monic_coeffs`` order, and ``monic_index`` finds any form's row.
+``iter_monic_coeffs`` order.
 Its point index, built on first use, gives the rows whose zero set
 contains a given set of points by ANDing one bitset per point.
 ``build_code`` shares one immutable code per (field, N).
@@ -131,24 +131,6 @@ def iter_monic_coeffs(field: Field, length: int):
         head = (0,) * lead + (1,)
         for tail in itertools.product(elems, repeat=length - lead - 1):
             yield head + tail
-
-
-def monic_index(field: Field, coeffs) -> int:
-    """Position of a nonzero form's scalar class in ``iter_monic_coeffs``.
-
-    The form is normalised to leading coefficient 1; the forms with an
-    earlier lead come first, then the tail is read as mixed-radix digits
-    under the field element order.
-    """
-    lead = next((k for k, c in enumerate(coeffs) if c), None)
-    if lead is None:
-        raise ZeroForm("the zero form has no scalar class")
-    q, m = field.q, len(coeffs)
-    order, scale = field._order_index, field._mul[field.inv(coeffs[lead])]
-    index = 0
-    for c in coeffs[lead + 1 :]:
-        index = index * q + order[scale[c]]
-    return (q**m - q ** (m - lead)) // (q - 1) + index
 
 
 class Survey(tuple):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf import Field
-from .linalg import identity, kernel_basis, matrix_rank, rref, vec_add, vec_scale
+from .linalg import kernel_basis, rref, vec_add, vec_scale
 
 
 class ProjSpaceError(Exception):
@@ -60,7 +60,7 @@ def normalize(field: Field, vec) -> tuple[int, ...]:
 
 
 class ProjectiveSpace:
-    """P^N(F_q) with its canonical ordered point list and index lookup."""
+    """P^N(F_q) with its canonical ordered point list and its flats."""
 
     def __init__(self, field: Field, n: int):
         if n < 0:
@@ -77,12 +77,10 @@ class ProjectiveSpace:
         self._index = {pt: i for i, pt in enumerate(pts)}
         self.full_mask = (1 << len(pts)) - 1
         self._mono_cache: dict = {}
+        self._flats: list[tuple[int, ...]] = []
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def point_index(self, point) -> int:
-        return self._index[normalize(self.field, point)]
 
     def render_point(self, point) -> str:
         return "(" + ":".join(self.field.render(c) for c in point) + ")"
@@ -109,15 +107,38 @@ class ProjectiveSpace:
             self._mono_cache[key] = cached
         return cached
 
+    def flats(self, k: int) -> tuple[int, ...]:
+        """Point masks of all k-dimensional linear subspaces (cached).
+
+        The 0-flats are the points.  A k-flat is the join of a (k-1)-flat F
+        with a point p off it: F together with the lines through p and each
+        point of F.  Every point off F lies in exactly one such join, so each
+        join is built once.
+        """
+        if k < 0:
+            raise OutOfRange(f"flats need dimension k >= 0, got {k}")
+        if not self._flats:
+            self._flats.append(tuple(1 << i for i in range(len(self.points))))
+        while len(self._flats) <= k:
+            joins = set()
+            for flat in self._flats[-1]:
+                members = [self.points[i] for i in bits_to_indices(flat)]
+                rest = self.full_mask ^ flat
+                while rest:
+                    p = self.points[(rest & -rest).bit_length() - 1]
+                    join = flat
+                    for x in members:
+                        for y in line_through(self.field, x, p):
+                            join |= 1 << self._index[y]
+                    joins.add(join)
+                    rest &= ~join
+            self._flats.append(tuple(sorted(joins)))
+        return self._flats[k]
+
 
 @lru_cache(maxsize=None)
 def projective_space(field: Field, n: int) -> ProjectiveSpace:
     return ProjectiveSpace(field, n)
-
-
-def enumerate_points(field: Field, n: int) -> tuple[tuple[int, ...], ...]:
-    """The canonical ordered list of rational points of P^n."""
-    return projective_space(field, n).points
 
 
 def line_through(field: Field, p, q) -> list[tuple[int, ...]]:
@@ -164,21 +185,6 @@ class LinearSubspace:
             out.add(normalize(field, vec))
         key = field.order_index
         return sorted(out, key=lambda pt: tuple(key(c) for c in pt))
-
-    def contains(self, point) -> bool:
-        if not self.spanning:
-            return False
-        rows = [list(s) for s in self.spanning]
-        base = matrix_rank(self.field, rows)
-        return matrix_rank(self.field, rows + [list(point)]) == base
-
-    def equations(self) -> list[list[int]]:
-        """Dual view: a basis of linear forms vanishing on the subspace."""
-        if not self.spanning:
-            return identity(self.ambient + 1)
-        return kernel_basis(
-            self.field, [list(s) for s in self.spanning], self.ambient + 1
-        )
 
     def to_json(self) -> dict:
         space = projective_space(self.field, self.ambient)

@@ -30,7 +30,6 @@ from .linalg import (
     kernel_basis,
     mat_mul,
     mat_vec,
-    matrix_rank,
     rref,
     transpose,
     vec_add,
@@ -63,10 +62,6 @@ class ZeroLinearForm(QuadricError):
 
 
 class PointNotOnQuadric(QuadricError):
-    pass
-
-
-class AmbientTooLarge(QuadricError):
     pass
 
 
@@ -422,13 +417,6 @@ def restrict_to_hyperplane(form: QuadraticForm, linear_form) -> QuadraticForm:
     return QuadraticForm(field, n - 1, coeffs)
 
 
-def section_embedding(form: QuadraticForm, linear_form) -> list[list[int]]:
-    """Matrix sending section coordinates back into the ambient space."""
-    field, n = form.field, form.ambient
-    ker = kernel_basis(field, [list(linear_form)])
-    return [[ker[c][r] for c in range(n)] for r in range(n + 1)]
-
-
 def tangent_space(form: QuadraticForm, point) -> LinearSubspace:
     """Projective tangent space at a rational point of the quadric.
 
@@ -445,63 +433,21 @@ def tangent_space(form: QuadraticForm, point) -> LinearSubspace:
 
 
 def projective_index_bruteforce(form: QuadraticForm) -> int:
-    """Largest dimension of a contained rational subspace, by enumeration.
+    """Largest dimension of a rational linear subspace inside the quadric.
 
-    A subspace lies in the quadric iff the restricted form vanishes
-    identically: for a span of zero-set points that reduces to the pairwise
-    polar products being zero.  Points, then lines, then planes are tested;
-    nothing larger fits a nonzero form in P^3.
+    By the definition: the largest k such that some k-flat's point mask lies
+    inside the zero mask, and -1 when there is no rational point.  A k-flat
+    inside the quadric holds (k-1)-flats inside it, so k rises until no
+    k-flat fits.
     """
     if form.is_zero:
         raise ZeroForm("projective index of the zero form is undefined")
-    field, n = form.field, form.ambient
-    if n > 3:
-        raise AmbientTooLarge("exhaustive index search is limited to N <= 3")
-    space = projective_space(field, n)
-    mask = point_set(form)
-    if mask == 0:
-        return -1
-    zpts = [space.points[i] for i in range(len(space.points)) if mask >> i & 1]
-    if n < 2 or len(zpts) < 2:
-        return 0
-    gram = polarize(form)
-    add, mul = field._add, field._mul
-    rows = [mat_vec(field, gram, z) for z in zpts]
-    nz = len(zpts)
-    adj = [0] * nz
-    found_line = False
-    for i in range(nz):
-        gi = rows[i]
-        zi = zpts[i]
-        for j in range(i + 1, nz):
-            zj = zpts[j]
-            acc = 0
-            for a, b in zip(gi, zj):
-                acc = add[acc][mul[a][b]]
-            if acc == 0:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-                found_line = True
-    if not found_line:
-        return 0
-    if n < 3:
-        return 1
-    for i in range(nz):
-        ai = adj[i]
-        if not ai:
-            continue
-        for j in range(i + 1, nz):
-            if not ai >> j & 1:
-                continue
-            common = ai & adj[j] & ~((1 << (j + 1)) - 1)
-            k = j + 1
-            rest = common >> k
-            while rest:
-                if rest & 1 and matrix_rank(field, [zpts[i], zpts[j], zpts[k]]) == 3:
-                    return 2
-                rest >>= 1
-                k += 1
-    return 1
+    space = projective_space(form.field, form.ambient)
+    outside = space.full_mask ^ point_set(form)
+    k = -1
+    while any(flat & outside == 0 for flat in space.flats(k + 1)):
+        k += 1
+    return k
 
 
 def canonical_form(field: Field, n: int, cls: QuadricClass, rk: int) -> QuadraticForm:

@@ -22,7 +22,7 @@ from prmquadrics.census import (
 )
 from prmquadrics.formexpr import render_form
 from prmquadrics.gf import field_from_order
-from prmquadrics.prm import build_code, interpolation_space, iter_span_monic, monic_index
+from prmquadrics.prm import build_code, interpolation_space, iter_span_monic
 from prmquadrics.projspace import gaussian_binomial, projective_size
 from prmquadrics.quadric import QuadricClass, monomials
 
@@ -223,6 +223,12 @@ def containment_pairs_allpairs(q, n):
     }
 
 
+def _monic(field, coeffs):
+    """The scalar multiple of a nonzero form with leading coefficient 1."""
+    inv_lead = field.inv(next(c for c in coeffs if c))
+    return tuple(field.mul(inv_lead, c) for c in coeffs)
+
+
 def containment_by_interpolation(q, n):
     """The containment search by linear algebra: every member of the span
     of forms vanishing on a zero set, in ``iter_span_monic`` order and with
@@ -230,13 +236,14 @@ def containment_by_interpolation(q, n):
     field = field_from_order(q)
     code = build_code(field, n)
     rows = survey(q, n)
+    by_coeffs = {row[0]: row for row in rows}
     out = []
     for coeffs, cls, rk, mask in rows:
         if cls in SKIP_SMALL_SIDE:
             continue
         count = mask.bit_count()
         for member in iter_span_monic(field, interpolation_space(code, mask)):
-            _, wcls, wrk, wmask = rows[monic_index(field, member.coeffs)]
+            _, wcls, wrk, wmask = by_coeffs[_monic(field, member.coeffs)]
             if wmask.bit_count() > count:
                 out.append((coeffs, member.coeffs, _admissible_shape(q, cls, rk, wcls, wrk)))
     return out
@@ -247,7 +254,7 @@ def test_containment_allpairs_crosscheck_matches():
         field = field_from_order(q)
         found = [(v.form.coeffs, v.witness.coeffs, v.shape) for v in verify_containment(q, n)]
         assert found == containment_by_interpolation(q, n), (q, n)
-        monic = {(fc, survey(q, n)[monic_index(field, wc)][0]) for fc, wc, _ in found}
+        monic = {(fc, _monic(field, wc)) for fc, wc, _ in found}
         assert monic == containment_pairs_allpairs(q, n), (q, n)
 
 

@@ -135,6 +135,9 @@ def test_usage_errors_exit_2(tmp_path):
         ["verify", "containment", "--q", "2", "--N", "2", "--limit", "-1"],
         ["classify", "X0*X1", "--q", "2", "--N", "40"],       # too many points
         ["classify", "X0*X1", "--q", "2", "--N", "1000000000"],
+        ["census", "--q", "2", "--N", "-1"],                  # no form space
+        ["verify", "containment", "--q", "2", "--N", "-1"],
+        ["verify", "containment", "--q", "2", "--N", "0"],
     ]
     for argv in cases + one_line:
         code, _, err = run_cli(argv)

@@ -8,7 +8,6 @@ from prmquadrics.gf import field_create
 from prmquadrics.linalg import (
     identity,
     invert,
-    is_invertible,
     kernel_basis,
     kernel_basis_gf2,
     mat_mul,
@@ -49,7 +48,7 @@ def test_invert_roundtrip():
         f = field_create(*((q, 1) if q != 4 else (2, 2)))
         for _ in range(25):
             m = random_invertible(f, 4, rng)
-            assert is_invertible(f, m)
+            assert matrix_rank(f, m) == 4
             assert mat_mul(f, m, invert(f, m)) == identity(4)
 
 

@@ -17,7 +17,6 @@ from prmquadrics.prm import (
     is_minimal_interpolation,
     iter_monic_coeffs,
     iter_span_monic,
-    monic_index,
     survey,
 )
 from prmquadrics.projspace import bits_to_indices
@@ -88,22 +87,6 @@ def test_injectivity_no_nonzero_form_has_empty_support():
         for coeffs in iter_monic_coeffs(field, code.dimension):
             form = QuadraticForm(field, n, coeffs)
             assert point_set(form) != code.space.full_mask
-
-
-def test_monic_index_matches_enumeration():
-    # GF(4) lists its elements as (0, 2, 1, 3): a digit read as the raw
-    # element instead of its order index lands in the wrong place.
-    assert F4.elements == (0, 2, 1, 3)
-    for field, n in [(F2, 3), (F2, 4), (F3, 2), (F3, 3), (F4, 2), (F5, 2)]:
-        m = len(build_code(field, n).monomials)
-        rows = survey(field.q, n)
-        for position, coeffs in enumerate(iter_monic_coeffs(field, m)):
-            assert rows[position][0] == coeffs
-            for lam in range(1, field.q):
-                scaled = tuple(field.mul(lam, c) for c in coeffs)
-                assert monic_index(field, scaled) == position
-    with pytest.raises(ZeroForm):
-        monic_index(F3, (0,) * 6)
 
 
 def test_point_index_is_the_transpose_of_the_survey():

@@ -1,18 +1,17 @@
-"""Point enumeration, subspaces, and q-binomials against brute oracles."""
+"""Point enumeration, subspaces, flats, and q-binomials against brute oracles."""
 
 import itertools
 import random
 
 import pytest
 
-from conftest import random_nonzero_vector
+from conftest import GRID, random_nonzero_vector
 
 from prmquadrics.gf import field_create, field_from_order
 from prmquadrics.linalg import rref, vec_scale
 from prmquadrics.projspace import (
     EqualPoints,
     OutOfRange,
-    enumerate_points,
     gaussian_binomial,
     hyperplane,
     line_through,
@@ -38,7 +37,7 @@ def test_projective_size_values():
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 3), (3, 2), (4, 2), (5, 1)])
 def test_enumerate_points_count_and_normalization(q, n):
     field = field_from_order(q)
-    pts = enumerate_points(field, n)
+    pts = projective_space(field, n).points
     assert len(pts) == projective_size(q, n)
     assert len(set(pts)) == len(pts)
     for pt in pts:
@@ -50,7 +49,7 @@ def test_enumerate_points_count_and_normalization(q, n):
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 1)])
 def test_every_nonzero_vector_normalizes_into_list(q, n):
     field = field_from_order(q)
-    pts = set(enumerate_points(field, n))
+    pts = set(projective_space(field, n).points)
     for vec in itertools.product(range(q), repeat=n + 1):
         if not any(vec):
             continue
@@ -120,7 +119,7 @@ def test_line_points_lie_on_line():
         pts = line_through(f4, p, q)
         assert len(pts) == 5
         sub = subspace_from_vectors(f4, 2, [p, q])
-        assert all(sub.contains(x) for x in pts)
+        assert set(pts) <= set(subspace_points(sub))
 
 
 def test_subspace_points_sizes():
@@ -146,23 +145,30 @@ def test_subspace_canonical_and_dependent_input():
     assert a == b  # canonical spanning set
 
 
-def test_subspace_dual_equations():
-    from prmquadrics.linalg import kernel_basis
+@pytest.mark.parametrize("q,n", GRID)
+def test_flats_counts_sizes_distinct(q, n):
+    space = projective_space(field_from_order(q), n)
+    for k in range(n + 1):
+        flats = space.flats(k)
+        assert len(flats) == gaussian_binomial(n + 1, k + 1, q), (q, n, k)
+        assert all(m.bit_count() == projective_size(q, k) for m in flats), (q, n, k)
+        assert len(set(flats)) == len(flats), (q, n, k)
 
-    f3 = field_create(3, 1)
-    line = subspace_from_vectors(f3, 3, [(1, 0, 2, 0), (0, 1, 1, 0)])
-    eqs = line.equations()
-    assert len(eqs) == 2  # vector-space codimension
-    for pt in subspace_points(line):
-        for eq in eqs:
-            acc = 0
-            for a, b in zip(eq, pt):
-                acc = f3.add(acc, f3.mul(a, b))
-            assert acc == 0
-    # round trip: the joint kernel of the equations is the subspace again
-    assert subspace_from_vectors(f3, 3, kernel_basis(f3, eqs, 4)) == line
-    empty = subspace_from_vectors(f3, 2, [])
-    assert len(empty.equations()) == 3
+
+def test_flats_lines_of_fano_plane():
+    f2 = field_create(2, 1)
+    space = projective_space(f2, 2)
+    lines = {
+        frozenset(line_through(f2, p, q))
+        for p, q in itertools.combinations(space.points, 2)
+    }
+    assert len(lines) == 7
+    as_masks = {sum(1 << space.points.index(x) for x in line) for line in lines}
+    assert set(space.flats(1)) == as_masks
+    assert space.flats(0) == tuple(1 << i for i in range(7))
+    assert space.flats(2) == (space.full_mask,)
+    with pytest.raises(OutOfRange):
+        space.flats(-1)
 
 
 def test_hyperplane():
@@ -173,16 +179,6 @@ def test_hyperplane():
     assert len(subspace_points(h)) == projective_size(3, 2)
     with pytest.raises(ValueError):
         hyperplane(f3, (0, 0, 0, 0))
-
-
-def test_point_index_bijective():
-    for q, n in [(2, 3), (3, 2), (4, 2)]:
-        field = field_from_order(q)
-        space = projective_space(field, n)
-        for i, pt in enumerate(space.points):
-            assert space.point_index(pt) == i
-        # index also resolves unnormalized representatives
-        assert space.point_index(vec_scale(field, field.q - 1, space.points[0]) if q > 2 else space.points[0]) == 0
 
 
 def test_point_rendering():
