@@ -7,7 +7,10 @@ recover all coefficients), so codewords correspond to forms and codewords
 up to scalar to quadrics.
 
 ``survey(q, n)`` classifies every form up to scalar once, in
-``iter_monic_coeffs`` order.
+``iter_monic_coeffs`` order, by one depth-first walk over the coefficients
+that carries the zero sets of the form and of its polar partials as
+bitmasks: each zero mask is read off the walk, and each rank from the
+number of singular points, with no per-form evaluation or elimination.
 Its point index, built on first use, gives the rows whose zero set
 contains a given set of points by ANDing one bitset per point.
 ``build_code`` shares one immutable code per (field, N).
@@ -39,7 +42,7 @@ from .quadric import (
     discriminate,
     monomials,
     point_set,
-    radical_quadratic,
+    subspace_dimension,
 )
 
 
@@ -165,17 +168,99 @@ class Survey(tuple):
         return out
 
 
+def _value_masks(rows, q: int) -> list[list[int]]:
+    """``out[k][a]``: the points p whose value tuple has ``rows[p][k] == a``."""
+    out = [[0] * q for _ in rows[0]]
+    for p, row in enumerate(rows):
+        for k, a in enumerate(row):
+            out[k][a] |= 1 << p
+    return out
+
+
 @lru_cache(maxsize=8)
 def survey(q: int, n: int) -> Survey:
-    """Classify every monic form: (coeffs, class, rank, zero-set mask)."""
+    """Classify every monic form: (coeffs, class, rank, zero-set mask).
+
+    One depth-first walk in ``iter_monic_coeffs`` order carries, per field
+    value a, the points where F = a and where each polar partial
+    L_i = B(e_i, .) = a; setting coefficient k to c adds c times monomial
+    k's values to F, and c times a coordinate to at most two partials.  A
+    form's zero mask is F's bucket 0.  Its singular points, where F and
+    every L_i vanish, are the rational points of the quadratic radical, a
+    subspace whose dimension their count gives, and with it the rank.
+    """
     field = field_from_order(q)
+    space = projective_space(field, n)
+    monos = monomials(n)
+    m = len(monos)
+    add, mul, neg, elems = field._add, field._mul, field._neg, field.elements
+    mono_masks = _value_masks(space.monomial_rows(monos), q)
+    coord_masks = _value_masks(space.points, q)
+    # touched[k]: (t, s, e) for each partial L_t that gains e*c * x_s as
+    # coefficient k becomes c; e = 2 on the diagonal, 0 in characteristic 2.
+    two = add[1][1]
+    touched = [[(i, i, two)] if i == j else [(i, j, 1), (j, i, 1)] for i, j in monos]
+
+    def moved(buckets, c, masks):
+        """Buckets of G + c*H, from G's buckets and H's value masks."""
+        if not c:
+            return buckets
+        out = [0] * q
+        for b, col in enumerate(masks):
+            to = add[mul[c][b]]
+            for v, mask in enumerate(buckets):
+                hit = mask & col
+                if hit:
+                    out[to[v]] |= hit
+        return out
+
+    def vanishing(buckets, c, masks):
+        """Points where G + c*H = 0."""
+        if not c:
+            return buckets[0]
+        out = 0
+        for b, col in enumerate(masks):
+            out |= buckets[neg[mul[c][b]]] & col
+        return out
+
+    classes: dict[tuple[int, int], tuple[QuadricClass, int]] = {}
     rows = []
-    for coeffs in iter_monic_coeffs(field, len(monomials(n))):
-        form = QuadraticForm(field, n, coeffs)
-        mask = point_set(form)
-        rk = (n + 1) - len(radical_quadratic(form))
-        cls = discriminate(rk, mask.bit_count(), n, q)
-        rows.append((coeffs, cls, rk, mask))
+    coeffs = [0] * m
+
+    def walk(k, choices, f, partials):
+        """Append the rows of every form that has ``coeffs`` before
+        position k, a value from ``choices`` at k, and any values after."""
+        if k == m - 1:
+            moving = {t for t, _, _ in touched[k]}
+            rest = space.full_mask
+            for t, part in enumerate(partials):
+                if t not in moving:
+                    rest &= part[0]
+            for c in choices:
+                coeffs[k] = c
+                zeros = vanishing(f, c, mono_masks[k])
+                singular = zeros & rest
+                for t, s, e in touched[k]:
+                    singular &= vanishing(partials[t], mul[e][c], coord_masks[s])
+                key = (singular.bit_count(), zeros.bit_count())
+                found = classes.get(key)
+                if found is None:
+                    rk = n + 1 - subspace_dimension(key[0], q)
+                    found = classes[key] = (discriminate(rk, key[1], n, q), rk)
+                rows.append((tuple(coeffs), *found, zeros))
+            coeffs[k] = 0
+            return
+        for c in choices:
+            coeffs[k] = c
+            after = partials[:]
+            for t, s, e in touched[k]:
+                after[t] = moved(partials[t], mul[e][c], coord_masks[s])
+            walk(k + 1, elems, moved(f, c, mono_masks[k]), after)
+        coeffs[k] = 0
+
+    nothing = [space.full_mask] + [0] * (q - 1)
+    for lead in range(m):
+        walk(lead, (1,), nothing, [nothing] * (n + 1))
     return Survey(rows, projective_size(q, n))
 
 

@@ -3,12 +3,15 @@
 A quadric in P^N falls into one of six projective classes: double
 hyperplane, pair of distinct rational hyperplanes, pair of conjugate
 hyperplanes over GF(q^2), and the three absolutely irreducible classes
-(parabolic, hyperbolic, elliptic).  Class membership is decided here from
-two independent measurements: the rank, obtained by exact linear algebra on
-the radical, and the number of rational zeros, obtained by exhaustive
-evaluation.  Each class/rank pair admits a closed-form point count, and
-``classify`` insists the measured count matches it, so every call doubles
-as a self-check of the counting identities.
+(parabolic, hyperbolic, elliptic).  ``classify`` decides class membership
+from two independent measurements: the rank, obtained by exact linear
+algebra on the radical, and the number of rational zeros, obtained by
+exhaustive evaluation.  Each class/rank pair admits a closed-form point
+count, and ``discriminate`` insists the measured count matches it, so every
+call doubles as a self-check of the counting identities.  The survey in
+``prm`` measures the rank another way, by counting the rational points of
+the singular locus (``subspace_dimension``), and passes through the same
+check.
 
 Canonicalization performs an explicit Witt decomposition in the input's
 own coordinates: split off the radical, peel hyperbolic pairs, and match
@@ -330,6 +333,21 @@ def discriminate(rk: int, count: int, n: int, q: int) -> QuadricClass:
     if count == pn1 - q ** (n - s):
         return QuadricClass.ELLIPTIC
     raise InternalInconsistency(f"rank-{rk} form with {count} points")
+
+
+def subspace_dimension(count: int, q: int) -> int:
+    """Vector dimension d of a subspace with ``count`` rational projective
+    points, that is, the d with (q**d - 1)/(q - 1) == count.
+
+    Raises InternalInconsistency when no d fits: the points measured were
+    not those of a linear subspace.
+    """
+    d = size = 0
+    while size < count:
+        d, size = d + 1, size * q + 1
+    if size != count:
+        raise InternalInconsistency(f"{count} points form no subspace over GF({q})")
+    return d
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from conftest import random_form
+from conftest import GRID, random_form
 
-from prmquadrics.gf import field_create
+from prmquadrics.gf import field_create, field_from_order
 from prmquadrics.prm import (
     CodeTooLarge,
     ZeroCodeword,
@@ -25,8 +25,11 @@ from prmquadrics.quadric import (
     QuadricClass,
     ZeroForm,
     classify,
+    discriminate,
     form_from_terms,
+    monomials,
     point_set,
+    radical_quadratic,
 )
 
 F2 = field_create(2, 1)
@@ -103,6 +106,22 @@ def test_point_index_is_the_transpose_of_the_survey():
     assert after is not before and after == before
     assert "columns" not in vars(after)
     assert after.columns == columns and after.columns is not columns
+
+
+@pytest.mark.parametrize("q, n", GRID + tuple((q, 1) for q in (7, 8, 9, 16, 25)))
+def test_survey_equals_the_single_form_path(q, n):
+    """Each row as the single-form path computes it: the zero set by
+    evaluation at every point, the rank by linear algebra on the radical."""
+    field = field_from_order(q)
+    m = len(monomials(n))
+    rows = survey(q, n)
+    assert len(rows) == (q**m - 1) // (q - 1)
+    for row, coeffs in zip(rows, iter_monic_coeffs(field, m)):
+        form = QuadraticForm(field, n, coeffs)
+        zeros = point_set(form)
+        rk = n + 1 - len(radical_quadratic(form))
+        cls = discriminate(rk, zeros.bit_count(), n, q)
+        assert row == (coeffs, cls, rk, zeros), (q, n)
 
 
 def test_minimum_distance_bruteforce():

@@ -21,6 +21,7 @@ from prmquadrics.quadric import (
     CanonicalizationResult,
     DimensionMismatch,
     InconsistentClassRank,
+    InternalInconsistency,
     PointNotOnQuadric,
     QuadraticForm,
     QuadricClass,
@@ -40,6 +41,7 @@ from prmquadrics.quadric import (
     restrict_to_hyperplane,
     singular_locus,
     substitute,
+    subspace_dimension,
     tangent_space,
 )
 
@@ -193,6 +195,15 @@ def test_singular_locus_matches_vanishing_gradient():
             }
             got = set(subspace_points(locus)) if locus.dimension >= 0 else set()
             assert got == expected
+
+
+def test_subspace_dimension_from_point_count():
+    for q in (2, 3, 4, 25):
+        for d in range(5):
+            assert subspace_dimension((q**d - 1) // (q - 1), q) == d
+    for count, q in ((5, 2), (2, 2), (2, 3), (14, 3), (6, 4)):
+        with pytest.raises(InternalInconsistency):
+            subspace_dimension(count, q)
 
 
 # -- point sets and counts ---------------------------------------------------
@@ -559,11 +570,9 @@ def test_hyperplane_confinement_full_grid():
     from prmquadrics.census import survey
 
     for q, n in GRID:
-        field = field_from_order(q)
-        space = projective_space(field, n)
+        hyperplanes = projective_space(field_from_order(q), n).flats(n - 1)
         for coeffs, cls, _, mask in survey(q, n):
-            pts = [list(space.points[i]) for i in bits_to_indices(mask)]
-            confined = matrix_rank(field, pts) <= n if pts else True
+            confined = any(mask & ~h == 0 for h in hyperplanes)
             expected = cls in (
                 QuadricClass.DOUBLE_HYPERPLANE,
                 QuadricClass.CONJUGATE_PAIR,
