@@ -11,10 +11,11 @@ cones inside hyperplane pairs).
 
 Every scan reads ``prm.survey(q, n)``, the one per-form record ``(coeffs,
 class, rank, zero-set mask)``, or its point index; the scans the CLI runs
-check the form budget first.  The census and the containment search are
-reductions over one chunk function each, run by ``_scan`` over balanced
-index ranges of the survey, in-process or in a worker pool, with the same
-result either way.
+pass ``prm.check_budget`` first, and the census hands its budget on to the
+exhaustive tester.  The census and the containment search are reductions
+over one chunk function each, run by ``_scan`` over balanced index ranges
+of the survey, in-process or in a worker pool, with the same result either
+way.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ from functools import cached_property
 
 from .gf import field_from_order
 from .prm import (
+    DEFAULT_FORM_BUDGET,
+    BudgetExceeded,
     PrmCode,
     build_code,
     characterization_minimal,
+    check_budget,
     is_minimal_exhaustive,
     is_minimal_interpolation,
     survey,
@@ -40,7 +44,6 @@ from .quadric import (
     QuadricClass,
     classify,
     form_from_terms,
-    monomials,
     point_set,
 )
 
@@ -53,15 +56,9 @@ class ParityMismatch(CensusError):
     pass
 
 
-class BudgetExceeded(CensusError):
-    pass
-
-
 class InadmissibleViolation(CensusError):
     """A containment pair outside the admissible shapes: theorem failure."""
 
-
-DEFAULT_FORM_BUDGET = 60_000
 
 TESTERS = ("characterization", "interpolation", "exhaustive")
 _RANGE_FORMS = 256
@@ -92,31 +89,6 @@ def orbit_count(cls: QuadricClass, r: int, q: int) -> int:
             value *= q ** (2 * i + 1) - 1
         return value
     raise ParityMismatch(f"orbit counts apply to absolutely irreducible classes, not {cls.value}")
-
-
-@dataclass(frozen=True)
-class OrbitCounts:
-    """Smooth-quadric counts in P^(r-1) per class; parity fixes which apply."""
-
-    q: int
-    r: int
-    n_parabolic: int
-    n_hyperbolic: int
-    n_elliptic: int
-
-
-def orbit_counts(q: int, r: int) -> OrbitCounts:
-    if r < 3:
-        raise ParityMismatch(f"absolutely irreducible quadrics have rank >= 3, got {r}")
-    if r % 2:
-        return OrbitCounts(q, r, orbit_count(QuadricClass.PARABOLIC, r, q), 0, 0)
-    return OrbitCounts(
-        q,
-        r,
-        0,
-        orbit_count(QuadricClass.HYPERBOLIC, r, q),
-        orbit_count(QuadricClass.ELLIPTIC, r, q),
-    )
 
 
 def smooth_quadric_count(r: int, q: int) -> int:
@@ -224,17 +196,6 @@ def minimal_count_closed_form(q: int, n: int) -> MinimalCountTable:
     return MinimalCountTable(q=q, n=n, delta=delta, epsilon=epsilon, rows=rows)
 
 
-def _check_budget(q: int, n: int, budget: int | None) -> None:
-    if n < 1:
-        raise CensusError(f"scan needs N >= 1, got N = {n}")
-    budget = DEFAULT_FORM_BUDGET if budget is None else budget
-    size = q ** len(monomials(n))
-    if size > budget:
-        raise BudgetExceeded(
-            f"form space of size {size} exceeds the enumeration budget {budget}"
-        )
-
-
 def class_rank_census(q: int, n: int) -> dict[tuple[QuadricClass, int], int]:
     """Monic form counts per (class, rank), from the exhaustive survey."""
     out: dict[tuple[QuadricClass, int], int] = {}
@@ -246,7 +207,7 @@ def class_rank_census(q: int, n: int) -> dict[tuple[QuadricClass, int], int]:
 
 def serre_scan(q: int, n: int, budget: int | None = None) -> tuple[int, int, bool]:
     """(closed-form bound, max observed zeros, attained only by pairs)."""
-    _check_budget(q, n, budget)
+    check_budget(q, n, budget)
     bound = 2 * q ** (n - 1) + projective_size(q, n - 2)
     max_seen = 0
     only_pairs = True
@@ -280,21 +241,21 @@ def _scan(chunk_fn, args, q: int, n: int, workers: int):
         yield from pool.imap(chunk_fn, ranges)
 
 
-def _minimal_by_tester(tester: str, code: PrmCode, coeffs, cls, rk) -> bool:
+def _minimal_by_tester(tester: str, code: PrmCode, coeffs, cls, rk, budget) -> bool:
     if tester == "characterization":
         return characterization_minimal(cls, rk, code.field.q)
     form = QuadraticForm(code.field, code.n, coeffs)
     if tester == "interpolation":
         return is_minimal_interpolation(code, form).minimal
-    return is_minimal_exhaustive(code, code.encode(form)).minimal
+    return is_minimal_exhaustive(code, code.encode(form), budget).minimal
 
 
 def _census_chunk(args) -> dict[int, int]:
-    q, n, tester, start, stop = args
+    q, n, tester, budget, start, stop = args
     code = build_code(field_from_order(q), n)
     tally: dict[int, int] = {}
     for coeffs, cls, rk, mask in survey(q, n)[start:stop]:
-        if _minimal_by_tester(tester, code, coeffs, cls, rk):
+        if _minimal_by_tester(tester, code, coeffs, cls, rk, budget):
             weight = code.length - mask.bit_count()
             tally[weight] = tally.get(weight, 0) + (q - 1)
     return tally
@@ -314,9 +275,9 @@ def brute_force_census(
     """
     if tester not in TESTERS:
         raise CensusError(f"unknown tester {tester!r}; expected one of {TESTERS}")
-    _check_budget(q, n, budget)
+    check_budget(q, n, budget)
     tally: dict[int, int] = {}
-    for part in _scan(_census_chunk, (q, n, tester), q, n, workers):
+    for part in _scan(_census_chunk, (q, n, tester, budget), q, n, workers):
         for w, c in part.items():
             tally[w] = tally.get(w, 0) + c
     closed = minimal_count_closed_form(q, n)
@@ -446,7 +407,7 @@ def verify_containment(
     and carry no information.  Raises InadmissibleViolation when a pair
     outside the admissible shapes appears (a theorem failure).
     """
-    _check_budget(q, n, budget)
+    check_budget(q, n, budget)
     survey(q, n).columns  # built here, so forked workers inherit it
     field = field_from_order(q)
     forms: dict[tuple, QuadraticForm] = {}
@@ -499,7 +460,7 @@ def conic_interpolation_profile(q: int, budget: int | None = None) -> PencilProf
     reducible pairs of lines, irreducible conics) must be identical across
     conics.
     """
-    _check_budget(q, 2, budget)
+    check_budget(q, 2, budget)
     rows = survey(q, 2)
     profile = None
     for _, _, rk, mask in rows:

@@ -73,10 +73,8 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
 
 
 def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
-    """Least monic irreducible of degree e, lex on ascending coefficients."""
-    if e == 1:
-        # Prime field: reduction is plain mod-p, kept as x for uniformity.
-        return (0, 1)
+    """Least monic irreducible of degree e, lex on ascending coefficients;
+    (0, 1), that is x, for a prime field."""
     for tail in itertools.product(range(p), repeat=e):
         poly = list(tail) + [1]
         if _is_irreducible(poly, p):
@@ -141,8 +139,6 @@ class Field:
 
     def render(self, x: int) -> str:
         """Render as a polynomial in z; prime-field elements as integers."""
-        if self.e == 1:
-            return str(x)
         cs = self.coeffs(x)
         terms = []
         for k in range(self.e - 1, -1, -1):
@@ -163,33 +159,29 @@ class Field:
 
     def _build_tables(self) -> None:
         p, e, q = self.p, self.e, self.q
-        if e == 1:
-            self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-        else:
-            red = self.modulus
+        red = list(self.modulus)
 
-            def mul_poly(a: int, b: int) -> int:
-                ca, cb = self.coeffs(a), self.coeffs(b)
-                prod = [0] * (2 * e - 1)
-                for i, x in enumerate(ca):
-                    if x:
-                        for j, y in enumerate(cb):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                rem = _poly_mod(prod, list(red), p)
-                rem += [0] * (e - len(rem))
-                return self.from_coeffs(rem)
+        def mul_poly(a: int, b: int) -> int:
+            ca, cb = self.coeffs(a), self.coeffs(b)
+            prod = [0] * (2 * e - 1)
+            for i, x in enumerate(ca):
+                if x:
+                    for j, y in enumerate(cb):
+                        prod[i + j] = (prod[i + j] + x * y) % p
+            rem = _poly_mod(prod, red, p)
+            rem += [0] * (e - len(rem))
+            return self.from_coeffs(rem)
 
-            self._add = [
-                [
-                    self.from_coeffs(
-                        (x + y) % p for x, y in zip(self.coeffs(a), self.coeffs(b))
-                    )
-                    for b in range(q)
-                ]
-                for a in range(q)
+        self._add = [
+            [
+                self.from_coeffs(
+                    (x + y) % p for x, y in zip(self.coeffs(a), self.coeffs(b))
+                )
+                for b in range(q)
             ]
-            self._mul = [[mul_poly(a, b) for b in range(q)] for a in range(q)]
+            for a in range(q)
+        ]
+        self._mul = [[mul_poly(a, b) for b in range(q)] for a in range(q)]
         self._neg = [next(b for b in range(q) if self._add[a][b] == 0) for a in range(q)]
         self._inv = [0] * q
         for a in range(1, q):

@@ -128,15 +128,6 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def invert(field: Field, rows) -> list[list[int]]:
-    n = len(rows)
-    aug = [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = rref(field, aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [r[n:] for r in red]
-
-
 def vec_add(field: Field, u, v) -> list[int]:
     add = field._add
     return [add[x][y] for x, y in zip(u, v)]

@@ -12,7 +12,9 @@ that carries the zero sets of the form and of its polar partials as
 bitmasks: each zero mask is read off the walk, and each rank from the
 number of singular points, with no per-form evaluation or elimination.
 Its point index, built on first use, gives the rows whose zero set
-contains a given set of points by ANDing one bitset per point.
+contains a given set of points by ANDing one bitset per point.  The
+scans the CLI runs and the exhaustive tester pass ``check_budget`` before
+they build a survey: the form space q**dim may not exceed the budget.
 ``build_code`` shares one immutable code per (field, N).
 
 A nonzero codeword is minimal when no other nonzero codeword has support
@@ -20,7 +22,8 @@ strictly inside its own; equivalently, the zero set of its form is maximal
 under inclusion among quadric point sets.  Three independent testers are
 provided: a classification-based characterization, an interpolation search
 through the linear system of forms vanishing on the zero set, and an
-exhaustive support scan over the survey.
+exhaustive search of the survey's point index for a strictly larger zero
+set.
 """
 
 from __future__ import annotations
@@ -50,16 +53,15 @@ class PrmError(Exception):
     pass
 
 
-class CodeTooLarge(PrmError):
-    """Exhaustive scan bounds: dimension <= 15 and q**dim <= 2e7."""
-
-
 class ZeroCodeword(PrmError):
     pass
 
 
-EXHAUSTIVE_MAX_DIMENSION = 15
-EXHAUSTIVE_MAX_CODE_SIZE = 2 * 10**7
+class BudgetExceeded(PrmError):
+    pass
+
+
+DEFAULT_FORM_BUDGET = 60_000
 
 
 @dataclass(frozen=True)
@@ -67,13 +69,6 @@ class Codeword:
     values: tuple[int, ...]
     support: int
     weight: int
-
-    def to_json(self, field: Field) -> dict:
-        return {
-            "values": ",".join(field.render(v) for v in self.values),
-            "support": bits_to_indices(self.support),
-            "weight": self.weight,
-        }
 
 
 class PrmCode:
@@ -160,12 +155,7 @@ class Survey(tuple):
         through = (1 << len(self)) - 1
         for p in bits_to_indices(zeros):
             through &= columns[p]
-        out = []
-        while through:
-            low = through & -through
-            out.append(low.bit_length() - 1)
-            through ^= low
-        return out
+        return bits_to_indices(through)
 
 
 def _value_masks(rows, q: int) -> list[list[int]]:
@@ -175,6 +165,19 @@ def _value_masks(rows, q: int) -> list[list[int]]:
         for k, a in enumerate(row):
             out[k][a] |= 1 << p
     return out
+
+
+def check_budget(q: int, n: int, budget: int | None = None) -> None:
+    """Refuse N < 1, and a form space q**dim larger than the budget
+    (``DEFAULT_FORM_BUDGET`` when None), before any survey is built."""
+    if n < 1:
+        raise PrmError(f"scan needs N >= 1, got N = {n}")
+    budget = DEFAULT_FORM_BUDGET if budget is None else budget
+    size = q ** len(monomials(n))
+    if size > budget:
+        raise BudgetExceeded(
+            f"form space of size {size} exceeds the enumeration budget {budget}"
+        )
 
 
 @lru_cache(maxsize=8)
@@ -352,18 +355,20 @@ def is_minimal_interpolation(code: PrmCode, form: QuadraticForm) -> MinimalityVe
     return MinimalityVerdict(minimal=True, method="interpolation")
 
 
-def is_minimal_exhaustive(code: PrmCode, codeword: Codeword) -> MinimalityVerdict:
-    """Verdict by scanning ``survey`` for a strictly smaller support, that
-    is, a zero set strictly containing ``full_mask ^ support``."""
+def is_minimal_exhaustive(
+    code: PrmCode, codeword: Codeword, budget: int | None = None
+) -> MinimalityVerdict:
+    """Verdict by the survey's point index: the forms whose zero set
+    contains ``full_mask ^ support``; the first, in survey order, whose
+    zero set is strictly larger is the witness."""
     if codeword.weight == 0:
         raise ZeroCodeword("minimality of the zero codeword is undefined")
-    if code.dimension > EXHAUSTIVE_MAX_DIMENSION:
-        raise CodeTooLarge(f"dimension {code.dimension} exceeds {EXHAUSTIVE_MAX_DIMENSION}")
-    if code.field.q**code.dimension > EXHAUSTIVE_MAX_CODE_SIZE:
-        raise CodeTooLarge(f"code size {code.field.q}**{code.dimension} exceeds scan bound")
+    check_budget(code.field.q, code.n, budget)
+    rows = survey(code.field.q, code.n)
     zeros = code.space.full_mask ^ codeword.support
-    for coeffs, _, _, mask in survey(code.field.q, code.n):
-        if mask != zeros and mask & zeros == zeros:
+    for i in rows.containing(zeros):
+        coeffs, _, _, mask = rows[i]
+        if mask != zeros:
             return MinimalityVerdict(
                 minimal=False,
                 method="exhaustive",

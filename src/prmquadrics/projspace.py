@@ -220,11 +220,10 @@ def hyperplane(field: Field, linear_form) -> LinearSubspace:
 
 
 def bits_to_indices(mask: int) -> list[int]:
+    """Ascending positions of the set bits, one step per set bit."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out

@@ -4,7 +4,6 @@ import pytest
 
 from prmquadrics.census import (
     BudgetExceeded,
-    OrbitCounts,
     ParityMismatch,
     _admissible_shape,
     brute_force_census,
@@ -12,7 +11,6 @@ from prmquadrics.census import (
     conic_interpolation_profile,
     minimal_count_closed_form,
     orbit_count,
-    orbit_counts,
     serre_scan,
     smooth_quadric_count,
     survey,
@@ -127,13 +125,6 @@ def test_brute_census_remaining_grid_points():
     assert tab.brute_dict() == {18: 1560, 24: 21060, 30: 16848} and tab.matches()
     tab = brute_force_census(5, 2, "characterization")
     assert tab.brute_dict() == {20: 1860, 25: 12400} and tab.matches()
-
-
-def test_orbit_counts_aggregate():
-    assert orbit_counts(2, 3) == OrbitCounts(2, 3, 28, 0, 0)
-    assert orbit_counts(2, 4) == OrbitCounts(2, 4, 0, 280, 168)
-    with pytest.raises(ParityMismatch):
-        orbit_counts(2, 2)
 
 
 def test_census_tester_independence_small():

@@ -138,6 +138,7 @@ def test_usage_errors_exit_2(tmp_path):
         ["census", "--q", "2", "--N", "-1"],                  # no form space
         ["verify", "containment", "--q", "2", "--N", "-1"],
         ["verify", "containment", "--q", "2", "--N", "0"],
+        ["minimal", "X0*X1", "--q", "4", "--N", "3", "--method", "exhaustive"],
     ]
     for argv in cases + one_line:
         code, _, err = run_cli(argv)

@@ -123,6 +123,18 @@ def test_modulus_is_irreducible_by_exhaustive_factor_search(p, e):
                 assert _poly_mul(g, h, p) != modulus
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_prime_field_is_integers_mod_p(p):
+    """The polynomial-basis construction at degree 1 is plain mod-p."""
+    f = field_create(p, 1)
+    assert f.modulus == (0, 1)
+    for a in range(p):
+        assert f.render(a) == str(a)
+        for b in range(p):
+            assert f._add[a][b] == (a + b) % p
+            assert f._mul[a][b] == (a * b) % p
+
+
 def test_gf4_modulus_unique():
     # Exhaustive search: x^2 + x + 1 is the only irreducible monic quadratic
     # over GF(2), so the canonical choice is forced.

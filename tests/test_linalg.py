@@ -2,15 +2,11 @@
 
 import random
 
-from conftest import random_invertible
-
 from prmquadrics.gf import field_create
 from prmquadrics.linalg import (
     identity,
-    invert,
     kernel_basis,
     kernel_basis_gf2,
-    mat_mul,
     mat_vec,
     matrix_rank,
     rref,
@@ -40,16 +36,6 @@ def test_kernel_annihilates():
 def test_kernel_of_empty_matrix_is_full_space():
     f = field_create(2, 1)
     assert kernel_basis(f, [], 3) == identity(3)
-
-
-def test_invert_roundtrip():
-    rng = random.Random(11)
-    for q in (2, 3, 4):
-        f = field_create(*((q, 1) if q != 4 else (2, 2)))
-        for _ in range(25):
-            m = random_invertible(f, 4, rng)
-            assert matrix_rank(f, m) == 4
-            assert mat_mul(f, m, invert(f, m)) == identity(4)
 
 
 def test_gf2_bitpacked_kernel_matches_generic():

@@ -1,14 +1,16 @@
 """Code construction, encoding, interpolation, and the three testers."""
 
+import itertools
 import random
 
 import pytest
 
 from conftest import GRID, random_form
 
+from prmquadrics.census import brute_force_census
 from prmquadrics.gf import field_create, field_from_order
 from prmquadrics.prm import (
-    CodeTooLarge,
+    BudgetExceeded,
     ZeroCodeword,
     build_code,
     interpolation_space,
@@ -53,7 +55,7 @@ def test_encode_examples():
     code = build_code(F2, 3)
     f = form_from_terms(F2, 3, {(0, 1): 1, (2, 3): 1})
     c = code.encode(f)
-    assert c.weight == 15 - 9 == 6
+    assert c.weight == 15 - 9 == 6 == c.support.bit_count()
     pair = form_from_terms(F2, 3, {(0, 1): 1})
     assert code.encode(pair).weight == 2**3 - 2**2
     zero = QuadraticForm(F2, 3, (0,) * 10)
@@ -228,14 +230,49 @@ def test_exhaustive_tester():
 
 def test_exhaustive_budget_guard():
     f5 = field_create(5, 1)
-    big = build_code(f5, 4)  # dimension 15, 5**15 codewords
+    big = build_code(f5, 4)  # 5**15 forms
     c = big.encode(form_from_terms(f5, 4, {(0, 1): 1}))
-    with pytest.raises(CodeTooLarge):
+    with pytest.raises(BudgetExceeded):
         is_minimal_exhaustive(big, c)
-    wide = build_code(F2, 5)  # dimension 21 > 15
+    wide = build_code(F2, 5)  # 2**21 forms
     cw = wide.encode(form_from_terms(F2, 5, {(0, 1): 1}))
-    with pytest.raises(CodeTooLarge):
+    with pytest.raises(BudgetExceeded):
         is_minimal_exhaustive(wide, cw)
+    # refused before any survey is built
+    f7 = field_create(7, 1)
+    plane = build_code(f7, 2)  # 7**6 = 117,649 forms
+    misses = survey.cache_info().misses
+    with pytest.raises(BudgetExceeded):
+        is_minimal_exhaustive(plane, plane.encode(form_from_terms(f7, 2, {(0, 1): 1})))
+    assert survey.cache_info().misses == misses
+    small = build_code(F2, 3)  # 2**10 forms
+    pair = small.encode(form_from_terms(F2, 3, {(0, 1): 1}))
+    with pytest.raises(BudgetExceeded):
+        is_minimal_exhaustive(small, pair, budget=100)
+    # the census hands its budget to the tester
+    assert brute_force_census(2, 3, "exhaustive", budget=2**10).matches()
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (2, 3), (3, 2), (4, 2)])
+def test_exhaustive_tester_equals_a_linear_scan(q, n):
+    """The point-index tester against the scan it replaced: the first
+    survey row, in order, whose zero set strictly contains the form's."""
+    field = field_from_order(q)
+    code = build_code(field, n)
+    rows = survey(q, n)
+    for coeffs in itertools.product(range(q), repeat=code.dimension):
+        if not any(coeffs):
+            continue
+        codeword = code.encode(QuadraticForm(field, n, coeffs))
+        zeros = code.space.full_mask ^ codeword.support
+        witness = next(
+            (wc for wc, _, _, mask in rows if mask != zeros and mask & zeros == zeros),
+            None,
+        )
+        verdict = is_minimal_exhaustive(code, codeword)
+        assert verdict.minimal is (witness is None), coeffs
+        if witness is not None:
+            assert verdict.witness.coeffs == witness, coeffs
 
 
 def test_verdict_scalar_invariance():
@@ -251,13 +288,3 @@ def test_verdict_scalar_invariance():
             assert is_minimal_characterization(g).minimal == base_char
             assert is_minimal_interpolation(code, g).minimal == base_interp
             assert is_minimal_exhaustive(code, code.encode(g)).minimal == base_exh
-
-
-def test_codeword_json():
-    code = build_code(F4, 2)
-    z = F4.from_coeffs((0, 1))
-    f = form_from_terms(F4, 2, {(0, 1): z})
-    payload = code.encode(f).to_json(F4)
-    assert set(payload) == {"values", "support", "weight"}
-    assert payload["weight"] == len(payload["support"])
-    assert "z" in payload["values"]
