@@ -12,12 +12,15 @@ by exhaustive trial division.  Elements carry a canonical total order:
 lexicographic on the coefficient vector, again constant term first.  Every
 enumeration in the package (points, forms, codewords) derives from this
 order, so all outputs are bit-for-bit reproducible.
+
+For evaluation at many points at once, :class:`LaneCode` packs one element
+per byte; a row of such bytes, one per point, is a lane.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class GFError(Exception):
@@ -155,6 +158,11 @@ class Field:
     def __repr__(self):  # pragma: no cover
         return f"Field(p={self.p}, e={self.e})"
 
+    @cached_property
+    def lane_code(self) -> "LaneCode":
+        """The byte code of this field's elements, built on first use."""
+        return LaneCode(self)
+
     # -- arithmetic ------------------------------------------------------
 
     def _build_tables(self) -> None:
@@ -237,6 +245,69 @@ class Field:
         if self.p == 2:
             return True
         return x == 0 or self.pow(x, (self.q - 1) // 2) == 1
+
+
+class LaneCode:
+    """One byte per element, so that adding lanes as integers adds values.
+
+    Element x, with coefficients d_i, is the byte sum(d_i * B**i), where B
+    is the largest base with B**e <= 256.  Each base-B digit slot of a byte
+    holds at most B - 1, so ``terms`` = (B-1)//(p-1) encoded values add as
+    plain integers, lane against lane, before a slot can overflow into the
+    next byte; ``normal`` then reduces every digit mod p again.  Every other
+    map is one 256-byte ``bytes.translate`` table: ``scale[c]`` multiplies
+    by c (on normal bytes), ``zero`` sends a byte to ``b"1"`` when its value
+    is 0 and to ``b"0"`` otherwise, and ``decode`` gives the element itself.
+    The last three accept any byte a sum of ``terms`` normal bytes can be.
+    """
+
+    def __init__(self, field: Field):
+        p, e, q = field.p, field.e, field.q
+        base = 2
+        while (base + 1) ** e <= 256:
+            base += 1
+        self.terms = (base - 1) // (p - 1)
+
+        def digits(v: int) -> list[int]:
+            return [v // base**i % base % p for i in range(e)]
+
+        def code(coeffs) -> int:
+            return sum(d * base**i for i, d in enumerate(coeffs))
+
+        codes = [code(field.coeffs(x)) for x in range(q)]
+        self.encode = bytes(codes) + bytes(256 - q)
+        self.normal = bytes(code(digits(v)) for v in range(256))
+        self.decode = bytes(field.from_coeffs(digits(v)) for v in range(256))
+        self.zero = bytes(ord("0" if any(digits(v)) else "1") for v in range(256))
+        mul = field._mul
+        self.scale = []
+        for c in range(q):
+            table = bytearray(256)
+            for x in range(q):
+                table[codes[x]] = codes[mul[c][x]]
+            self.scale.append(bytes(table))
+
+    def combine(self, pairs, width: int) -> bytes:
+        """The lane sum(c * lane) over (c, lane) pairs of normal lanes of
+        ``width`` bytes, not yet normalized; zero coefficients are skipped."""
+        acc = pending = 0
+        for c, lane in pairs:
+            if not c:
+                continue
+            if pending == self.terms:
+                acc = int.from_bytes(
+                    acc.to_bytes(width, "little").translate(self.normal), "little"
+                )
+                pending = 1
+            if c != 1:
+                lane = lane.translate(self.scale[c])
+            acc += int.from_bytes(lane, "little")
+            pending += 1
+        return acc.to_bytes(width, "little")
+
+    def zero_mask(self, lane: bytes) -> int:
+        """Bit i set where byte i of the lane is the value 0."""
+        return int(lane.translate(self.zero)[::-1], 2)
 
 
 @lru_cache(maxsize=None)

@@ -105,21 +105,6 @@ def mat_vec(field: Field, rows, v) -> list[int]:
     return out
 
 
-def mat_mul(field: Field, a, b) -> list[list[int]]:
-    add, mul = field._add, field._mul
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            acc = 0
-            for x, y in zip(row, col):
-                acc = add[acc][mul[x][y]]
-            orow.append(acc)
-        out.append(orow)
-    return out
-
-
 def transpose(rows) -> list[list[int]]:
     return [list(c) for c in zip(*rows)]
 

@@ -4,7 +4,9 @@ The code of length p_N is the image of the evaluation map sending a
 quadratic form to its value vector over the canonical point list.  For
 degree 2 the map is injective for every q (values at e_i and e_i + e_j
 recover all coefficients), so codewords correspond to forms and codewords
-up to scalar to quadrics.
+up to scalar to quadrics.  ``PrmCode.encode`` reads a form's value vector
+off its evaluation lane (``quadric.evaluation_lane``), the same one
+``point_set`` reads the zero set from.
 
 ``survey(q, n)`` classifies every form up to scalar once, in
 ``iter_monic_coeffs`` order, by one depth-first walk over the coefficients
@@ -23,7 +25,9 @@ under inclusion among quadric point sets.  Three independent testers are
 provided: a classification-based characterization, an interpolation search
 through the linear system of forms vanishing on the zero set, and an
 exhaustive search of the survey's point index for a strictly larger zero
-set.
+set.  The interpolation span (``interpolation_space``) is eliminated on
+packed values: monomial lanes gathered at the points, or bitmask rows over
+GF(2).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .gf import Field, field_from_order
-from .linalg import kernel_basis, kernel_basis_gf2, matrix_rank
+from .linalg import kernel_basis_gf2, matrix_rank
 from .projspace import bits_to_indices, projective_size, projective_space
 from .quadric import (
     ABSOLUTELY_IRREDUCIBLE,
@@ -43,6 +47,7 @@ from .quadric import (
     ZeroForm,
     classify,
     discriminate,
+    evaluation_lane,
     monomials,
     point_set,
     subspace_dimension,
@@ -93,9 +98,10 @@ class PrmCode:
     def encode(self, form: QuadraticForm) -> Codeword:
         if form.field != self.field or form.ambient != self.n:
             raise DimensionMismatch("form does not match the code parameters")
-        zeros = point_set(form)
-        support = self.space.full_mask ^ zeros
-        values = tuple(form.evaluate(pt) for pt in self.space.points)
+        lane = evaluation_lane(form)
+        lane_code = self.field.lane_code
+        support = self.space.full_mask ^ lane_code.zero_mask(lane)
+        values = tuple(lane.translate(lane_code.decode))
         return Codeword(values=values, support=support, weight=support.bit_count())
 
     def minimum_distance(self) -> int:
@@ -270,8 +276,16 @@ def survey(q: int, n: int) -> Survey:
 def interpolation_space(code: PrmCode, zero_mask: int) -> list[QuadraticForm]:
     """Basis of the space of forms vanishing at the points of a bitmask.
 
-    The basis is the deterministic free-column kernel basis of the
-    evaluation constraints; with no points it is the unit basis.
+    The basis is the free-column kernel basis of the evaluation constraints,
+    the one ``linalg.kernel_basis`` gives: for each monomial k that is a
+    combination of the monomials before it on the points, the form
+    X_k minus that combination.  With no points it is the unit basis.
+
+    Over GF(2) the constraint rows are bitmasks.  Otherwise the columns are
+    the monomial lanes at the points, each followed by the unit vector e_k,
+    and Gauss-Jordan elimination runs on them left to right: a column that
+    reduces to zero on the points carries its kernel vector in the tail; one
+    that does not becomes a pivot at its first nonzero point.
     """
     indices = bits_to_indices(zero_mask)
     field = code.field
@@ -283,9 +297,29 @@ def interpolation_space(code: PrmCode, zero_mask: int) -> list[QuadraticForm]:
             QuadraticForm(field, code.n, tuple(b >> k & 1 for k in range(m)))
             for b in basis_masks
         ]
-    rows = code.space.monomial_rows(code.monomials)
-    basis_vecs = kernel_basis(field, [list(rows[i]) for i in indices], m)
-    return [QuadraticForm(field, code.n, tuple(v)) for v in basis_vecs]
+    lane_code = field.lane_code
+    neg, inv, decode = field._neg, field.inv, lane_code.decode
+    height = len(indices)
+    width = height + m
+
+    def reduced(pairs) -> bytes:
+        return lane_code.combine(pairs, width).translate(lane_code.normal)
+
+    # (point, lane): each pivot lane is 1 at its point and 0 at the others'.
+    pivots: list[tuple[int, bytes]] = []
+    basis = []
+    for k, lane in enumerate(code.space.monomial_lanes(code.monomials)):
+        unit = bytes(k) + b"\1" + bytes(m - 1 - k)  # the element 1 is byte 1
+        column = bytes(map(lane.__getitem__, indices)) + unit
+        x = reduced([(1, column)] + [(neg[decode[column[s]]], r) for s, r in pivots])
+        s = height - len(x[:height].lstrip(b"\0"))
+        if s == height:
+            basis.append(QuadraticForm(field, code.n, tuple(x[height:].translate(decode))))
+            continue
+        x = x.translate(lane_code.scale[inv(decode[x[s]])])
+        pivots = [(t, reduced([(1, r), (neg[decode[r[s]]], x)]) if r[s] else r) for t, r in pivots]
+        pivots.append((s, x))
+    return basis
 
 
 def iter_span_monic(field: Field, basis: list[QuadraticForm]):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .gf import Field
 from .linalg import kernel_basis, rref, vec_add, vec_scale
@@ -94,6 +95,21 @@ class ProjectiveSpace:
                 tuple(mul[pt[i]][pt[j]] for i, j in monomials) for pt in self.points
             )
             self._mono_cache[monomials] = cached
+        return cached
+
+    def monomial_lanes(self, monomials: tuple[tuple[int, int], ...]):
+        """One lane per monomial: byte p of lane k is monomial k's value at
+        point p, in the field's lane code (cached, built on first use)."""
+        key = (monomials, "lanes")
+        cached = self._mono_cache.get(key)
+        if cached is None:
+            encode = self.field.lane_code.encode
+            rows = self.monomial_rows(monomials)
+            cached = tuple(
+                bytes(map(itemgetter(k), rows)).translate(encode)
+                for k in range(len(monomials))
+            )
+            self._mono_cache[key] = cached
         return cached
 
     def monomial_bitmasks(self, monomials: tuple[tuple[int, int], ...]):

@@ -6,19 +6,23 @@ hyperplanes over GF(q^2), and the three absolutely irreducible classes
 (parabolic, hyperbolic, elliptic).  ``classify`` decides class membership
 from two independent measurements: the rank, obtained by exact linear
 algebra on the radical, and the number of rational zeros, obtained by
-exhaustive evaluation.  Each class/rank pair admits a closed-form point
-count, and ``discriminate`` insists the measured count matches it, so every
-call doubles as a self-check of the counting identities.  The survey in
-``prm`` measures the rank another way, by counting the rational points of
-the singular locus (``subspace_dimension``), and passes through the same
-check.
+exhaustive evaluation.  ``point_set`` evaluates a form at every point at
+once on byte lanes (``gf.LaneCode``): the sum of c_k times monomial k's
+lane, one byte per point, whose zero bytes are the zero set.  Each
+class/rank pair admits a closed-form point count, and ``discriminate``
+insists the measured count matches it, so every call doubles as a
+self-check of the counting identities.  The survey in ``prm`` measures the
+rank another way, by counting the rational points of the singular locus
+(``subspace_dimension``), and passes through the same check.
 
 Canonicalization performs an explicit Witt decomposition in the input's
 own coordinates: split off the radical, peel hyperbolic pairs, and match
-the anisotropic remainder, returning an invertible substitution T that maps
-the input to a scalar multiple of the canonical form of its class.  The
-columns of T are the anisotropic part, then the hyperbolic pairs, then the
-radical.
+the anisotropic remainder.  Each pair is peeled from the form restricted to
+what is left, F(S y) with the remaining span as the columns of S, whose
+lowest zero ``point_set`` gives.  The result is an invertible substitution
+T that maps the input to a scalar multiple of the canonical form of its
+class.  The columns of T are the anisotropic part, then the hyperbolic
+pairs, then the radical.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .gf import Field, irreducible_binary_constants
 from .linalg import (
     identity,
     kernel_basis,
-    mat_mul,
     mat_vec,
     rref,
     transpose,
@@ -231,29 +234,18 @@ def singular_locus(form: QuadraticForm) -> LinearSubspace:
     )
 
 
+def evaluation_lane(form: QuadraticForm) -> bytes:
+    """F's values at every point of P^N, one byte per point in canonical
+    order: the sum of c_k times monomial k's lane, in the field's lane code
+    and not yet normalized."""
+    space = projective_space(form.field, form.ambient)
+    lanes = space.monomial_lanes(monomials(form.ambient))
+    return form.field.lane_code.combine(zip(form.coeffs, lanes), len(space))
+
+
 def point_set(form: QuadraticForm) -> int:
     """Bit-indexed set of rational zeros over the canonical point order."""
-    field = form.field
-    space = projective_space(field, form.ambient)
-    monos = monomials(form.ambient)
-    mask = 0
-    if field.q == 2:
-        packed = space.monomial_bitmasks(monos)
-        fm = sum(1 << k for k, c in enumerate(form.coeffs) if c)
-        for idx, pm in enumerate(packed):
-            if not (fm & pm).bit_count() & 1:
-                mask |= 1 << idx
-        return mask
-    rows = space.monomial_rows(monos)
-    add, mul = field._add, field._mul
-    nz = [(k, c) for k, c in enumerate(form.coeffs) if c]
-    for idx, mv in enumerate(rows):
-        acc = 0
-        for k, c in nz:
-            acc = add[acc][mul[c][mv[k]]]
-        if acc == 0:
-            mask |= 1 << idx
-    return mask
+    return form.field.lane_code.zero_mask(evaluation_lane(form))
 
 
 def expected_point_count(cls: QuadricClass, rk: int, n: int, q: int) -> int:
@@ -390,26 +382,38 @@ def classify(form: QuadraticForm) -> ClassificationReport:
     )
 
 
-def _upper_matrix(form: QuadraticForm) -> list[list[int]]:
-    n = form.ambient
-    u = [[0] * (n + 1) for _ in range(n + 1)]
-    for (i, j), c in zip(monomials(n), form.coeffs):
-        u[i][j] = c
-    return u
+@lru_cache(maxsize=None)
+def _pair_positions(k: int) -> tuple[tuple[int, ...], ...]:
+    """``[i][j]``: the index of the monomial y_i y_j among ``monomials(k-1)``."""
+    idx = _monomial_index(k - 1)
+    return tuple(tuple(idx[min(i, j), max(i, j)] for j in range(k)) for i in range(k))
 
 
 def substitute(form: QuadraticForm, t) -> QuadraticForm:
-    """The form F(T y): change of variables with columns of T as images."""
+    """The form F(T y) for an (N+1) x k matrix T whose columns are the
+    images of y_0..y_(k-1): a change of variables when k = N + 1, the
+    restriction to the span of the columns when k is smaller.
+
+    Each term c X_a X_b of F adds c T[a][i] T[b][j] to the coefficient of
+    y_i y_j, over the nonzero entries of rows a and b.
+    """
     field = form.field
     n = form.ambient
     if len(t) != n + 1:
         raise DimensionMismatch("substitution matrix size mismatch")
-    g = mat_mul(field, mat_mul(field, transpose(t), _upper_matrix(form)), t)
-    add = field._add
-    coeffs = []
-    for i, j in monomials(n):
-        coeffs.append(g[i][i] if i == j else add[g[i][j]][g[j][i]])
-    return QuadraticForm(field, n, tuple(coeffs))
+    add, mul = field._add, field._mul
+    k = len(t[0])
+    positions = _pair_positions(k)
+    nonzero = [[(i, x) for i, x in enumerate(row) if x] for row in t]
+    coeffs = [0] * len(monomials(k - 1))
+    for (a, b), c in zip(monomials(n), form.coeffs):
+        if c:
+            for i, x in nonzero[a]:
+                times = mul[mul[c][x]]
+                at = positions[i]
+                for j, y in nonzero[b]:
+                    coeffs[at[j]] = add[coeffs[at[j]]][times[y]]
+    return QuadraticForm(field, k - 1, tuple(coeffs))
 
 
 def restrict_to_hyperplane(form: QuadraticForm, linear_form) -> QuadraticForm:
@@ -521,28 +525,28 @@ def _in_span(field: Field, span, coords):
         yield v
 
 
-def _peel_hyperbolic(form: QuadraticForm, gram, span):
-    """One Witt step inside the subspace spanned by ``span``.
+def _peel_hyperbolic(form: QuadraticForm):
+    """One Witt step on all of P^(k-1), for a form in k variables.
 
-    Returns (u, w, rest) with F(u) = F(w) = 0 and B(u, w) = 1: u is the first
-    isotropic vector of the span in canonical point order, w is built from
-    the first vector not polar to u, and rest is a basis of the part of the
-    span B-orthogonal to both.  Returns None when F is anisotropic there.
+    Returns (u, w, rest) with F(u) = F(w) = 0 and B(u, w) = 1: u is the
+    lowest zero of F in canonical point order, w is built from the first
+    point not polar to u, and rest is a basis of the vectors B-orthogonal to
+    both.  Returns None when F is anisotropic.
     """
     field = form.field
-    points = projective_space(field, len(span) - 1).points
-    u = next((v for v in _in_span(field, span, points) if form.evaluate(v) == 0), None)
-    if u is None:
+    zeros = point_set(form)
+    if not zeros:
         return None
+    points = projective_space(field, form.ambient).points
+    u = points[(zeros & -zeros).bit_length() - 1]
+    gram = polarize(form)
     bu = mat_vec(field, gram, u)
-    w = next(v for v in _in_span(field, span, points) if _dot(field, bu, v))
+    w = next(v for v in points if _dot(field, bu, v))
     w = vec_scale(field, field.inv(_dot(field, bu, w)), w)
     c = form.evaluate(w)
     if c:
         w = vec_add(field, w, vec_scale(field, field.neg(c), u))
-    bw = mat_vec(field, gram, w)
-    polar = [[_dot(field, bu, b) for b in span], [_dot(field, bw, b) for b in span]]
-    return u, w, list(_in_span(field, span, kernel_basis(field, polar)))
+    return u, w, kernel_basis(field, [bu, mat_vec(field, gram, w)])
 
 
 def _match_anisotropic(form: QuadraticForm, gram, span) -> list[list[int]]:
@@ -584,11 +588,16 @@ def canonicalize(form: QuadraticForm) -> CanonicalizationResult:
     r = (n + 1) - len(radical)
     pivots = rref(field, radical)[1]
     span = [[int(i == c) for i in range(n + 1)] for c in range(n + 1) if c not in pivots]
-    gram = polarize(form)
     pairs: list[list[int]] = []
-    while span and (peeled := _peel_hyperbolic(form, gram, span)) is not None:
-        u, w, span = peeled
-        pairs += [u, w]
+    # Each Witt step runs on F restricted to the span, F(S y) with the span
+    # as the columns of S, and maps its vectors y back to S y.
+    while span:
+        peeled = _peel_hyperbolic(substitute(form, transpose(span)))
+        if peeled is None:
+            break
+        u, w, rest = peeled
+        pairs += _in_span(field, span, [u, w])
+        span = list(_in_span(field, span, rest))
 
     lam = 1
     if not span:
@@ -598,7 +607,7 @@ def canonicalize(form: QuadraticForm) -> CanonicalizationResult:
         cls = QuadricClass.PARABOLIC if r >= 3 else QuadricClass.DOUBLE_HYPERPLANE
         pairs[::2] = [vec_scale(field, lam, u) for u in pairs[::2]]
     elif len(span) == 2:
-        span = _match_anisotropic(form, gram, span)
+        span = _match_anisotropic(form, polarize(form), span)
         cls = QuadricClass.ELLIPTIC if r >= 4 else QuadricClass.CONJUGATE_PAIR
     else:
         raise InternalInconsistency("anisotropic residual of dimension > 2")

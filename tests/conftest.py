@@ -11,6 +11,9 @@ from prmquadrics.quadric import QuadraticForm, monomials
 # Every exhaustively checkable (q, N) this artifact is required to cover.
 GRID = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2))
 
+# Every supported field order.
+FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)
+
 
 def random_form(field: Field, n: int, rng: random.Random, nonzero: bool = True) -> QuadraticForm:
     m = len(monomials(n))

@@ -1,6 +1,7 @@
 """Field arithmetic: axioms checked exhaustively at every order up to 25."""
 
 import itertools
+import random
 
 import pytest
 
@@ -230,3 +231,27 @@ def test_field_value_equality():
     b = Field(2, 2)
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != Field(2, 3)
+
+
+@pytest.mark.parametrize("p,e", ALL_ORDERS)
+def test_lane_code_sums_and_tables(p, e):
+    """Sums of up to three normalization periods of scaled lanes decode to
+    the field sums; the zero table marks exactly the zero values."""
+    f = field_create(p, e)
+    code = f.lane_code
+    q = f.q
+    assert bytes(range(q)).translate(code.encode).translate(code.decode) == bytes(range(q))
+    rng = random.Random(p * 100 + e)
+    width = 64
+    for count in (1, code.terms, code.terms + 1, 3 * code.terms + 2):
+        values = [[rng.randrange(q) for _ in range(width)] for _ in range(count)]
+        coeffs = [rng.randrange(q) for _ in range(count)]
+        lanes = [bytes(v).translate(code.encode) for v in values]
+        raw = code.combine(zip(coeffs, lanes), width)
+        expected = [0] * width
+        for c, v in zip(coeffs, values):
+            expected = [f.add(x, f.mul(c, y)) for x, y in zip(expected, v)]
+        assert list(raw.translate(code.decode)) == expected
+        assert raw.translate(code.normal) == bytes(expected).translate(code.encode)
+        zeros = sum(1 << i for i, x in enumerate(expected) if x == 0)
+        assert code.zero_mask(raw) == zeros

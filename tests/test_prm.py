@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from conftest import GRID, random_form
+from conftest import FIELD_ORDERS, GRID, random_form
 
 from prmquadrics.census import brute_force_census
 from prmquadrics.gf import field_create, field_from_order
+from prmquadrics.linalg import kernel_basis
 from prmquadrics.prm import (
     BudgetExceeded,
     ZeroCodeword,
@@ -23,9 +24,11 @@ from prmquadrics.prm import (
 )
 from prmquadrics.projspace import bits_to_indices
 from prmquadrics.quadric import (
+    InconsistentClassRank,
     QuadraticForm,
     QuadricClass,
     ZeroForm,
+    canonical_form,
     classify,
     discriminate,
     form_from_terms,
@@ -84,6 +87,26 @@ def test_encode_linearity():
             assert code.encode(f.scale(lam)).values == tuple(
                 field.mul(lam, v) for v in code.encode(f).values
             )
+
+
+def test_encode_values_match_evaluation_at_every_point():
+    """The value tuple read off the evaluation lane equals per-point
+    ``evaluate`` for every field order up to 25 at N = 1 and 2, on dense and
+    random forms, and on sampled forms at (16,3) and (25,3)."""
+    rng = random.Random(17)
+    cells = [(q, n, 10) for q in FIELD_ORDERS for n in (1, 2)] + [(16, 3, 3), (25, 3, 2)]
+    for q, n, count in cells:
+        field = field_from_order(q)
+        code = build_code(field, n)
+        m = len(monomials(n))
+        forms = [random_form(field, n, rng) for _ in range(count)] + [
+            QuadraticForm(field, n, tuple(rng.randrange(1, q) for _ in range(m)))
+            for _ in range(count)
+        ]
+        for f in forms:
+            word = code.encode(f)
+            assert word.values == tuple(f.evaluate(pt) for pt in code.space.points), (q, f)
+            assert word.support == sum(1 << i for i, v in enumerate(word.values) if v)
 
 
 def test_injectivity_no_nonzero_form_has_empty_support():
@@ -164,6 +187,43 @@ def test_interpolation_space_members_vanish():
             z = point_set(f)
             for cand in iter_span_monic(field, interpolation_space(code, z)):
                 assert point_set(cand) & z == z
+
+
+def _kernel_basis_path(code, zero_mask):
+    """The single-form interpolation span as computed by ``kernel_basis``
+    on the evaluation rows at the points (rref, then one vector per free
+    column)."""
+    rows = code.space.monomial_rows(code.monomials)
+    vectors = kernel_basis(
+        code.field, [list(rows[i]) for i in bits_to_indices(zero_mask)], code.dimension
+    )
+    return [tuple(v) for v in vectors]
+
+
+def test_interpolation_space_equals_the_kernel_basis_path():
+    """Same basis, same order: every zero mask of the (3,2), (4,2) and (5,2)
+    surveys, the empty mask, and canonical and random forms at q in
+    {7, 9, 16, 25}, N in {2, 3}."""
+    for q, n in [(3, 2), (4, 2), (5, 2)]:
+        code = build_code(field_from_order(q), n)
+        for mask in {0} | {row[3] for row in survey(q, n)}:
+            got = [b.coeffs for b in interpolation_space(code, mask)]
+            assert got == _kernel_basis_path(code, mask), (q, n, mask)
+    rng = random.Random(23)
+    for q in (7, 9, 16, 25):
+        field = field_from_order(q)
+        for n in (2, 3):
+            code = build_code(field, n)
+            forms = [random_form(field, n, rng) for _ in range(3)]
+            for cls in QuadricClass:
+                for rk in range(1, n + 2):
+                    try:
+                        forms.append(canonical_form(field, n, cls, rk))
+                    except InconsistentClassRank:
+                        pass
+            for mask in [0] + [point_set(f) for f in forms]:
+                got = [b.coeffs for b in interpolation_space(code, mask)]
+                assert got == _kernel_basis_path(code, mask), (q, n, mask)
 
 
 def test_characterization_examples():

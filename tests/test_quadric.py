@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_form, random_invertible, random_nonzero_vector
+from conftest import FIELD_ORDERS, random_form, random_invertible, random_nonzero_vector
 
 from prmquadrics.gf import field_create, field_from_order
 from prmquadrics.linalg import kernel_basis, mat_vec, matrix_rank, transpose
@@ -217,15 +217,32 @@ def test_point_set_examples():
     assert point_set(exception).bit_count() == 5
 
 
+def _zeros_by_evaluation(form):
+    space = projective_space(form.field, form.ambient)
+    return [i for i, pt in enumerate(space.points) if form.evaluate(pt) == 0]
+
+
 def test_point_set_matches_naive_evaluation():
+    """Every field order up to 25 at N = 1 and 2, with dense forms (every
+    coefficient nonzero: the longest lane sums) and random ones, and
+    sampled forms at (16,3) and (25,3)."""
     rng = random.Random(41)
-    for field in (F2, F3, F4, F5):
-        space = projective_space(field, 2)
-        for _ in range(40):
-            f = random_form(field, 2, rng)
-            mask = point_set(f)
-            expected = [i for i, pt in enumerate(space.points) if f.evaluate(pt) == 0]
-            assert bits_to_indices(mask) == expected
+    for q in FIELD_ORDERS:
+        field = field_from_order(q)
+        for n in (1, 2):
+            m = (n + 1) * (n + 2) // 2
+            dense = [
+                QuadraticForm(field, n, tuple(rng.randrange(1, q) for _ in range(m)))
+                for _ in range(8)
+            ]
+            dense.append(QuadraticForm(field, n, (q - 1,) * m))
+            for f in dense + [random_form(field, n, rng) for _ in range(12)]:
+                assert bits_to_indices(point_set(f)) == _zeros_by_evaluation(f), (q, f)
+    for q, count in ((16, 4), (25, 2)):
+        field = field_from_order(q)
+        for _ in range(count):
+            f = random_form(field, 3, rng)
+            assert bits_to_indices(point_set(f)) == _zeros_by_evaluation(f), (q, f)
 
 
 def test_expected_point_count_examples():
