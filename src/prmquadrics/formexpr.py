@@ -18,6 +18,9 @@ what the renderer emits for it); every other term must have degree exactly
 
 from __future__ import annotations
 
+import re
+import string
+
 from .gf import Field
 from .quadric import QuadraticForm, _monomial_index, monomials
 
@@ -44,38 +47,36 @@ class FieldLiteralInvalid(FormParseError):
     pass
 
 
-_SYMBOLS = {"+": "PLUS", "-": "MINUS", "*": "STAR", "^": "CARET", "(": "LPAREN", ")": "RPAREN"}
+# ASCII only: a Unicode digit, letter or space is an unexpected character.
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|[-+*^()]|\S", re.ASCII)
+_KINDS = {
+    **dict.fromkeys(string.digits, "INT"),
+    **dict.fromkeys(string.ascii_letters, "NAME"),
+    "+": "PLUS", "-": "MINUS", "*": "STAR", "^": "CARET", "(": "LPAREN", ")": "RPAREN",
+}
 
 
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((_SYMBOLS[ch], ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("NAME", text[i:j], i))
-            i = j
-            continue
-        raise FormSyntaxError(f"unexpected character {ch!r}", i)
+    for match in _TOKEN.finditer(text):
+        value, at = match.group(), match.start()
+        kind = _KINDS.get(value[0])
+        if kind is None:
+            raise FormSyntaxError(f"unexpected character {value!r}", at)
+        tokens.append((kind, value, at))
     tokens.append(("END", "", len(text)))
     return tokens
+
+
+def _integer(digits: str, position: int) -> int:
+    """The value of an ASCII digit string, or FormSyntaxError where ``int``
+    refuses it (more digits than the interpreter converts)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise FormSyntaxError(
+            f"integer literal of {len(digits)} digits is too long", position
+        ) from None
 
 
 class _Parser:
@@ -105,7 +106,7 @@ class _Parser:
         # Lone "0" renders the zero form; accept it back.
         if (
             self.tokens[0][0] == "INT"
-            and int(self.tokens[0][1]) == 0
+            and _integer(self.tokens[0][1], self.tokens[0][2]) == 0
             and self.tokens[1][0] == "END"
         ):
             return QuadraticForm(
@@ -143,7 +144,7 @@ class _Parser:
         coeff = 1
         if tok[0] == "INT":
             self.advance()
-            coeff = self.field.from_int(int(tok[1]))
+            coeff = self.field.from_int(_integer(tok[1], tok[2]))
             nxt = self.peek()
             if nxt[0] == "NAME":
                 raise FormSyntaxError(
@@ -162,7 +163,7 @@ class _Parser:
         if tok[0] == "CARET":
             self.advance()
             exp = self.expect("INT", "an exponent")
-            if int(exp[1]) != 2:
+            if _integer(exp[1], exp[2]) != 2:
                 raise NonHomogeneous(
                     f"exponent {exp[1]}: every term must have degree 2", exp[2]
                 )
@@ -188,7 +189,7 @@ class _Parser:
         name = tok[1]
         if not (name.startswith("X") and name[1:].isdigit()):
             raise UnknownVariable(f"unknown variable {name!r}", tok[2])
-        k = int(name[1:])
+        k = _integer(name[1:], tok[2] + 1)
         if k > self.n:
             raise UnknownVariable(
                 f"variable {name} exceeds the ambient X0..X{self.n}", tok[2]
@@ -233,7 +234,7 @@ class _Parser:
         field = self.field
         tok = self.advance()
         if tok[0] == "INT":
-            c = field.from_int(int(tok[1]))
+            c = field.from_int(_integer(tok[1], tok[2]))
             if self.peek()[0] == "STAR":
                 self.advance()
                 return field.mul(c, self.parse_zpow())
@@ -257,7 +258,7 @@ class _Parser:
             exp = self.advance()
             if exp[0] != "INT":
                 raise FieldLiteralInvalid("expected an exponent after '^'", exp[2])
-            return self.field.pow(z, int(exp[1]))
+            return self.field.pow(z, _integer(exp[1], exp[2]))
         return z
 
 

@@ -1,12 +1,14 @@
 """Order-2 projective Reed-Muller codes and minimal-codeword testers.
 
 The code of length p_N is the image of the evaluation map sending a
-quadratic form to its value vector over the canonical point list.  For
-degree 2 the map is injective for every q (values at e_i and e_i + e_j
-recover all coefficients), so codewords correspond to forms and codewords
-up to scalar to quadrics.  ``PrmCode.encode`` reads a form's value vector
-off its evaluation lane (``quadric.evaluation_lane``), the same one
-``point_set`` reads the zero set from.
+quadratic form to its value vector over the canonical point list; its
+generator's rows, one lane per monomial, are
+``ProjectiveSpace.monomial_rows()``.  For degree 2 the map is injective for
+every q: values at e_i and e_i + e_j recover all coefficients, and
+``PrmCode`` checks exactly that m x m system.  So codewords correspond to
+forms and codewords up to scalar to quadrics.  ``PrmCode.encode`` reads a
+form's value vector off its evaluation lane (``quadric.evaluation_lane``),
+the same one ``point_set`` reads the zero set from.
 
 ``survey(q, n)`` classifies every form up to scalar once, in
 ``iter_monic_coeffs`` order, by one depth-first walk over the coefficients
@@ -26,8 +28,8 @@ provided: a classification-based characterization, an interpolation search
 through the linear system of forms vanishing on the zero set, and an
 exhaustive search of the survey's point index for a strictly larger zero
 set.  The interpolation span (``interpolation_space``) is eliminated on
-packed values: monomial lanes gathered at the points, or bitmask rows over
-GF(2).
+packed values: monomial lanes gathered at the points, or over GF(2) the
+per-point bitmask rows packed from those lanes.
 """
 
 from __future__ import annotations
@@ -88,12 +90,21 @@ class PrmCode:
         self.monomials = monomials(n)
         self.length = len(self.space)
         self.dimension = len(self.monomials)
-        rows = self.space.monomial_rows(self.monomials)
-        generator = [
-            [rows[p][k] for p in range(self.length)] for k in range(self.dimension)
-        ]
-        if matrix_rank(field, generator) != self.dimension:
+        # The monomials' values at the m points e_i and e_i + e_j: a full-rank
+        # m x m subsystem makes the whole evaluation map injective.
+        mul = field._mul
+        points = [[int(t in (i, j)) for t in range(n + 1)] for i, j in self.monomials]
+        system = [[mul[v[i]][v[j]] for i, j in self.monomials] for v in points]
+        if matrix_rank(field, system) != self.dimension:
             raise PrmError("evaluation map is not injective; generator is rank-deficient")
+
+    @cached_property
+    def gf2_point_rows(self) -> tuple[int, ...]:
+        """GF(2) only: the monomials' values at each point packed into a
+        bitmask, bit k for monomial k (element 1 is lane byte 1)."""
+        assert self.field.q == 2
+        lanes = self.space.monomial_rows()
+        return tuple(sum(v << k for k, v in enumerate(col)) for col in zip(*lanes))
 
     def encode(self, form: QuadraticForm) -> Codeword:
         if form.field != self.field or form.ambient != self.n:
@@ -164,13 +175,11 @@ class Survey(tuple):
         return bits_to_indices(through)
 
 
-def _value_masks(rows, q: int) -> list[list[int]]:
-    """``out[k][a]``: the points p whose value tuple has ``rows[p][k] == a``."""
-    out = [[0] * q for _ in rows[0]]
-    for p, row in enumerate(rows):
-        for k, a in enumerate(row):
-            out[k][a] |= 1 << p
-    return out
+def _value_masks(columns, q: int) -> list[list[int]]:
+    """``out[k][a]``: the points p where ``columns[k][p] == a``, for columns
+    of field elements, one byte per point."""
+    onehot = [bytes(b"01"[v == a] for v in range(256)) for a in range(q)]
+    return [[int(col.translate(t)[::-1], 2) for t in onehot] for col in columns]
 
 
 def check_budget(q: int, n: int, budget: int | None = None) -> None:
@@ -203,8 +212,9 @@ def survey(q: int, n: int) -> Survey:
     monos = monomials(n)
     m = len(monos)
     add, mul, neg, elems = field._add, field._mul, field._neg, field.elements
-    mono_masks = _value_masks(space.monomial_rows(monos), q)
-    coord_masks = _value_masks(space.points, q)
+    decode = field.lane_code.decode
+    mono_masks = _value_masks([lane.translate(decode) for lane in space.monomial_rows()], q)
+    coord_masks = _value_masks([bytes(col) for col in zip(*space.points)], q)
     # touched[k]: (t, s, e) for each partial L_t that gains e*c * x_s as
     # coefficient k becomes c; e = 2 on the diagonal, 0 in characteristic 2.
     two = add[1][1]
@@ -291,7 +301,7 @@ def interpolation_space(code: PrmCode, zero_mask: int) -> list[QuadraticForm]:
     field = code.field
     m = code.dimension
     if field.q == 2:
-        packed = code.space.monomial_bitmasks(code.monomials)
+        packed = code.gf2_point_rows
         basis_masks = kernel_basis_gf2([packed[i] for i in indices], m)
         return [
             QuadraticForm(field, code.n, tuple(b >> k & 1 for k in range(m)))
@@ -308,7 +318,7 @@ def interpolation_space(code: PrmCode, zero_mask: int) -> list[QuadraticForm]:
     # (point, lane): each pivot lane is 1 at its point and 0 at the others'.
     pivots: list[tuple[int, bytes]] = []
     basis = []
-    for k, lane in enumerate(code.space.monomial_lanes(code.monomials)):
+    for k, lane in enumerate(code.space.monomial_rows()):
         unit = bytes(k) + b"\1" + bytes(m - 1 - k)  # the element 1 is byte 1
         column = bytes(map(lane.__getitem__, indices)) + unit
         x = reduced([(1, column)] + [(neg[decode[column[s]]], r) for s, r in pivots])

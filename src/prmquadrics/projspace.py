@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import add
 
 from .gf import Field
 from .linalg import kernel_basis, rref, vec_add, vec_scale
@@ -77,7 +77,7 @@ class ProjectiveSpace:
         self.points: tuple[tuple[int, ...], ...] = tuple(pts)
         self._index = {pt: i for i, pt in enumerate(pts)}
         self.full_mask = (1 << len(pts)) - 1
-        self._mono_cache: dict = {}
+        self._monomial_rows: tuple[bytes, ...] | None = None
         self._flats: list[tuple[int, ...]] = []
 
     def __len__(self) -> int:
@@ -86,42 +86,26 @@ class ProjectiveSpace:
     def render_point(self, point) -> str:
         return "(" + ":".join(self.field.render(c) for c in point) + ")"
 
-    def monomial_rows(self, monomials: tuple[tuple[int, int], ...]):
-        """Per-point value tuples of the given monomials (cached)."""
-        cached = self._mono_cache.get(monomials)
-        if cached is None:
-            mul = self.field._mul
-            cached = tuple(
-                tuple(mul[pt[i]][pt[j]] for i, j in monomials) for pt in self.points
-            )
-            self._mono_cache[monomials] = cached
-        return cached
-
-    def monomial_lanes(self, monomials: tuple[tuple[int, int], ...]):
-        """One lane per monomial: byte p of lane k is monomial k's value at
-        point p, in the field's lane code (cached, built on first use)."""
-        key = (monomials, "lanes")
-        cached = self._mono_cache.get(key)
-        if cached is None:
-            encode = self.field.lane_code.encode
-            rows = self.monomial_rows(monomials)
-            cached = tuple(
-                bytes(map(itemgetter(k), rows)).translate(encode)
-                for k in range(len(monomials))
-            )
-            self._mono_cache[key] = cached
-        return cached
-
-    def monomial_bitmasks(self, monomials: tuple[tuple[int, int], ...]):
-        """GF(2) only: per-point monomial values packed into bitmasks."""
-        assert self.field.q == 2
-        key = (monomials, "gf2")
-        cached = self._mono_cache.get(key)
-        if cached is None:
-            rows = self.monomial_rows(monomials)
-            cached = tuple(sum(v << k for k, v in enumerate(row)) for row in rows)
-            self._mono_cache[key] = cached
-        return cached
+    def monomial_rows(self) -> tuple[bytes, ...]:
+        """The generator's rows: one lane per monomial X_i X_j of
+        ``quadric.monomials(N)``, byte p holding its value at point p in the
+        field's lane code.  Built on first use from the coordinate columns,
+        with products taken through the multiplication table."""
+        if self._monomial_rows is None:
+            field = self.field
+            q, mul, encode = field.q, field._mul, field.lane_code.encode
+            # products[a*q + b]: the lane byte of a*b.
+            products = bytes(encode[mul[a][b]] for a in range(q) for b in range(q))
+            squares = bytes(products[a * q + a] for a in range(q)) + bytes(256 - q)
+            columns = [bytes(col) for col in zip(*self.points)]
+            rows = []
+            for i, col in enumerate(columns):
+                rows.append(col.translate(squares))
+                scaled = [a * q for a in col]
+                for other in columns[i + 1 :]:
+                    rows.append(bytes(map(products.__getitem__, map(add, scaled, other))))
+            self._monomial_rows = tuple(rows)
+        return self._monomial_rows
 
     def flats(self, k: int) -> tuple[int, ...]:
         """Point masks of all k-dimensional linear subspaces (cached).

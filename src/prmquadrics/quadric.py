@@ -8,12 +8,13 @@ from two independent measurements: the rank, obtained by exact linear
 algebra on the radical, and the number of rational zeros, obtained by
 exhaustive evaluation.  ``point_set`` evaluates a form at every point at
 once on byte lanes (``gf.LaneCode``): the sum of c_k times monomial k's
-lane, one byte per point, whose zero bytes are the zero set.  Each
-class/rank pair admits a closed-form point count, and ``discriminate``
-insists the measured count matches it, so every call doubles as a
-self-check of the counting identities.  The survey in ``prm`` measures the
-rank another way, by counting the rational points of the singular locus
-(``subspace_dimension``), and passes through the same check.
+lane (``ProjectiveSpace.monomial_rows()``), one byte per point, whose zero
+bytes are the zero set.  Each class/rank pair admits a closed-form point
+count, and ``discriminate`` insists the measured count matches it, so
+every call doubles as a self-check of the counting identities.  The
+survey in ``prm`` measures the rank another way, by counting the rational
+points of the singular locus (``subspace_dimension``), and passes through
+the same check.
 
 Canonicalization performs an explicit Witt decomposition in the input's
 own coordinates: split off the radical, peel hyperbolic pairs, and match
@@ -239,8 +240,7 @@ def evaluation_lane(form: QuadraticForm) -> bytes:
     order: the sum of c_k times monomial k's lane, in the field's lane code
     and not yet normalized."""
     space = projective_space(form.field, form.ambient)
-    lanes = space.monomial_lanes(monomials(form.ambient))
-    return form.field.lane_code.combine(zip(form.coeffs, lanes), len(space))
+    return form.field.lane_code.combine(zip(form.coeffs, space.monomial_rows()), len(space))
 
 
 def point_set(form: QuadraticForm) -> int:

@@ -2,10 +2,13 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import prmquadrics
 from prmquadrics.cli import main
 
 
@@ -139,6 +142,10 @@ def test_usage_errors_exit_2(tmp_path):
         ["verify", "containment", "--q", "2", "--N", "-1"],
         ["verify", "containment", "--q", "2", "--N", "0"],
         ["minimal", "X0*X1", "--q", "4", "--N", "3", "--method", "exhaustive"],
+        ["classify", "X0\u00b2", "--q", "4", "--N", "3"],           # superscript two
+        ["classify", "X\u0663*X0", "--q", "4", "--N", "3"],         # Arabic-Indic three
+        ["classify", "1" * 5000 + "*X0*X1", "--q", "4", "--N", "3"],  # beyond int()
+        ["classify", "(z^" + "1" * 5000 + ")*X0*X1", "--q", "4", "--N", "3"],
     ]
     for argv in cases + one_line:
         code, _, err = run_cli(argv)
@@ -160,10 +167,15 @@ def test_table_format():
 
 
 def test_module_entrypoint_subprocess():
+    # The child imports the same package as this process, wherever it is.
+    src = str(Path(prmquadrics.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "prmquadrics.cli", "verify", "exception"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["holds"] is True

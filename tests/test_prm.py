@@ -92,7 +92,8 @@ def test_encode_linearity():
 def test_encode_values_match_evaluation_at_every_point():
     """The value tuple read off the evaluation lane equals per-point
     ``evaluate`` for every field order up to 25 at N = 1 and 2, on dense and
-    random forms, and on sampled forms at (16,3) and (25,3)."""
+    random forms, and on sampled forms at (16,3) and (25,3).  The single
+    monomials X_i X_j check each row of ``monomial_rows`` on its own."""
     rng = random.Random(17)
     cells = [(q, n, 10) for q in FIELD_ORDERS for n in (1, 2)] + [(16, 3, 3), (25, 3, 2)]
     for q, n, count in cells:
@@ -102,7 +103,7 @@ def test_encode_values_match_evaluation_at_every_point():
         forms = [random_form(field, n, rng) for _ in range(count)] + [
             QuadraticForm(field, n, tuple(rng.randrange(1, q) for _ in range(m)))
             for _ in range(count)
-        ]
+        ] + [QuadraticForm(field, n, tuple(int(k == j) for j in range(m))) for k in range(m)]
         for f in forms:
             word = code.encode(f)
             assert word.values == tuple(f.evaluate(pt) for pt in code.space.points), (q, f)
@@ -193,10 +194,13 @@ def _kernel_basis_path(code, zero_mask):
     """The single-form interpolation span as computed by ``kernel_basis``
     on the evaluation rows at the points (rref, then one vector per free
     column)."""
-    rows = code.space.monomial_rows(code.monomials)
-    vectors = kernel_basis(
-        code.field, [list(rows[i]) for i in bits_to_indices(zero_mask)], code.dimension
-    )
+    mul = code.field._mul
+    points = code.space.points
+    rows = [
+        [mul[points[p][i]][points[p][j]] for i, j in code.monomials]
+        for p in bits_to_indices(zero_mask)
+    ]
+    vectors = kernel_basis(code.field, rows, code.dimension)
     return [tuple(v) for v in vectors]
 
 
