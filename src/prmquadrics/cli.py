@@ -75,6 +75,8 @@ def _emit(args, payload: dict, table_lines=None, csv_text=None) -> None:
 
 
 def _parse_form_arg(args):
+    if args.N < 0:
+        raise UsageError(f"--N must be at least 0, got {args.N}")
     field = field_from_order(args.q)
     return field, parse_form(args.form, field, args.N)
 

@@ -68,12 +68,16 @@ class ProjectiveSpace:
             raise OutOfRange(f"ambient dimension must be >= 0, got {n}")
         self.field = field
         self.n = n
-        pts = []
-        for last in range(n + 1):
-            for head in itertools.product(field.elements, repeat=last):
-                pts.append(head + (1,) + (0,) * (n - last))
-        key = field.order_index
-        pts.sort(key=lambda pt: tuple(key(c) for c in pt))
+        # P^k in canonical order is, for each a in element order, (1, 0..0)
+        # when a == 1 (the zero tail sorts first) and then (a,) + p for
+        # every p of P^(k-1) in its canonical order.
+        pts = [(1,)]
+        for k in range(1, n + 1):
+            lower, pts = pts, []
+            for a in field.elements:
+                if a == 1:
+                    pts.append((1,) + (0,) * k)
+                pts += [(a,) + p for p in lower]
         self.points: tuple[tuple[int, ...], ...] = tuple(pts)
         self._index = {pt: i for i, pt in enumerate(pts)}
         self.full_mask = (1 << len(pts)) - 1

@@ -18,10 +18,11 @@ the same check.
 
 Canonicalization performs an explicit Witt decomposition in the input's
 own coordinates: split off the radical, peel hyperbolic pairs, and match
-the anisotropic remainder.  Each pair is peeled from the form restricted to
-what is left, F(S y) with the remaining span as the columns of S, whose
-lowest zero ``point_set`` gives.  The result is an invertible substitution
-T that maps the input to a scalar multiple of the canonical form of its
+the anisotropic remainder.  Each pair starts from an isotropic vector of
+what is left, the lowest zero of F restricted to three of its vectors
+(``point_set`` on P^2; Chevalley-Warning says one exists), and is completed
+from one Gram matrix of B.  The result is an invertible substitution T
+that maps the input to a scalar multiple of the canonical form of its
 class.  The columns of T are the anisotropic part, then the hyperbolic
 pairs, then the radical.
 """
@@ -392,7 +393,8 @@ def _pair_positions(k: int) -> tuple[tuple[int, ...], ...]:
 def substitute(form: QuadraticForm, t) -> QuadraticForm:
     """The form F(T y) for an (N+1) x k matrix T whose columns are the
     images of y_0..y_(k-1): a change of variables when k = N + 1, the
-    restriction to the span of the columns when k is smaller.
+    restriction to the span of the columns when k is smaller (a Witt step
+    of ``canonicalize`` restricts F to at most three span vectors).
 
     Each term c X_a X_b of F adds c T[a][i] T[b][j] to the coefficient of
     y_i y_j, over the nonzero entries of rows a and b.
@@ -506,53 +508,27 @@ class CanonicalizationResult:
     scalar: int
 
 
-def _dot(field: Field, u, v) -> int:
-    add, mul = field._add, field._mul
-    acc = 0
-    for a, b in zip(u, v):
-        acc = add[acc][mul[a][b]]
-    return acc
+def _isotropic(form: QuadraticForm, span):
+    """A zero of F in the span: the lowest zero of F restricted to the first
+    three span vectors (two or one when fewer are left), mapped back.
 
-
-def _in_span(field: Field, span, coords):
-    """The vectors sum(c_i * span_i), lazily, one per coordinate tuple c."""
-    add, mul = field._add, field._mul
-    for c in coords:
-        v = [0] * len(span[0])
-        for ci, b in zip(c, span):
-            if ci:
-                v = [add[x][mul[ci][y]] for x, y in zip(v, b)]
-        yield v
-
-
-def _peel_hyperbolic(form: QuadraticForm):
-    """One Witt step on all of P^(k-1), for a form in k variables.
-
-    Returns (u, w, rest) with F(u) = F(w) = 0 and B(u, w) = 1: u is the
-    lowest zero of F in canonical point order, w is built from the first
-    point not polar to u, and rest is a basis of the vectors B-orthogonal to
-    both.  Returns None when F is anisotropic.
+    By Chevalley-Warning every quadratic form in three variables over GF(q)
+    has a nontrivial zero, so None comes back only when at most two vectors
+    are left and F has no zero on them.
     """
-    field = form.field
-    zeros = point_set(form)
+    head = span[:3]
+    s = transpose(head)
+    zeros = point_set(substitute(form, s))
     if not zeros:
         return None
-    points = projective_space(field, form.ambient).points
-    u = points[(zeros & -zeros).bit_length() - 1]
-    gram = polarize(form)
-    bu = mat_vec(field, gram, u)
-    w = next(v for v in points if _dot(field, bu, v))
-    w = vec_scale(field, field.inv(_dot(field, bu, w)), w)
-    c = form.evaluate(w)
-    if c:
-        w = vec_add(field, w, vec_scale(field, field.neg(c), u))
-    return u, w, kernel_basis(field, [bu, mat_vec(field, gram, w)])
+    y = projective_space(form.field, len(head) - 1).points[(zeros & -zeros).bit_length() - 1]
+    return mat_vec(form.field, s, y)
 
 
 def _match_anisotropic(form: QuadraticForm, gram, span) -> list[list[int]]:
     """Basis (u0, u1) of an anisotropic plane on which F(x u0 + y u1) is the
     canonical irreducible x^2 + alpha x y + d y^2, found by deterministic
-    vector scan.
+    scan of the plane's coordinates.
 
     All anisotropic binary forms lie in a single GL_2 orbit (each is the
     norm form of GF(q^2) composed with a multiplication), so an exact match
@@ -560,13 +536,14 @@ def _match_anisotropic(form: QuadraticForm, gram, span) -> list[list[int]]:
     """
     field = form.field
     alpha, d = irreducible_binary_constants(field)
+    s = transpose(span)
     coords = [(a, b) for a in field.elements for b in field.elements if a or b]
-    u0 = next(v for v in _in_span(field, span, coords) if form.evaluate(v) == 1)
-    bu = mat_vec(field, gram, u0)
+    u0 = next(v for v in (mat_vec(field, s, c) for c in coords) if form.evaluate(v) == 1)
+    bu = [mat_vec(field, gram, u0)]
     u1 = next(
         v
-        for v in _in_span(field, span, coords)
-        if _dot(field, bu, v) == alpha and form.evaluate(v) == d
+        for v in (mat_vec(field, s, c) for c in coords)
+        if mat_vec(field, bu, v) == [alpha] and form.evaluate(v) == d
     )
     return [u0, u1]
 
@@ -584,20 +561,30 @@ def canonicalize(form: QuadraticForm) -> CanonicalizationResult:
     if form.is_zero:
         raise ZeroForm("cannot canonicalize the zero form")
     field, n = form.field, form.ambient
+    gram = polarize(form)
     radical = radical_quadratic(form)
     r = (n + 1) - len(radical)
     pivots = rref(field, radical)[1]
     span = [[int(i == c) for i in range(n + 1)] for c in range(n + 1) if c not in pivots]
     pairs: list[list[int]] = []
-    # Each Witt step runs on F restricted to the span, F(S y) with the span
-    # as the columns of S, and maps its vectors y back to S y.
-    while span:
-        peeled = _peel_hyperbolic(substitute(form, transpose(span)))
-        if peeled is None:
-            break
-        u, w, rest = peeled
-        pairs += _in_span(field, span, [u, w])
-        span = list(_in_span(field, span, rest))
+    # One Witt step per isotropic u.  The span is a complement of the
+    # quadratic radical, B-orthogonal to the pairs peeled so far, so u is
+    # not in the quadratic radical.  Nor is it in Rad B: in characteristic 2
+    # the zeros of F on Rad B are exactly the quadratic radical, and in odd
+    # characteristic F vanishes on all of Rad B, which is the quadratic
+    # radical.  B(u, .) is zero on the radical and on the peeled pairs, so
+    # B(u, s) != 0 for some span vector s, which gives w.
+    while span and (u := _isotropic(form, span)) is not None:
+        bu = mat_vec(field, span, mat_vec(field, gram, u))
+        j = next(i for i, x in enumerate(bu) if x)
+        w = vec_scale(field, field.inv(bu[j]), span[j])
+        c = form.evaluate(w)
+        if c:
+            w = vec_add(field, w, vec_scale(field, field.neg(c), u))
+        bw = mat_vec(field, span, mat_vec(field, gram, w))
+        pairs += [u, w]
+        s = transpose(span)
+        span = [mat_vec(field, s, y) for y in kernel_basis(field, [bu, bw])]
 
     lam = 1
     if not span:
@@ -607,7 +594,7 @@ def canonicalize(form: QuadraticForm) -> CanonicalizationResult:
         cls = QuadricClass.PARABOLIC if r >= 3 else QuadricClass.DOUBLE_HYPERPLANE
         pairs[::2] = [vec_scale(field, lam, u) for u in pairs[::2]]
     elif len(span) == 2:
-        span = _match_anisotropic(form, polarize(form), span)
+        span = _match_anisotropic(form, gram, span)
         cls = QuadricClass.ELLIPTIC if r >= 4 else QuadricClass.CONJUGATE_PAIR
     else:
         raise InternalInconsistency("anisotropic residual of dimension > 2")

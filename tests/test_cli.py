@@ -146,6 +146,8 @@ def test_usage_errors_exit_2(tmp_path):
         ["classify", "X\u0663*X0", "--q", "4", "--N", "3"],         # Arabic-Indic three
         ["classify", "1" * 5000 + "*X0*X1", "--q", "4", "--N", "3"],  # beyond int()
         ["classify", "(z^" + "1" * 5000 + ")*X0*X1", "--q", "4", "--N", "3"],
+        ["classify", "X0^2", "--q", "2", "--N", "-1"],
+        ["points", "0", "--q", "2", "--N", "-1"],
     ]
     for argv in cases + one_line:
         code, _, err = run_cli(argv)
@@ -155,6 +157,9 @@ def test_usage_errors_exit_2(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     _, _, err = run_cli(["verify", "serre", "--q", "2", "--N", "0"])
     assert "N >= 1" in err, err
+    for command, form in (("classify", "X0^2"), ("points", "0")):
+        _, _, err = run_cli([command, form, "--q", "2", "--N", "-1"])
+        assert err == "error: --N must be at least 0, got -1\n", err
 
 
 def test_table_format():

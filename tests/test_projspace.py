@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import GRID, random_nonzero_vector
+from conftest import FIELD_ORDERS, GRID, random_nonzero_vector
 
 from prmquadrics.gf import field_create, field_from_order
 from prmquadrics.linalg import rref, vec_scale
@@ -44,6 +44,18 @@ def test_enumerate_points_count_and_normalization(q, n):
         last = max(i for i, c in enumerate(pt) if c)
         assert pt[last] == 1
         assert normalize(field, pt) == pt  # idempotent
+
+
+@pytest.mark.parametrize(
+    "q,n", [(q, n) for q in FIELD_ORDERS for n in (1, 2)] + [(4, 3), (9, 3), (2, 6)]
+)
+def test_points_in_canonical_order(q, n):
+    # Every bitmask in the package is keyed by this order.
+    field = field_from_order(q)
+    vectors = {normalize(field, v) for v in itertools.product(range(q), repeat=n + 1) if any(v)}
+    key = field.order_index
+    expected = sorted(vectors, key=lambda pt: [key(c) for c in pt])
+    assert list(projective_space(field, n).points) == expected
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 1)])

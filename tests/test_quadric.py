@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIELD_ORDERS, random_form, random_invertible, random_nonzero_vector
 
@@ -550,6 +552,55 @@ def test_canonicalize_random_forms_all_fields():
             _assert_canonical_identity(f, res)
             rep = classify(f)
             assert (res.quadric_class, res.rank) == (rep.quadric_class, rep.rank)
+
+
+# Every admissible (class, rank) up to rank 9, that is, on P^N for N <= 8.
+SHAPES = [
+    (QuadricClass.DOUBLE_HYPERPLANE, 1),
+    (QuadricClass.HYPERPLANE_PAIR, 2),
+    (QuadricClass.CONJUGATE_PAIR, 2),
+] + [
+    (cls, rk)
+    for rk in range(3, 10)
+    for cls in (
+        (QuadricClass.PARABOLIC,) if rk % 2 else (QuadricClass.HYPERBOLIC, QuadricClass.ELLIPTIC)
+    )
+]
+
+
+def _drawn_invertible(field, size, rng):
+    """Rows of L U shuffled, with L unit lower triangular and U upper
+    triangular with a nonzero diagonal: invertible whatever rng returns."""
+    q = field.q
+    lower = [[rng.randrange(q) if j < i else int(i == j) for j in range(size)] for i in range(size)]
+    upper = [
+        [rng.randrange(1, q) if i == j else rng.randrange(q) if j > i else 0 for j in range(size)]
+        for i in range(size)
+    ]
+    t = transpose([mat_vec(field, lower, col) for col in transpose(upper)])
+    rng.shuffle(t)
+    return t
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(n=st.integers(1, 8), rng=st.randoms(use_true_random=False))
+@example(n=8, rng=random.Random(0))
+def test_canonicalize_moved_and_dense_forms_property(q, n, rng):
+    # Canonicalize never enumerates past P^2, so P^8 over GF(25), with
+    # about 1.6e11 points, is as cheap as the plane.
+    field = field_from_order(q)
+    cls, rk = rng.choice([shape for shape in SHAPES if shape[1] <= n + 1])
+    t = _drawn_invertible(field, n + 1, rng)
+    lam = rng.randrange(1, q)
+    moved = substitute(canonical_form(field, n, cls, rk), t).scale(lam)
+    res = canonicalize(moved)
+    assert (res.quadric_class, res.rank) == (cls, rk)
+    _assert_canonical_identity(moved, res)
+    coeffs = [rng.randrange(q) for _ in moved.coeffs]
+    coeffs[rng.randrange(len(coeffs))] = rng.randrange(1, q)
+    dense = QuadraticForm(field, n, tuple(coeffs))
+    _assert_canonical_identity(dense, canonicalize(dense))
 
 
 def test_rank_and_class_invariance_samples():
