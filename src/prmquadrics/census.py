@@ -23,7 +23,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from operator import itemgetter
 
 from .gf import field_from_order
 from .prm import (
@@ -291,17 +291,20 @@ def brute_force_census(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContainmentViolation:
+    """One strict nesting: the zero set of ``form`` lies strictly inside
+    that of ``witness``.  The reports classify on each read."""
+
     form: QuadraticForm
     witness: QuadraticForm
     shape: str
 
-    @cached_property
+    @property
     def form_report(self) -> ClassificationReport:
         return classify(self.form)
 
-    @cached_property
+    @property
     def witness_report(self) -> ClassificationReport:
         return classify(self.witness)
 
@@ -338,16 +341,10 @@ def _admissible_shape(
     return None
 
 
-def _last_nonzero(coeffs) -> int:
-    k = len(coeffs) - 1
-    while not coeffs[k]:
-        k -= 1
-    return k
-
-
-def _containment_chunk(args) -> list[tuple[tuple, tuple, str]]:
-    """(form coeffs, witness coeffs, shape) for the strict containments of
-    the chunk's forms.
+def _containment_chunk(args) -> list[tuple[int, int, int, str]]:
+    """(form row i, witness row j, scalar, shape) for the strict
+    containments of the chunk's forms: the witness is ``scalar`` times
+    survey row j, and row i is the form itself.
 
     The forms vanishing on a zero set are the survey rows the point index
     gives.  Witnesses come in the order and with the scalars of
@@ -356,43 +353,54 @@ def _containment_chunk(args) -> list[tuple[tuple, tuple, str]]:
     0 right of f_i, so the free columns are the members' last nonzero
     positions, a member's span coordinates are its coefficients there, and
     the span lists each member scaled to monic coordinates, in
-    ``iter_monic_coeffs`` order of those coordinates.
+    ``iter_monic_coeffs`` order of those coordinates.  Each row's last
+    nonzero position and each (class, rank, witness class, witness rank)
+    shape are worked out once per chunk.
     """
     q, n, start, stop = args
     rows = survey(q, n)
     field = field_from_order(q)
-    inv, mul, order = field.inv, field._mul, field._order_index
+    inv, mul, order = field._inv, field._mul, field._order_index
+    # ranked[s]: the byte translation c -> order index of s*c.
+    ranked = [bytes(order[mul[s][c]] for c in range(q)) + bytes(256 - q) for s in range(q)]
+    last: dict[int, int] = {}
+    shapes: dict[tuple, str | None] = {}
     out = []
-    witnesses: dict[tuple, tuple] = {}  # few distinct witnesses, many pairs
-    for coeffs, cls, rk, mask in rows[start:stop]:
+    for i in range(start, stop):
+        _, cls, rk, mask = rows[i]
         if cls in (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.CONJUGATE_PAIR):
             continue
-        members = [rows[i] for i in rows.containing(mask)]
+        members = rows.containing(mask)
         count = mask.bit_count()
-        strict = [row for row in members if row[3].bit_count() > count]
+        strict = [j for j in members if rows[j][3].bit_count() > count]
         if not strict:
             continue
-        free = sorted({_last_nonzero(wc) for wc, *_ in members})
+        for j in members:
+            if j not in last:
+                last[j] = len(bytes(rows[j][0]).rstrip(b"\0")) - 1
+        free = sorted({last[j] for j in members})
+        # At least two free columns: the form and a strict witness are
+        # independent members, so the getter returns a tuple.
+        coordinates = itemgetter(*free)
         found = []
-        for wc, wcls, wrk, _ in strict:
-            coords = [wc[f] for f in free]
-            lead = next(j for j, c in enumerate(coords) if c)
-            scalar = inv(coords[lead])
-            if scalar != 1:
-                scale = mul[scalar]
-                coords = [scale[c] for c in coords]
-                wc = tuple(scale[c] for c in wc)
-                wc = witnesses.setdefault(wc, wc)
-            found.append(((lead, [order[c] for c in coords[lead + 1 :]]), wc, wcls, wrk))
-        found.sort(key=lambda item: item[0])
-        for _, witness, wcls, wrk in found:
-            shape = _admissible_shape(q, cls, rk, wcls, wrk)
+        for j in strict:
+            wc, wcls, wrk, _ = rows[j]
+            key = (cls, rk, wcls, wrk)
+            if key not in shapes:
+                shapes[key] = _admissible_shape(q, *key)
+            tail = bytes(coordinates(wc)).lstrip(b"\0")
+            scalar = inv[tail[0]]
+            lead = len(free) - len(tail)
+            found.append((lead, tail[1:].translate(ranked[scalar]), j, scalar, shapes[key]))
+        found.sort()
+        for _, _, j, scalar, shape in found:
             if shape is None:
+                _, wcls, wrk, _ = rows[j]
                 raise InadmissibleViolation(
                     f"inadmissible containment: {cls.value} rank "
                     f"{rk} inside {wcls.value} rank {wrk}"
                 )
-            out.append((coeffs, witness, shape))
+            out.append((i, j, scalar, shape))
     return out
 
 
@@ -408,20 +416,27 @@ def verify_containment(
     outside the admissible shapes appears (a theorem failure).
     """
     check_budget(q, n, budget)
-    survey(q, n).columns  # built here, so forked workers inherit it
+    rows = survey(q, n)
+    rows.columns  # built here, so forked workers inherit it
     field = field_from_order(q)
-    forms: dict[tuple, QuadraticForm] = {}
+    mul = field._mul
+    forms: dict[int, QuadraticForm] = {}
 
-    def shared(coeffs) -> QuadraticForm:
-        form = forms.get(coeffs)
+    def shared(i: int, scalar: int) -> QuadraticForm:
+        """``scalar`` times row i, one object per (row, scalar)."""
+        key = i * q + scalar
+        form = forms.get(key)
         if form is None:
-            form = forms[coeffs] = QuadraticForm(field, n, coeffs)
+            coeffs = rows[i][0]
+            if scalar != 1:
+                coeffs = tuple(mul[scalar][c] for c in coeffs)
+            form = forms[key] = QuadraticForm(field, n, coeffs)
         return form
 
     return [
-        ContainmentViolation(shared(fc), shared(wc), shape)
+        ContainmentViolation(shared(i, 1), shared(j, scalar), shape)
         for part in _scan(_containment_chunk, (q, n), q, n, workers)
-        for fc, wc, shape in part
+        for i, j, scalar, shape in part
     ]
 
 

@@ -256,7 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="minimal-codeword counts, closed form vs brute force")
     p.add_argument("--method", choices=sorted(METHODS), default="char")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--budget", type=int, default=None, help="max form-space size q**dim")
+    p.add_argument(
+        "--budget", type=int, default=None,
+        help="max survey rows: (q**dim - 1)/(q - 1) forms up to scalar",
+    )
     common(p)
     p.set_defaults(func=cmd_census)
 

@@ -18,7 +18,8 @@ number of singular points, with no per-form evaluation or elimination.
 Its point index, built on first use, gives the rows whose zero set
 contains a given set of points by ANDing one bitset per point.  The
 scans the CLI runs and the exhaustive tester pass ``check_budget`` before
-they build a survey: the form space q**dim may not exceed the budget.
+they build a survey: its row count, the (q**dim - 1)/(q - 1) forms up to
+scalar, may not exceed the budget.
 ``build_code`` shares one immutable code per (field, N).
 
 A nonzero codeword is minimal when no other nonzero codeword has support
@@ -183,15 +184,16 @@ def _value_masks(columns, q: int) -> list[list[int]]:
 
 
 def check_budget(q: int, n: int, budget: int | None = None) -> None:
-    """Refuse N < 1, and a form space q**dim larger than the budget
-    (``DEFAULT_FORM_BUDGET`` when None), before any survey is built."""
+    """Refuse N < 1, and a survey with more rows, (q**dim - 1)/(q - 1)
+    forms up to scalar, than the budget (``DEFAULT_FORM_BUDGET`` when
+    None), before any survey is built."""
     if n < 1:
         raise PrmError(f"scan needs N >= 1, got N = {n}")
     budget = DEFAULT_FORM_BUDGET if budget is None else budget
-    size = q ** len(monomials(n))
-    if size > budget:
+    rows = (q ** len(monomials(n)) - 1) // (q - 1)
+    if rows > budget:
         raise BudgetExceeded(
-            f"form space of size {size} exceeds the enumeration budget {budget}"
+            f"survey of {rows} forms up to scalar exceeds the enumeration budget {budget}"
         )
 
 

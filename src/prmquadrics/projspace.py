@@ -223,11 +223,30 @@ def hyperplane(field: Field, linear_form) -> LinearSubspace:
     return subspace_from_vectors(field, len(list(linear_form)) - 1, basis)
 
 
+_PEEL_BITS = 64
+
+
 def bits_to_indices(mask: int) -> list[int]:
-    """Ascending positions of the set bits, one step per set bit."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    """Ascending positions of the set bits.
+
+    The top bit is peeled off with ``bit_length``, so the integer shrinks
+    at each step and a sparse mask costs about its set bits times its
+    width in words.  Once ``_PEEL_BITS`` bits are peeled, the rest is read
+    by one scan of its binary numeral, so a dense mask stays linear in its
+    width.
+    """
+    out = []  # descending
+    while mask and len(out) < _PEEL_BITS:
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    if mask:
+        numeral = format(mask, "b")
+        top = len(numeral) - 1
+        find = numeral.find
+        i = find("1")
+        while i >= 0:
+            out.append(top - i)
+            i = find("1", i + 1)
+    out.reverse()
     return out

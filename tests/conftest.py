@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+
+import pytest
 
 from prmquadrics.gf import Field
 from prmquadrics.linalg import matrix_rank
@@ -35,3 +38,13 @@ def random_nonzero_vector(field: Field, size: int, rng: random.Random):
         v = [rng.randrange(field.q) for _ in range(size)]
         if any(v):
             return v
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip tests marked ``slow`` unless PRMQUADRICS_SLOW=1."""
+    if os.environ.get("PRMQUADRICS_SLOW") == "1":
+        return
+    skip = pytest.mark.skip(reason="slow: set PRMQUADRICS_SLOW=1 to run")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)

@@ -6,6 +6,7 @@ throughout.  The exhaustive grid is (q, N) in {(2,2), (2,3), (2,4), (3,2),
 (3,3), (4,2), (5,2)}.
 """
 
+import hashlib
 import random
 
 from conftest import GRID, random_form, random_invertible, random_nonzero_vector
@@ -111,6 +112,19 @@ def test_criterion_4_tester_agreement():
     _passed(4, f"three testers agree on all {checked} nonzero codewords")
 
 
+def _shape_counts(violations) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for v in violations:
+        counts[v.shape] = counts.get(v.shape, 0) + 1
+    return counts
+
+
+def _containment_digest(violations) -> str:
+    """md5 of the exact (form, witness, shape) list, order and scalars included."""
+    found = [(v.form.coeffs, v.witness.coeffs, v.shape) for v in violations]
+    return hashlib.md5(repr(found).encode()).hexdigest()
+
+
 def test_criterion_5_containment_theorem():
     shapes_23 = {v.shape for v in verify_containment(2, 3)}
     assert shapes_23 == {
@@ -118,18 +132,24 @@ def test_criterion_5_containment_theorem():
         "rank3_in_hyperplane_pair",
         "elliptic4_in_hyperplane_pair",
     }
-    shapes_33 = {v.shape for v in verify_containment(3, 3)}
-    assert shapes_33 == {"rank3_in_hyperplane_pair"}
-    shapes_24 = {v.shape for v in verify_containment(2, 4)}
-    assert shapes_24 <= {
-        "elliptic4_in_hyperbolic4",
-        "rank3_in_hyperplane_pair",
-        "elliptic4_in_hyperplane_pair",
+    found_33 = verify_containment(3, 3)
+    assert _shape_counts(found_33) == {"rank3_in_hyperplane_pair": 28_080}
+    assert _containment_digest(found_33) == "888b5fd0822ddaa54b02d85aa5927bd6"
+    found_24 = verify_containment(2, 4)
+    assert _shape_counts(found_24) == {
+        "elliptic4_in_hyperbolic4": 78_120,
+        "elliptic4_in_hyperplane_pair": 78_120,
+        "rank3_in_hyperplane_pair": 26_040,
     }
-    assert verify_containment(4, 2) == []
-    assert verify_containment(5, 2) == []
+    assert _containment_digest(found_24) == "e3dddc8f4a8ed1e4706f0afce08b3526"
+    for q in (4, 5, 7, 8):
+        assert verify_containment(q, 2) == [], q
     assert verify_exception_example()
-    _passed(5, "only admissible nestings on (2,3), (2,4), (3,3); none on (4,2), (5,2); 5-in-9 pair confirmed")
+    _passed(
+        5,
+        "only admissible nestings on (2,3), (2,4), (3,3), pinned exactly at (2,4) and (3,3); "
+        "none on (4,2), (5,2), (7,2), (8,2); 5-in-9 pair confirmed",
+    )
 
 
 def test_criterion_6_orbit_counts():

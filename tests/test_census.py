@@ -198,6 +198,12 @@ def test_containment_empty_for_large_q():
     assert verify_containment(5, 2) == []
 
 
+@pytest.mark.slow
+def test_containment_empty_at_q4_in_p3():
+    """No nesting at q = 4 in P^3: a scan of all 349,525 survey rows."""
+    assert verify_containment(4, 3, budget=400_000) == []
+
+
 SKIP_SMALL_SIDE = (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.CONJUGATE_PAIR)
 
 

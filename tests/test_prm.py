@@ -303,11 +303,11 @@ def test_exhaustive_budget_guard():
     with pytest.raises(BudgetExceeded):
         is_minimal_exhaustive(wide, cw)
     # refused before any survey is built
-    f7 = field_create(7, 1)
-    plane = build_code(f7, 2)  # 7**6 = 117,649 forms
+    f9 = field_from_order(9)
+    plane = build_code(f9, 2)  # (9**6 - 1)/8 = 66,430 survey rows
     misses = survey.cache_info().misses
     with pytest.raises(BudgetExceeded):
-        is_minimal_exhaustive(plane, plane.encode(form_from_terms(f7, 2, {(0, 1): 1})))
+        is_minimal_exhaustive(plane, plane.encode(form_from_terms(f9, 2, {(0, 1): 1})))
     assert survey.cache_info().misses == misses
     small = build_code(F2, 3)  # 2**10 forms
     pair = small.encode(form_from_terms(F2, 3, {(0, 1): 1}))

@@ -4,14 +4,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIELD_ORDERS, GRID, random_nonzero_vector
 
 from prmquadrics.gf import field_create, field_from_order
 from prmquadrics.linalg import rref, vec_scale
 from prmquadrics.projspace import (
+    _PEEL_BITS,
     EqualPoints,
     OutOfRange,
+    bits_to_indices,
     gaussian_binomial,
     hyperplane,
     line_through,
@@ -198,3 +202,44 @@ def test_point_rendering():
     space = projective_space(f4, 2)
     z = f4.from_coeffs((0, 1))
     assert space.render_point((1, z, 0)) == "(1:z:0)"
+
+
+def _naive_indices(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+# Exactly 63, 64 and 65 set bits straddle the switch from peeling to scanning.
+_AT_SWITCH = st.sampled_from((_PEEL_BITS - 1, _PEEL_BITS, _PEEL_BITS + 1)).flatmap(
+    lambda k: st.sets(st.integers(0, 4 * k), min_size=k, max_size=k)
+    | st.sets(st.integers(0, 400_000), min_size=k, max_size=k)
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(positions=st.sets(st.integers(0, 400_000), max_size=40) | _AT_SWITCH)
+@example(positions=set())
+@example(positions={0})
+@example(positions={399_999})
+@example(positions=set(range(_PEEL_BITS)))
+@example(positions=set(range(1, _PEEL_BITS + 2)))
+def test_bits_to_indices_sparse_property(positions):
+    """Single bits, sparse masks up to 400k bits wide, and masks at the
+    peel/scan switch: the ascending positions that built the mask, and the
+    naive per-position test wherever it is cheap."""
+    mask = sum(1 << i for i in positions)
+    got = bits_to_indices(mask)
+    assert got == sorted(positions)
+    if mask.bit_length() <= 10_000:
+        assert got == _naive_indices(mask)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.binary(max_size=1024))
+@example(data=b"\xff" * 1024)
+@example(data=b"\x55" * 1024)
+@example(data=b"\xff" * 8)
+@example(data=b"\xff" * 8 + b"\x01")
+def test_bits_to_indices_dense_property(data):
+    """Dense masks up to 8,192 bits wide against the naive per-position test."""
+    mask = int.from_bytes(data, "little")
+    assert bits_to_indices(mask) == _naive_indices(mask)
