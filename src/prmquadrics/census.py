@@ -9,13 +9,16 @@ are strictly nested, asserting that every such pair has one of the
 admissible shapes (the q = 2 elliptic/hyperbolic rank-4 pair, or low-rank
 cones inside hyperplane pairs).
 
-Every scan reads ``prm.survey(q, n)``, the one per-form record ``(coeffs,
-class, rank, zero-set mask)``, or its point index; the scans the CLI runs
-pass ``prm.check_budget`` first, and the census hands its budget on to the
-exhaustive tester.  The census and the containment search are reductions
-over one chunk function each, run by ``_scan`` over balanced index ranges
-of the survey, in-process or in a worker pool, with the same result either
-way.
+Every scan reads ``prm.survey(q, n)``: its class masks, one row mask per
+(class, rank, zero count), its point index, or its per-row view
+``(coeffs, class, rank, zero-set mask)``.  The class-rank census, the Serre
+scan and the characterization census are popcounts of the class masks and
+run in process.  The scans the CLI runs pass ``prm.check_budget`` first,
+and the census hands its budget on to the exhaustive tester.  The
+interpolation and exhaustive censuses and the containment search are
+reductions over one chunk function each, run by ``_scan`` over balanced
+index ranges of the per-row view, in-process or in a worker pool, with
+the same result either way.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .gf import field_from_order
 from .prm import (
     DEFAULT_FORM_BUDGET,
     BudgetExceeded,
-    PrmCode,
     build_code,
     characterization_minimal,
     check_budget,
@@ -197,11 +199,10 @@ def minimal_count_closed_form(q: int, n: int) -> MinimalCountTable:
 
 
 def class_rank_census(q: int, n: int) -> dict[tuple[QuadricClass, int], int]:
-    """Monic form counts per (class, rank), from the exhaustive survey."""
+    """Monic form counts per (class, rank), from the survey's class masks."""
     out: dict[tuple[QuadricClass, int], int] = {}
-    for _, cls, rk, _ in survey(q, n):
-        key = (cls, rk)
-        out[key] = out.get(key, 0) + 1
+    for (cls, rk, _), rows in survey(q, n).classes.items():
+        out[(cls, rk)] = out.get((cls, rk), 0) + rows.bit_count()
     return out
 
 
@@ -209,14 +210,11 @@ def serre_scan(q: int, n: int, budget: int | None = None) -> tuple[int, int, boo
     """(closed-form bound, max observed zeros, attained only by pairs)."""
     check_budget(q, n, budget)
     bound = 2 * q ** (n - 1) + projective_size(q, n - 2)
-    max_seen = 0
-    only_pairs = True
-    for _, cls, _, mask in survey(q, n):
-        c = mask.bit_count()
-        if c > max_seen:
-            max_seen = c
-        if c == bound and cls is not QuadricClass.HYPERPLANE_PAIR:
-            only_pairs = False
+    keys = survey(q, n).classes
+    max_seen = max(count for _, _, count in keys)
+    only_pairs = all(
+        cls is QuadricClass.HYPERPLANE_PAIR for cls, _, count in keys if count == bound
+    )
     return bound, max_seen, only_pairs and max_seen == bound
 
 
@@ -241,21 +239,19 @@ def _scan(chunk_fn, args, q: int, n: int, workers: int):
         yield from pool.imap(chunk_fn, ranges)
 
 
-def _minimal_by_tester(tester: str, code: PrmCode, coeffs, cls, rk, budget) -> bool:
-    if tester == "characterization":
-        return characterization_minimal(cls, rk, code.field.q)
-    form = QuadraticForm(code.field, code.n, coeffs)
-    if tester == "interpolation":
-        return is_minimal_interpolation(code, form).minimal
-    return is_minimal_exhaustive(code, code.encode(form), budget).minimal
-
-
 def _census_chunk(args) -> dict[int, int]:
+    """Minimal codewords per weight among the chunk's forms, by the
+    interpolation or the exhaustive tester."""
     q, n, tester, budget, start, stop = args
     code = build_code(field_from_order(q), n)
     tally: dict[int, int] = {}
-    for coeffs, cls, rk, mask in survey(q, n)[start:stop]:
-        if _minimal_by_tester(tester, code, coeffs, cls, rk, budget):
+    for coeffs, _, _, mask in survey(q, n).rows[start:stop]:
+        form = QuadraticForm(code.field, n, coeffs)
+        if tester == "interpolation":
+            minimal = is_minimal_interpolation(code, form).minimal
+        else:
+            minimal = is_minimal_exhaustive(code, code.encode(form), budget).minimal
+        if minimal:
             weight = code.length - mask.bit_count()
             tally[weight] = tally.get(weight, 0) + (q - 1)
     return tally
@@ -272,14 +268,25 @@ def brute_force_census(
 
     Each minimal monic form accounts for q-1 codewords (its scalar orbit).
     The result carries both the brute-force and the closed-form columns.
+    The characterization census is read off the survey's class masks, in
+    process whatever ``workers`` is; the other testers run per form
+    through ``_scan``.
     """
     if tester not in TESTERS:
         raise CensusError(f"unknown tester {tester!r}; expected one of {TESTERS}")
     check_budget(q, n, budget)
     tally: dict[int, int] = {}
-    for part in _scan(_census_chunk, (q, n, tester, budget), q, n, workers):
-        for w, c in part.items():
-            tally[w] = tally.get(w, 0) + c
+    if tester == "characterization":
+        length = projective_size(q, n)
+        for (cls, rk, count), rows in survey(q, n).classes.items():
+            if characterization_minimal(cls, rk, q):
+                weight = length - count
+                tally[weight] = tally.get(weight, 0) + (q - 1) * rows.bit_count()
+    else:
+        survey(q, n).rows  # built here, so forked workers inherit it
+        for part in _scan(_census_chunk, (q, n, tester, budget), q, n, workers):
+            for w, c in part.items():
+                tally[w] = tally.get(w, 0) + c
     closed = minimal_count_closed_form(q, n)
     closed_map = closed.closed_dict()
     weights = sorted(set(closed_map) | set(tally))
@@ -358,7 +365,8 @@ def _containment_chunk(args) -> list[tuple[int, int, int, str]]:
     shape are worked out once per chunk.
     """
     q, n, start, stop = args
-    rows = survey(q, n)
+    index = survey(q, n)
+    rows = index.rows
     field = field_from_order(q)
     inv, mul, order = field._inv, field._mul, field._order_index
     # ranked[s]: the byte translation c -> order index of s*c.
@@ -370,7 +378,7 @@ def _containment_chunk(args) -> list[tuple[int, int, int, str]]:
         _, cls, rk, mask = rows[i]
         if cls in (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.CONJUGATE_PAIR):
             continue
-        members = rows.containing(mask)
+        members = index.containing(mask)
         count = mask.bit_count()
         strict = [j for j in members if rows[j][3].bit_count() > count]
         if not strict:
@@ -416,8 +424,7 @@ def verify_containment(
     outside the admissible shapes appears (a theorem failure).
     """
     check_budget(q, n, budget)
-    rows = survey(q, n)
-    rows.columns  # built here, so forked workers inherit it
+    rows = survey(q, n).rows  # built here, so forked workers inherit it
     field = field_from_order(q)
     mul = field._mul
     forms: dict[int, QuadraticForm] = {}
@@ -476,12 +483,13 @@ def conic_interpolation_profile(q: int, budget: int | None = None) -> PencilProf
     conics.
     """
     check_budget(q, 2, budget)
-    rows = survey(q, 2)
+    index = survey(q, 2)
+    rows = index.rows
     profile = None
     for _, _, rk, mask in rows:
         if rk != 3:
             continue
-        classes = [rows[i][1] for i in rows.containing(mask)]
+        classes = [rows[i][1] for i in index.containing(mask)]
         found = PencilProfile(
             len(classes),
             classes.count(QuadricClass.HYPERPLANE_PAIR),

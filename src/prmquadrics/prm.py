@@ -10,16 +10,18 @@ forms and codewords up to scalar to quadrics.  ``PrmCode.encode`` reads a
 form's value vector off its evaluation lane (``quadric.evaluation_lane``),
 the same one ``point_set`` reads the zero set from.
 
-``survey(q, n)`` classifies every form up to scalar once, in
-``iter_monic_coeffs`` order, by one depth-first walk over the coefficients
-that carries the zero sets of the form and of its polar partials as
-bitmasks: each zero mask is read off the walk, and each rank from the
-number of singular points, with no per-form evaluation or elimination.
-Its point index, built on first use, gives the rows whose zero set
-contains a given set of points by ANDing one bitset per point.  The
-scans the CLI runs and the exhaustive tester pass ``check_budget`` before
-they build a survey: its row count, the (q**dim - 1)/(q - 1) forms up to
-scalar, may not exceed the budget.
+``survey(q, n)`` classifies every form up to scalar once, bit-sliced over
+its rows, the forms in ``iter_monic_coeffs`` order: for each point it
+builds, as integers whose bit i stands for row i, the rows where the form
+takes each field value there.  The zero buckets are the point index,
+whose AND over a point set gives the rows whose zero set contains it.  A
+few more ANDs give the singular points, by polarization, and bit-sliced
+counters the zero and singular counts of every row, so each (class, rank,
+zero count) is one row mask and the census reductions are popcounts; the
+per-row view ``(coeffs, class, rank, mask)`` is built only for the scans
+that read it.  The scans the CLI runs and the exhaustive tester pass
+``check_budget`` before they build a survey: its row count, the
+(q**dim - 1)/(q - 1) forms up to scalar, may not exceed the budget.
 ``build_code`` shares one immutable code per (field, N).
 
 A nonzero codeword is minimal when no other nonzero codeword has support
@@ -41,7 +43,7 @@ from functools import cached_property, lru_cache
 
 from .gf import Field, field_from_order
 from .linalg import kernel_basis_gf2, matrix_rank
-from .projspace import bits_to_indices, projective_size, projective_space
+from .projspace import bits_to_indices, projective_space
 from .quadric import (
     ABSOLUTELY_IRREDUCIBLE,
     DimensionMismatch,
@@ -149,38 +151,100 @@ def iter_monic_coeffs(field: Field, length: int):
             yield head + tail
 
 
-class Survey(tuple):
-    """The rows of :func:`survey`, with the point index over them."""
+def monic_coeffs_at(field: Field, length: int, index: int) -> tuple[int, ...]:
+    """The ``index``-th tuple of :func:`iter_monic_coeffs`: its block, the
+    forms with leading coefficient at position L, holds q**(length-1-L)
+    tuples, and inside it the tail is a mixed-radix number whose last
+    digit varies fastest, digits in ``field.elements`` order."""
+    q = field.q
+    for lead in range(length):
+        block = q ** (length - 1 - lead)
+        if index < block:
+            break
+        index -= block
+    else:
+        raise IndexError("monic coefficient index out of range")
+    tail = []
+    for _ in range(length - 1 - lead):
+        index, digit = divmod(index, q)
+        tail.append(field.elements[digit])
+    return (0,) * lead + (1,) + tuple(reversed(tail))
 
-    def __new__(cls, rows, points: int):
-        self = super().__new__(cls, rows)
-        self.points = points
-        return self
+
+# Rows per transposed block of the point index: one numeral table of all
+# rows would take points * rows characters at once, 1 MB at (2,4).
+_TRANSPOSE_ROWS = 4096
+
+
+class Survey:
+    """The forms up to scalar of :func:`survey`, as a point index and class
+    masks over the rows, with the per-row view built on first read.
+
+    ``columns[p]`` has bit i set when row i's zero set contains point p;
+    ``classes`` maps each (class, rank, zero count) to the mask of its
+    rows, in order of each key's first row.  ``rows`` holds one
+    ``(coeffs, class, rank, zero-set mask)`` per row, in
+    ``iter_monic_coeffs`` order; indexing, slicing, iteration and
+    equality read it.
+    """
+
+    def __init__(self, q: int, n: int, columns: tuple[int, ...], classes: dict):
+        self.q = q
+        self.n = n
+        self.columns = columns
+        self.classes = classes
+
+    def __len__(self) -> int:
+        return _row_count(self.q, self.n)
 
     @cached_property
-    def columns(self) -> tuple[int, ...]:
-        """The point index: bit i of ``columns[p]`` is set when row i's
-        zero set contains point p."""
-        width = self.points
-        # One row per `width` characters, highest row first and each row's
-        # highest point first, so every column is a binary numeral.
-        table = "".join(format(mask, f"0{width}b") for *_, mask in reversed(self))
-        return tuple(int(table[width - 1 - p :: width], 2) for p in range(width))
+    def rows(self) -> tuple[tuple, ...]:
+        width = len(self)
+        masks = []
+        for low in range(0, width, _TRANSPOSE_ROWS):
+            size = min(width - low, _TRANSPOSE_ROWS)
+            part = (1 << size) - 1
+            # One column per `size` characters, highest point first and each
+            # column's highest row first, so every row's mask is a numeral.
+            table = "".join(
+                format(col >> low & part, f"0{size}b") for col in reversed(self.columns)
+            )
+            masks += [int(table[size - 1 - i :: size], 2) for i in range(size)]
+        labels = [None] * width
+        for (cls, rk, _), mask in self.classes.items():
+            label = (cls, rk)
+            for i in bits_to_indices(mask):
+                labels[i] = label
+        coeffs = iter_monic_coeffs(field_from_order(self.q), len(monomials(self.n)))
+        return tuple((c, *label, mask) for c, label, mask in zip(coeffs, labels, masks))
 
-    def containing(self, zeros: int) -> list[int]:
-        """Ascending indices of the rows whose zero set contains ``zeros``."""
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Survey):
+            return NotImplemented
+        return self.rows == other.rows
+
+    def through(self, zeros: int) -> int:
+        """The mask of the rows whose zero set contains ``zeros``."""
         columns = self.columns
         through = (1 << len(self)) - 1
         for p in bits_to_indices(zeros):
             through &= columns[p]
-        return bits_to_indices(through)
+        return through
+
+    def containing(self, zeros: int) -> list[int]:
+        """Ascending indices of the rows whose zero set contains ``zeros``."""
+        return bits_to_indices(self.through(zeros))
 
 
-def _value_masks(columns, q: int) -> list[list[int]]:
-    """``out[k][a]``: the points p where ``columns[k][p] == a``, for columns
-    of field elements, one byte per point."""
-    onehot = [bytes(b"01"[v == a] for v in range(256)) for a in range(q)]
-    return [[int(col.translate(t)[::-1], 2) for t in onehot] for col in columns]
+def _row_count(q: int, n: int) -> int:
+    """Forms up to scalar on P^n over GF(q): (q**dim - 1)/(q - 1)."""
+    return (q ** len(monomials(n)) - 1) // (q - 1)
 
 
 def check_budget(q: int, n: int, budget: int | None = None) -> None:
@@ -190,99 +254,133 @@ def check_budget(q: int, n: int, budget: int | None = None) -> None:
     if n < 1:
         raise PrmError(f"scan needs N >= 1, got N = {n}")
     budget = DEFAULT_FORM_BUDGET if budget is None else budget
-    rows = (q ** len(monomials(n)) - 1) // (q - 1)
+    rows = _row_count(q, n)
     if rows > budget:
         raise BudgetExceeded(
             f"survey of {rows} forms up to scalar exceeds the enumeration budget {budget}"
         )
 
 
+def _split_by_count(columns, full: int) -> dict[int, int]:
+    """{c: the rows set in exactly c of the columns}, the empty groups
+    left out: the columns are added into a vertical binary counter, one
+    integer per bit plane, and the full mask is split plane by plane."""
+    planes: list[int] = []
+    for carry in columns:
+        for j, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[j], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    groups = {0: full}
+    for j, plane in enumerate(planes):
+        split = {}
+        for count, rows in groups.items():
+            high = rows & plane
+            if high:
+                split[count + (1 << j)] = high
+            if rows ^ high:
+                split[count] = rows ^ high
+        groups = split
+    return groups
+
+
 @lru_cache(maxsize=8)
 def survey(q: int, n: int) -> Survey:
-    """Classify every monic form: (coeffs, class, rank, zero-set mask).
+    """Classify every form up to scalar: its zero set and (class, rank).
 
-    One depth-first walk in ``iter_monic_coeffs`` order carries, per field
-    value a, the points where F = a and where each polar partial
-    L_i = B(e_i, .) = a; setting coefficient k to c adds c times monomial
-    k's values to F, and c times a coordinate to at most two partials.  A
-    form's zero mask is F's bucket 0.  Its singular points, where F and
-    every L_i vanish, are the rational points of the quadratic radical, a
-    subspace whose dimension their count gives, and with it the rank.
+    Rows follow ``iter_monic_coeffs`` order, so each row index is a block
+    offset plus a mixed-radix tail.  For each point p the rows where
+    F(p) = a, for every a, come from a suffix recursion over the
+    coefficients: S_m = [1, 0, ..., 0], S_k[a] is the OR over the digits
+    (idx, c) of S_(k+1)[a - c*v_k] shifted to digit idx, and block L
+    takes S_(L+1)[a - v_L].  Bucket 0 is ``columns[p]``.  The singular
+    points, where F and every polar partial B(e_t, .) vanish, follow by
+    polarization: with p + e_t = l*r, B(e_t, p) = l**2 F(r) - F(p) - F(e_t),
+    so p is singular on the rows of Z[p] that, for every t, take some
+    value a at r and l**2 a at e_t (F(e_t) = 0 when p + e_t = 0).  The
+    buckets at r are dropped once every (p, t) it serves has read them.
+    Zero and singular counts are bit-sliced over the rows; the singular
+    points are the quadratic radical's, so their count gives the rank,
+    and the zero count then the class.
+
+    The cache holds up to eight surveys.  At (5,3), 2,441,406 rows and
+    the largest budget a test passes, one survey's columns and class masks
+    take about 53 MB.  Its per-row view, built only when read, adds about
+    236 bytes a row: 82 MB at (4,3), the largest survey a test reads row
+    by row.
     """
     field = field_from_order(q)
     space = projective_space(field, n)
-    monos = monomials(n)
-    m = len(monos)
-    add, mul, neg, elems = field._add, field._mul, field._neg, field.elements
+    m = len(monomials(n))
+    add, mul, neg, inv, elems = field._add, field._mul, field._neg, field._inv, field.elements
     decode = field.lane_code.decode
-    mono_masks = _value_masks([lane.translate(decode) for lane in space.monomial_rows()], q)
-    coord_masks = _value_masks([bytes(col) for col in zip(*space.points)], q)
-    # touched[k]: (t, s, e) for each partial L_t that gains e*c * x_s as
-    # coefficient k becomes c; e = 2 on the diagonal, 0 in characteristic 2.
-    two = add[1][1]
-    touched = [[(i, i, two)] if i == j else [(i, j, 1), (j, i, 1)] for i, j in monos]
+    values = list(zip(*(lane.translate(decode) for lane in space.monomial_rows())))
 
-    def moved(buckets, c, masks):
-        """Buckets of G + c*H, from G's buckets and H's value masks."""
-        if not c:
-            return buckets
+    def buckets(v) -> list[int]:
+        """``out[a]``: the rows whose form takes the value a where the
+        monomials take the values v."""
+        suffix = [1] + [0] * (q - 1)
         out = [0] * q
-        for b, col in enumerate(masks):
-            to = add[mul[c][b]]
-            for v, mask in enumerate(buckets):
-                hit = mask & col
-                if hit:
-                    out[to[v]] |= hit
+        width = 1
+        for k in range(m - 1, -1, -1):
+            minus = [add[a][neg[v[k]]] for a in range(q)]
+            out = [out[a] << width | suffix[minus[a]] for a in range(q)]
+            if not k:
+                break
+            grown = [0] * q
+            for idx, c in enumerate(elems):
+                d = neg[mul[c][v[k]]]
+                at = idx * width
+                for a in range(q):
+                    part = suffix[add[a][d]]
+                    if part:
+                        grown[a] |= part << at
+            suffix = grown
+            width *= q
         return out
 
-    def vanishing(buckets, c, masks):
-        """Points where G + c*H = 0."""
-        if not c:
-            return buckets[0]
-        out = 0
-        for b, col in enumerate(masks):
-            out |= buckets[neg[mul[c][b]]] & col
-        return out
-
-    classes: dict[tuple[int, int], tuple[QuadricClass, int]] = {}
-    rows = []
-    coeffs = [0] * m
-
-    def walk(k, choices, f, partials):
-        """Append the rows of every form that has ``coeffs`` before
-        position k, a value from ``choices`` at k, and any values after."""
-        if k == m - 1:
-            moving = {t for t, _, _ in touched[k]}
-            rest = space.full_mask
-            for t, part in enumerate(partials):
-                if t not in moving:
-                    rest &= part[0]
-            for c in choices:
-                coeffs[k] = c
-                zeros = vanishing(f, c, mono_masks[k])
-                singular = zeros & rest
-                for t, s, e in touched[k]:
-                    singular &= vanishing(partials[t], mul[e][c], coord_masks[s])
-                key = (singular.bit_count(), zeros.bit_count())
-                found = classes.get(key)
-                if found is None:
-                    rk = n + 1 - subspace_dimension(key[0], q)
-                    found = classes[key] = (discriminate(rk, key[1], n, q), rk)
-                rows.append((tuple(coeffs), *found, zeros))
-            coeffs[k] = 0
-            return
-        for c in choices:
-            coeffs[k] = c
-            after = partials[:]
-            for t, s, e in touched[k]:
-                after[t] = moved(partials[t], mul[e][c], coord_masks[s])
-            walk(k + 1, elems, moved(f, c, mono_masks[k]), after)
-        coeffs[k] = 0
-
-    nothing = [space.full_mask] + [0] * (q - 1)
-    for lead in range(m):
-        walk(lead, (1,), nothing, [nothing] * (n + 1))
-    return Survey(rows, projective_size(q, n))
+    index = space._index
+    # units[t]: the buckets at e_t.
+    units = [
+        buckets(values[index[tuple(int(s == t) for s in range(n + 1))]]) for t in range(n + 1)
+    ]
+    full = (1 << _row_count(q, n)) - 1
+    singular = [full] * len(values)
+    # serves[r]: (p, t, l**2) for each p + e_t = l*r.
+    serves: list[list[tuple[int, int, int]]] = [[] for _ in values]
+    for p, point in enumerate(space.points):
+        for t in range(n + 1):
+            v = list(point)
+            v[t] = add[v[t]][1]
+            last = next((c for c in reversed(v) if c), 0)
+            if last:
+                r = index[tuple(mul[inv[last]][c] for c in v)]
+                serves[r].append((p, t, mul[last][last]))
+            else:
+                singular[p] &= units[t][0]
+    columns = []
+    for r, v in enumerate(values):
+        at_r = buckets(v)
+        columns.append(at_r[0])
+        singular[r] &= at_r[0]
+        for p, t, scale in serves[r]:
+            at_e, times = units[t], mul[scale]
+            meet = 0
+            for a in range(q):
+                meet |= at_r[a] & at_e[times[a]]
+            singular[p] &= meet
+    singular = _split_by_count(singular, full)
+    found = []
+    for zero_count, zero_rows in _split_by_count(columns, full).items():
+        for singular_count, singular_rows in singular.items():
+            both = zero_rows & singular_rows
+            if both:
+                rk = n + 1 - subspace_dimension(singular_count, q)
+                found.append(((discriminate(rk, zero_count, n, q), rk, zero_count), both))
+    found.sort(key=lambda item: (item[1] & -item[1]).bit_length())
+    return Survey(q, n, tuple(columns), dict(found))
 
 
 def interpolation_space(code: PrmCode, zero_mask: int) -> list[QuadraticForm]:
@@ -404,20 +502,25 @@ def is_minimal_interpolation(code: PrmCode, form: QuadraticForm) -> MinimalityVe
 def is_minimal_exhaustive(
     code: PrmCode, codeword: Codeword, budget: int | None = None
 ) -> MinimalityVerdict:
-    """Verdict by the survey's point index: the forms whose zero set
-    contains ``full_mask ^ support``; the first, in survey order, whose
-    zero set is strictly larger is the witness."""
+    """Verdict by the survey's point index: of the forms whose zero set
+    contains ``full_mask ^ support``, the first in survey order whose class
+    mask has a larger zero count is the witness, its coefficients decoded
+    from its row index."""
     if codeword.weight == 0:
         raise ZeroCodeword("minimality of the zero codeword is undefined")
-    check_budget(code.field.q, code.n, budget)
-    rows = survey(code.field.q, code.n)
+    field = code.field
+    check_budget(field.q, code.n, budget)
+    index = survey(field.q, code.n)
     zeros = code.space.full_mask ^ codeword.support
-    for i in rows.containing(zeros):
-        coeffs, _, _, mask = rows[i]
-        if mask != zeros:
-            return MinimalityVerdict(
-                minimal=False,
-                method="exhaustive",
-                witness=QuadraticForm(code.field, code.n, coeffs),
-            )
-    return MinimalityVerdict(minimal=True, method="exhaustive")
+    count = zeros.bit_count()
+    larger = 0
+    for (_, _, zero_count), rows in index.classes.items():
+        if zero_count > count:
+            larger |= rows
+    hits = index.through(zeros) & larger
+    if not hits:
+        return MinimalityVerdict(minimal=True, method="exhaustive")
+    coeffs = monic_coeffs_at(field, code.dimension, (hits & -hits).bit_length() - 1)
+    return MinimalityVerdict(
+        minimal=False, method="exhaustive", witness=QuadraticForm(field, code.n, coeffs)
+    )

@@ -45,6 +45,8 @@ from prmquadrics.quadric import (
 )
 
 EXHAUSTIVE_CANONICAL = ((2, 3), (3, 2), (2, 4))
+# Plane grids past the exhaustive grid that criteria 1, 3 and 6 also cover.
+BEYOND = ((7, 2), (8, 2))
 RANDOM_CANONICAL = ((3, 3), (4, 2), (5, 2))
 
 
@@ -55,13 +57,13 @@ def _passed(criterion: int, message: str) -> None:
 def test_criterion_1_point_count_law():
     """Every nonzero form's zero-set size equals its class/rank closed form."""
     checked = 0
-    for q, n in GRID:
+    for q, n in GRID + BEYOND:
         for coeffs, cls, rk, mask in survey(q, n):
             assert expected_point_count(cls, rk, n, q) == mask.bit_count(), (
                 q, n, coeffs, cls, rk,
             )
             checked += 1
-    _passed(1, f"point-count law holds for {checked} forms across {len(GRID)} grids")
+    _passed(1, f"point-count law holds for {checked} forms across {len(GRID + BEYOND)} grids")
 
 
 def test_criterion_2_serre_bound():
@@ -83,6 +85,8 @@ def test_criterion_3_minimal_codeword_census():
         (3, 2, "interpolation"): {6: 156},
         (4, 2, "characterization"): {12: 630, 16: 3024},
         (2, 2, "exhaustive"): {2: 21},
+        (7, 2, "characterization"): {42: 9576, 49: 100548},
+        (8, 2, "characterization"): {56: 18396, 64: 228928},
     }
     for (q, n, tester), table in expected.items():
         result = brute_force_census(q, n, tester)
@@ -153,7 +157,7 @@ def test_criterion_5_containment_theorem():
 
 
 def test_criterion_6_orbit_counts():
-    for q, n in ((2, 2), (3, 2)):
+    for q, n in ((2, 2), (3, 2)) + BEYOND:
         census = class_rank_census(q, n)
         assert census[(QuadricClass.PARABOLIC, 3)] == orbit_count(
             QuadricClass.PARABOLIC, 3, q
@@ -167,7 +171,7 @@ def test_criterion_6_orbit_counts():
             QuadricClass.ELLIPTIC, 4, q
         )
     assert class_rank_census(2, 2)[(QuadricClass.PARABOLIC, 3)] == 28
-    _passed(6, "formula orbit sizes equal brute-force smooth-quadric counts at q in {2,3}")
+    _passed(6, "formula orbit sizes equal brute-force smooth-quadric counts at q in {2,3,7,8}")
 
 
 def test_criterion_7_conic_pencils():

@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import GRID
+
 from prmquadrics.census import (
     BudgetExceeded,
     ParityMismatch,
@@ -20,8 +22,14 @@ from prmquadrics.census import (
 )
 from prmquadrics.formexpr import render_form
 from prmquadrics.gf import field_from_order
-from prmquadrics.prm import build_code, interpolation_space, iter_span_monic
-from prmquadrics.projspace import gaussian_binomial, projective_size
+from prmquadrics.prm import (
+    build_code,
+    characterization_minimal,
+    interpolation_space,
+    iter_span_monic,
+    monic_coeffs_at,
+)
+from prmquadrics.projspace import bits_to_indices, gaussian_binomial, projective_size
 from prmquadrics.quadric import QuadricClass, monomials
 
 P = QuadricClass.PARABOLIC
@@ -196,6 +204,51 @@ def test_containment_shapes_p2():
 def test_containment_empty_for_large_q():
     assert verify_containment(4, 2) == []
     assert verify_containment(5, 2) == []
+
+
+@pytest.mark.parametrize("q, n", GRID + ((7, 2), (8, 2)))
+def test_class_masks_equal_the_per_row_view(q, n):
+    """The class masks partition the rows, each row's (class, rank, zero
+    count) is the key whose mask holds it, its coefficients decode from its
+    index, and the census reductions read off the masks equal the same
+    reductions over the rows."""
+    index = survey(q, n)
+    key_of = [None] * len(index)
+    for key, mask in index.classes.items():
+        for i in bits_to_indices(mask):
+            assert key_of[i] is None, (q, n, i)
+            key_of[i] = key
+    field = field_from_order(q)
+    m = len(monomials(n))
+    length = projective_size(q, n)
+    bound = 2 * q ** (n - 1) + projective_size(q, n - 2)
+    census, tally, counts, at_bound = {}, {}, set(), set()
+    for i, (coeffs, cls, rk, mask) in enumerate(index):
+        count = mask.bit_count()
+        assert key_of[i] == (cls, rk, count), (q, n, i)
+        assert monic_coeffs_at(field, m, i) == coeffs, (q, n, i)
+        census[(cls, rk)] = census.get((cls, rk), 0) + 1
+        counts.add(count)
+        if count == bound:
+            at_bound.add(cls)
+        if characterization_minimal(cls, rk, q):
+            tally[length - count] = tally.get(length - count, 0) + q - 1
+    assert list(class_rank_census(q, n).items()) == list(census.items())
+    only_pairs = at_bound == {QuadricClass.HYPERPLANE_PAIR} and max(counts) == bound
+    assert serre_scan(q, n) == (bound, max(counts), only_pairs)
+    assert brute_force_census(q, n).brute_dict() == tally
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q, n", [(16, 2), (2, 5), (5, 3)])
+def test_census_beyond_the_grid(q, n):
+    """The characterization census and the Serre scan past the default
+    budget, read off the class masks: 1,118,481 rows at (16,2), 2,097,151
+    at (2,5) and 2,441,406 at (5,3)."""
+    budget = (q ** len(monomials(n)) - 1) // (q - 1)
+    assert brute_force_census(q, n, budget=budget).matches()
+    bound, max_seen, attained = serre_scan(q, n, budget=budget)
+    assert max_seen == bound and attained
 
 
 @pytest.mark.slow

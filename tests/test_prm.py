@@ -129,8 +129,8 @@ def test_point_index_is_the_transpose_of_the_survey():
     columns = before.columns
     survey.cache_clear()
     after = survey(2, 3)
+    assert "rows" not in vars(after)
     assert after is not before and after == before
-    assert "columns" not in vars(after)
     assert after.columns == columns and after.columns is not columns
 
 
