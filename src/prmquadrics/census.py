@@ -13,9 +13,8 @@ Every scan reads ``prm.survey(q, n)``: its class masks, one row mask per
 (class, rank, zero count), its point index, or its per-row view
 ``(coeffs, class, rank, zero-set mask)``.  The class-rank census, the Serre
 scan and the characterization census are popcounts of the class masks and
-run in process.  The scans the CLI runs pass ``prm.check_budget`` first,
-and the census hands its budget on to the exhaustive tester.  The
-interpolation and exhaustive censuses and the containment search are
+run in process.  The scans the CLI runs pass ``prm.check_budget`` first.
+The interpolation and exhaustive censuses and the containment search are
 reductions over one chunk function each, run by ``_scan`` over balanced
 index ranges of the per-row view, in-process or in a worker pool, with
 the same result either way.
@@ -35,7 +34,6 @@ from .prm import (
     build_code,
     characterization_minimal,
     check_budget,
-    is_minimal_exhaustive,
     is_minimal_interpolation,
     survey,
 )
@@ -241,16 +239,17 @@ def _scan(chunk_fn, args, q: int, n: int, workers: int):
 
 def _census_chunk(args) -> dict[int, int]:
     """Minimal codewords per weight among the chunk's forms, by the
-    interpolation or the exhaustive tester."""
-    q, n, tester, budget, start, stop = args
+    interpolation tester or by the survey's strict-containment query."""
+    q, n, tester, start, stop = args
     code = build_code(field_from_order(q), n)
+    index = survey(q, n)
     tally: dict[int, int] = {}
-    for coeffs, _, _, mask in survey(q, n).rows[start:stop]:
-        form = QuadraticForm(code.field, n, coeffs)
+    for coeffs, _, _, mask in index.rows[start:stop]:
         if tester == "interpolation":
+            form = QuadraticForm(code.field, n, coeffs)
             minimal = is_minimal_interpolation(code, form).minimal
         else:
-            minimal = is_minimal_exhaustive(code, code.encode(form), budget).minimal
+            minimal = not index.strictly_through(mask)
         if minimal:
             weight = code.length - mask.bit_count()
             tally[weight] = tally.get(weight, 0) + (q - 1)
@@ -284,7 +283,7 @@ def brute_force_census(
                 tally[weight] = tally.get(weight, 0) + (q - 1) * rows.bit_count()
     else:
         survey(q, n).rows  # built here, so forked workers inherit it
-        for part in _scan(_census_chunk, (q, n, tester, budget), q, n, workers):
+        for part in _scan(_census_chunk, (q, n, tester), q, n, workers):
             for w, c in part.items():
                 tally[w] = tally.get(w, 0) + c
     closed = minimal_count_closed_form(q, n)

@@ -237,6 +237,14 @@ class Survey:
             through &= columns[p]
         return through
 
+    def strictly_through(self, zeros: int) -> int:
+        """The mask of the rows whose zero set strictly contains ``zeros``:
+        ``through(zeros)`` on the class masks of larger zero count."""
+        count = zeros.bit_count()
+        # The class masks are disjoint, so their sum is their union.
+        larger = sum(rows for (_, _, c), rows in self.classes.items() if c > count)
+        return self.through(zeros) & larger
+
     def containing(self, zeros: int) -> list[int]:
         """Ascending indices of the rows whose zero set contains ``zeros``."""
         return bits_to_indices(self.through(zeros))
@@ -248,9 +256,10 @@ def _row_count(q: int, n: int) -> int:
 
 
 def check_budget(q: int, n: int, budget: int | None = None) -> None:
-    """Refuse N < 1, and a survey with more rows, (q**dim - 1)/(q - 1)
-    forms up to scalar, than the budget (``DEFAULT_FORM_BUDGET`` when
-    None), before any survey is built."""
+    """Refuse a q that is no field order, N < 1, and a survey with more
+    rows, (q**dim - 1)/(q - 1) forms up to scalar, than the budget
+    (``DEFAULT_FORM_BUDGET`` when None), before any survey is built."""
+    field_from_order(q)
     if n < 1:
         raise PrmError(f"scan needs N >= 1, got N = {n}")
     budget = DEFAULT_FORM_BUDGET if budget is None else budget
@@ -510,14 +519,7 @@ def is_minimal_exhaustive(
         raise ZeroCodeword("minimality of the zero codeword is undefined")
     field = code.field
     check_budget(field.q, code.n, budget)
-    index = survey(field.q, code.n)
-    zeros = code.space.full_mask ^ codeword.support
-    count = zeros.bit_count()
-    larger = 0
-    for (_, _, zero_count), rows in index.classes.items():
-        if zero_count > count:
-            larger |= rows
-    hits = index.through(zeros) & larger
+    hits = survey(field.q, code.n).strictly_through(code.space.full_mask ^ codeword.support)
     if not hits:
         return MinimalityVerdict(minimal=True, method="exhaustive")
     coeffs = monic_coeffs_at(field, code.dimension, (hits & -hits).bit_length() - 1)

@@ -16,15 +16,14 @@ survey in ``prm`` measures the rank another way, by counting the rational
 points of the singular locus (``subspace_dimension``), and passes through
 the same check.
 
-Canonicalization performs an explicit Witt decomposition in the input's
-own coordinates: split off the radical, peel hyperbolic pairs, and match
-the anisotropic remainder.  Each pair starts from an isotropic vector of
-what is left, the lowest zero of F restricted to three of its vectors
-(``point_set`` on P^2; Chevalley-Warning says one exists), and is completed
-from one Gram matrix of B.  The result is an invertible substitution T
-that maps the input to a scalar multiple of the canonical form of its
-class.  The columns of T are the anisotropic part, then the hyperbolic
-pairs, then the radical.
+Canonicalization performs an explicit Witt decomposition in one frame s_k,
+the unit vectors at first, held with F(s_k) and B(s_k, s_l) and changed only
+by s_j <- c s_j + d s_i.  Each step reads F on three vectors still to split
+(``point_set`` on P^2; Chevalley-Warning says it has a zero) and sends that
+zero to the radical or to a hyperbolic pair; the zero-free rest is at most
+a plane.  The result is an invertible T with F(T y) a multiple of the
+canonical form of the class; its columns are the anisotropic part, then the
+hyperbolic pairs, then the radical.
 """
 
 from __future__ import annotations
@@ -151,6 +150,8 @@ class QuadraticForm:
         return acc
 
     def scale(self, lam: int) -> "QuadraticForm":
+        if lam == 1:
+            return self
         mul = self.field._mul
         return QuadraticForm(self.field, self.ambient, tuple(mul[lam][c] for c in self.coeffs))
 
@@ -474,6 +475,7 @@ def projective_index_bruteforce(form: QuadraticForm) -> int:
     return k
 
 
+@lru_cache(maxsize=None)
 def canonical_form(field: Field, n: int, cls: QuadricClass, rk: int) -> QuadraticForm:
     """Reference form of the given class and rank on P^n."""
     _check_class_rank(cls, rk, n)
@@ -508,104 +510,100 @@ class CanonicalizationResult:
     scalar: int
 
 
-def _isotropic(form: QuadraticForm, span):
-    """A zero of F in the span: the lowest zero of F restricted to the first
-    three span vectors (two or one when fewer are left), mapped back.
-
-    By Chevalley-Warning every quadratic form in three variables over GF(q)
-    has a nontrivial zero, so None comes back only when at most two vectors
-    are left and F has no zero on them.
-    """
-    head = span[:3]
-    s = transpose(head)
-    zeros = point_set(substitute(form, s))
-    if not zeros:
-        return None
-    y = projective_space(form.field, len(head) - 1).points[(zeros & -zeros).bit_length() - 1]
-    return mat_vec(form.field, s, y)
-
-
-def _match_anisotropic(form: QuadraticForm, gram, span) -> list[list[int]]:
-    """Basis (u0, u1) of an anisotropic plane on which F(x u0 + y u1) is the
-    canonical irreducible x^2 + alpha x y + d y^2, found by deterministic
-    scan of the plane's coordinates.
-
-    All anisotropic binary forms lie in a single GL_2 orbit (each is the
-    norm form of GF(q^2) composed with a multiplication), so an exact match
-    with scalar 1 always exists.
-    """
-    field = form.field
-    alpha, d = irreducible_binary_constants(field)
-    s = transpose(span)
-    coords = [(a, b) for a in field.elements for b in field.elements if a or b]
-    u0 = next(v for v in (mat_vec(field, s, c) for c in coords) if form.evaluate(v) == 1)
-    bu = [mat_vec(field, gram, u0)]
-    u1 = next(
-        v
-        for v in (mat_vec(field, s, c) for c in coords)
-        if mat_vec(field, bu, v) == [alpha] and form.evaluate(v) == d
-    )
-    return [u0, u1]
-
-
 def canonicalize(form: QuadraticForm) -> CanonicalizationResult:
     """Witt decomposition: invertible T and scalar lam with F(T y) = lam * C.
 
-    C is the canonical form of the detected class and rank.  The columns of
-    T are collected in the input's coordinates: starting from unit vectors
-    on the free columns of the quadratic radical, hyperbolic pairs are
-    peeled until an anisotropic rest of dimension at most 2 remains.  T
-    lists the anisotropic part, then the pairs, then the radical basis; the
-    identity is checked coefficient-wise before returning.
+    C is the canonical form of the detected class and rank.  The frame holds
+    f[k] = F(s_k) and b[k][l] = B(s_k, s_l).  A step makes the lowest zero u
+    of F on the first three rest vectors a frame vector.  If B(u, .) vanishes
+    on the rest, u joins the radical; otherwise the first rest vector w with
+    B(u, w) != 0 becomes its hyperbolic partner, and the rest is made
+    B-orthogonal to both.  The identity is checked coefficient-wise.
     """
     if form.is_zero:
         raise ZeroForm("cannot canonicalize the zero form")
     field, n = form.field, form.ambient
-    gram = polarize(form)
-    radical = radical_quadratic(form)
-    r = (n + 1) - len(radical)
-    pivots = rref(field, radical)[1]
-    span = [[int(i == c) for i in range(n + 1)] for c in range(n + 1) if c not in pivots]
-    pairs: list[list[int]] = []
-    # One Witt step per isotropic u.  The span is a complement of the
-    # quadratic radical, B-orthogonal to the pairs peeled so far, so u is
-    # not in the quadratic radical.  Nor is it in Rad B: in characteristic 2
-    # the zeros of F on Rad B are exactly the quadratic radical, and in odd
-    # characteristic F vanishes on all of Rad B, which is the quadratic
-    # radical.  B(u, .) is zero on the radical and on the peeled pairs, so
-    # B(u, s) != 0 for some span vector s, which gives w.
-    while span and (u := _isotropic(form, span)) is not None:
-        bu = mat_vec(field, span, mat_vec(field, gram, u))
-        j = next(i for i, x in enumerate(bu) if x)
-        w = vec_scale(field, field.inv(bu[j]), span[j])
-        c = form.evaluate(w)
-        if c:
-            w = vec_add(field, w, vec_scale(field, field.neg(c), u))
-        bw = mat_vec(field, span, mat_vec(field, gram, w))
-        pairs += [u, w]
-        s = transpose(span)
-        span = [mat_vec(field, s, y) for y in kernel_basis(field, [bu, bw])]
+    add, mul, neg = field._add, field._mul, field._neg
+    s = identity(n + 1)
+    f = [form.coeff(k, k) for k in range(n + 1)]
+    b = [list(row) for row in polarize(form)]
 
+    def value(j, c, i, d):
+        """F(c s_j + d s_i), from the frame."""
+        return add[add[mul[mul[c][c]][f[j]]][mul[mul[c][d]][b[i][j]]]][mul[mul[d][d]][f[i]]]
+
+    def move(j, c, i, d):
+        """s_j <- c s_j + d s_i (c != 0), keeping f and b."""
+        if c == 1 and not d:
+            return
+        f[j] = fj = value(j, c, i, d)
+        mc, md = mul[c], mul[d]
+        b[j] = row = [add[mc[x]][md[y]] for x, y in zip(b[j], b[i])]
+        row[j] = add[fj][fj]
+        for k, x in enumerate(row):
+            b[k][j] = x
+        s[j] = [add[mc[x]][md[y]] for x, y in zip(s[j], s[i])]
+
+    rest = list(range(n + 1))
+    pairs, radical = [], []
+    while rest:
+        head = rest[:3]
+        k = len(head) - 1
+        zeros = point_set(QuadraticForm(field, k, tuple(
+            b[head[i]][head[j]] if i < j else f[head[i]] for i, j in monomials(k)
+        )))
+        if not zeros:
+            break
+        y = projective_space(field, k).points[(zeros & -zeros).bit_length() - 1]
+        u = head[max(i for i, x in enumerate(y) if x)]  # y is 1 there
+        for t, x in zip(head, y):
+            if x and t != u:
+                move(u, 1, t, x)
+        rest.remove(u)
+        w = next((x for x in rest if b[u][x]), None)
+        if w is None:  # B(u, .) is also zero on the pairs and the radical
+            radical.append(u)
+            continue
+        move(w, field.inv(b[u][w]), w, 0)
+        move(w, 1, u, neg[f[w]])
+        rest.remove(w)
+        for x in rest:
+            move(x, 1, w, neg[b[x][u]])
+            move(x, 1, u, neg[b[x][w]])
+        pairs += [u, w]
+
+    r = (n + 1) - len(radical)
     lam = 1
-    if not span:
+    if not rest:
         cls = QuadricClass.HYPERBOLIC if r >= 4 else QuadricClass.HYPERPLANE_PAIR
-    elif len(span) == 1:
-        lam = form.evaluate(span[0])
+    elif len(rest) == 1:
+        lam = f[rest[0]]
         cls = QuadricClass.PARABOLIC if r >= 3 else QuadricClass.DOUBLE_HYPERPLANE
-        pairs[::2] = [vec_scale(field, lam, u) for u in pairs[::2]]
-    elif len(span) == 2:
-        span = _match_anisotropic(form, gram, span)
+        for u in pairs[::2]:
+            move(u, lam, u, 0)
+    elif len(rest) == 2:
+        # All anisotropic binary forms are one GL_2 orbit (norm forms of
+        # GF(q^2)), so the scan finds x^2 + alpha x y + d y^2 with scalar 1.
+        alpha, d = irreducible_binary_constants(field)
+        coords = [(a, c) for a in field.elements for c in field.elements if a or c]
+        u, w = rest
+        a, c = next((a, c) for a, c in coords if value(u, a, w, c) == 1)
+        if not a:
+            u, w, a, c = w, u, c, a
+        move(u, a, w, c)
+        # B(u, c u + e w) = 2c + e b_uw, and e != 0 as the target is no square.
+        c, e = next((c, e) for c, e in coords if value(u, c, w, e) == d
+                    and add[mul[c][b[u][u]]][mul[e][b[u][w]]] == alpha)
+        move(w, e, u, c)
+        rest = [u, w]
         cls = QuadricClass.ELLIPTIC if r >= 4 else QuadricClass.CONJUGATE_PAIR
     else:
         raise InternalInconsistency("anisotropic residual of dimension > 2")
 
-    t = transpose(span + pairs + radical)
+    t = transpose([s[k] for k in rest + pairs + radical])
     target = canonical_form(field, n, cls, r).scale(lam)
     if substitute(form, t).coeffs != target.coeffs:
         raise InternalInconsistency("canonicalization identity failed")
     return CanonicalizationResult(
-        quadric_class=cls,
-        rank=r,
-        transform=tuple(tuple(row) for row in t),
-        scalar=lam,
+        quadric_class=cls, rank=r, transform=tuple(map(tuple, t)), scalar=lam
     )

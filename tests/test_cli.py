@@ -148,6 +148,10 @@ def test_usage_errors_exit_2(tmp_path):
         ["classify", "(z^" + "1" * 5000 + ")*X0*X1", "--q", "4", "--N", "3"],
         ["classify", "X0^2", "--q", "2", "--N", "-1"],
         ["points", "0", "--q", "2", "--N", "-1"],
+        ["census", "--q", "1", "--N", "2"],                   # no field order
+        ["verify", "serre", "--q", "1", "--N", "2"],
+        ["verify", "containment", "--q", "1", "--N", "2"],
+        ["verify", "pencil", "--q", "1"],
     ]
     for argv in cases + one_line:
         code, _, err = run_cli(argv)

@@ -313,7 +313,7 @@ def test_exhaustive_budget_guard():
     pair = small.encode(form_from_terms(F2, 3, {(0, 1): 1}))
     with pytest.raises(BudgetExceeded):
         is_minimal_exhaustive(small, pair, budget=100)
-    # the census hands its budget to the tester
+    # the census checks its own budget before it scans
     assert brute_force_census(2, 3, "exhaustive", budget=2**10).matches()
 
 

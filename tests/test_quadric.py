@@ -545,7 +545,7 @@ def test_canonicalize_named_examples():
 
 def test_canonicalize_random_forms_all_fields():
     rng = random.Random(67)
-    for field, n in [(F, n) for F in (F2, F3, F4, F5) for n in (1, 2, 3)] + EXTRA_FIELDS:
+    for field, n in [(F, n) for F in (F2, F3, F4, F5) for n in (0, 1, 2, 3)] + EXTRA_FIELDS:
         for _ in range(40):
             f = random_form(field, n, rng)
             res = canonicalize(f)
