@@ -34,7 +34,7 @@ from .prm import (
     build_code,
     characterization_minimal,
     check_budget,
-    is_minimal_interpolation,
+    interpolation_kernel,
     survey,
 )
 from .projspace import gaussian_binomial, projective_size
@@ -238,16 +238,15 @@ def _scan(chunk_fn, args, q: int, n: int, workers: int):
 
 
 def _census_chunk(args) -> dict[int, int]:
-    """Minimal codewords per weight among the chunk's forms, by the
-    interpolation tester or by the survey's strict-containment query."""
+    """Minimal codewords per weight among the chunk's forms: by the
+    interpolation kernel's dimension or the strict-containment query."""
     q, n, tester, start, stop = args
     code = build_code(field_from_order(q), n)
     index = survey(q, n)
     tally: dict[int, int] = {}
-    for coeffs, _, _, mask in index.rows[start:stop]:
+    for _, _, _, mask in index.rows[start:stop]:
         if tester == "interpolation":
-            form = QuadraticForm(code.field, n, coeffs)
-            minimal = is_minimal_interpolation(code, form).minimal
+            minimal = len(interpolation_kernel(code, mask)) == 1
         else:
             minimal = not index.strictly_through(mask)
         if minimal:

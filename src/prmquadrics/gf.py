@@ -101,6 +101,8 @@ class Field:
         self.e = e
         self.q = p**e
         self.modulus = _canonical_modulus(p, e)
+        # Fields key lru_caches; hash once, not on every lookup.
+        self._hash = hash((p, e, self.modulus))
         self.zero = 0
         self.one = 1
         self._build_tables()
@@ -138,7 +140,7 @@ class Field:
         return (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.e, self.modulus))
+        return self._hash
 
     def render(self, x: int) -> str:
         """Render as a polynomial in z; prime-field elements as integers."""

@@ -66,7 +66,8 @@ def kernel_basis(field: Field, rows, ncols: int | None = None) -> list[list[int]
 
 
 def kernel_basis_gf2(row_masks, ncols: int) -> list[int]:
-    """GF(2) kernel with rows packed as bitmasks; returns basis bitmasks."""
+    """GF(2) kernel with rows packed as bitmasks; returns basis bitmasks.
+    The tests' reference for ``prm.interpolation_kernel`` over GF(2)."""
     rows = [r for r in row_masks if r]
     pivots: list[int] = []
     reduced: list[int] = []

@@ -30,9 +30,9 @@ under inclusion among quadric point sets.  Three independent testers are
 provided: a classification-based characterization, an interpolation search
 through the linear system of forms vanishing on the zero set, and an
 exhaustive search of the survey's point index for a strictly larger zero
-set.  The interpolation span (``interpolation_space``) is eliminated on
-packed values: monomial lanes gathered at the points, or over GF(2) the
-per-point bitmask rows packed from those lanes.
+set.  The interpolation kernel (``interpolation_kernel``) is one column
+elimination: monomial lanes gathered at the points, or over GF(2) each
+monomial's mask of value-1 points ANDed with the zero set.
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .gf import Field, field_from_order
-from .linalg import kernel_basis_gf2, matrix_rank
+from .linalg import matrix_rank
 from .projspace import bits_to_indices, projective_space
 from .quadric import (
     ABSOLUTELY_IRREDUCIBLE,
@@ -102,12 +103,11 @@ class PrmCode:
             raise PrmError("evaluation map is not injective; generator is rank-deficient")
 
     @cached_property
-    def gf2_point_rows(self) -> tuple[int, ...]:
-        """GF(2) only: the monomials' values at each point packed into a
-        bitmask, bit k for monomial k (element 1 is lane byte 1)."""
-        assert self.field.q == 2
-        lanes = self.space.monomial_rows()
-        return tuple(sum(v << k for k, v in enumerate(col)) for col in zip(*lanes))
+    def one_masks(self) -> tuple[int, ...]:
+        """Per monomial, the mask of the points where it takes the value 1."""
+        one = self.field.lane_code.encode[1]
+        is_one = bytes(ord("1" if v == one else "0") for v in range(256))
+        return tuple(int(lane.translate(is_one)[::-1], 2) for lane in self.space.monomial_rows())
 
     def encode(self, form: QuadraticForm) -> Codeword:
         if form.field != self.field or form.ambient != self.n:
@@ -392,53 +392,65 @@ def survey(q: int, n: int) -> Survey:
     return Survey(q, n, tuple(columns), dict(found))
 
 
-def interpolation_space(code: PrmCode, zero_mask: int) -> list[QuadraticForm]:
-    """Basis of the space of forms vanishing at the points of a bitmask.
+def interpolation_kernel(code: PrmCode, zero_mask: int) -> list[tuple[int, ...]]:
+    """The free-column kernel basis of the evaluation constraints at the
+    points of a bitmask, as ``linalg.kernel_basis`` gives it: for each
+    monomial k that is a combination of the monomials before it on the
+    points, X_k minus that combination (with no points, the unit basis).
 
-    The basis is the free-column kernel basis of the evaluation constraints,
-    the one ``linalg.kernel_basis`` gives: for each monomial k that is a
-    combination of the monomials before it on the points, the form
-    X_k minus that combination.  With no points it is the unit basis.
-
-    Over GF(2) the constraint rows are bitmasks.  Otherwise the columns are
-    the monomial lanes at the points, each followed by the unit vector e_k,
-    and Gauss-Jordan elimination runs on them left to right: a column that
-    reduces to zero on the points carries its kernel vector in the tail; one
-    that does not becomes a pivot at its first nonzero point.
-    """
-    indices = bits_to_indices(zero_mask)
-    field = code.field
+    Columns are eliminated left to right, each with a tail that starts as
+    e_k; one that reduces to zero gives its tail, which touches only pivot
+    columns and k, so echelon form is enough: each column is reduced by the
+    pivots in creation order.  Over GF(2) column k is monomial k's value-1
+    mask ANDed with the zero mask; otherwise it is the monomial lane
+    gathered at the points."""
     m = code.dimension
-    if field.q == 2:
-        packed = code.gf2_point_rows
-        basis_masks = kernel_basis_gf2([packed[i] for i in indices], m)
-        return [
-            QuadraticForm(field, code.n, tuple(b >> k & 1 for k in range(m)))
-            for b in basis_masks
-        ]
-    lane_code = field.lane_code
-    neg, inv, decode = field._neg, field.inv, lane_code.decode
+    if code.field.q == 2:
+        # Column k as one integer: its points above bit m, its tail below.
+        keep = zero_mask << m | (1 << m) - 1
+        bits, digits = bytes.maketrans(b"01", b"\0\1"), f"0{m}b"
+        echelon: list[tuple[int, int]] = []  # (pivot bit, column)
+        kernel = []
+        for k, mask in enumerate(code.one_masks):
+            column = (mask << m | 1 << k) & keep
+            for bit, pivot in echelon:
+                if column & bit:
+                    column ^= pivot
+            points = column >> m
+            if points:
+                echelon.append(((points & -points) << m, column))
+            else:
+                kernel.append(tuple(format(column, digits)[::-1].encode().translate(bits)))
+        return kernel
+    indices = bits_to_indices(zero_mask)
     height = len(indices)
+    # itemgetter needs an index, and returns a bare item for one.
+    gather = itemgetter(*indices) if height > 1 else lambda lane: [lane[i] for i in indices]
+    field = code.field
+    neg, inv, mul = field._neg, field.inv, field._mul
+    combine, normal, decode = field.lane_code.combine, field.lane_code.normal, field.lane_code.decode
     width = height + m
-
-    def reduced(pairs) -> bytes:
-        return lane_code.combine(pairs, width).translate(lane_code.normal)
-
-    # (point, lane): each pivot lane is 1 at its point and 0 at the others'.
-    pivots: list[tuple[int, bytes]] = []
+    # (point, -1/value there, lane) per pivot, in creation order.
+    pivots: list[tuple[int, int, bytes]] = []
     basis = []
     for k, lane in enumerate(code.space.monomial_rows()):
-        unit = bytes(k) + b"\1" + bytes(m - 1 - k)  # the element 1 is byte 1
-        column = bytes(map(lane.__getitem__, indices)) + unit
-        x = reduced([(1, column)] + [(neg[decode[column[s]]], r) for s, r in pivots])
+        # The element 1 is byte 1.
+        x = bytes(gather(lane)) + bytes(k) + b"\1" + bytes(m - 1 - k)
+        for s, c, pivot in pivots:
+            if x[s]:
+                x = combine([(1, x), (mul[c][decode[x[s]]], pivot)], width).translate(normal)
         s = height - len(x[:height].lstrip(b"\0"))
         if s == height:
-            basis.append(QuadraticForm(field, code.n, tuple(x[height:].translate(decode))))
-            continue
-        x = x.translate(lane_code.scale[inv(decode[x[s]])])
-        pivots = [(t, reduced([(1, r), (neg[decode[r[s]]], x)]) if r[s] else r) for t, r in pivots]
-        pivots.append((s, x))
+            basis.append(tuple(x[height:].translate(decode)))
+        else:
+            pivots.append((s, neg[inv(decode[x[s]])], x))
     return basis
+
+
+def interpolation_space(code: PrmCode, zero_mask: int) -> list[QuadraticForm]:
+    """Basis of the space of forms vanishing at the points of a bitmask:
+    the vectors of :func:`interpolation_kernel` as forms."""
+    return [QuadraticForm(code.field, code.n, v) for v in interpolation_kernel(code, zero_mask)]
 
 
 def iter_span_monic(field: Field, basis: list[QuadraticForm]):
@@ -491,21 +503,24 @@ def is_minimal_characterization(form: QuadraticForm) -> MinimalityVerdict:
 
 
 def is_minimal_interpolation(code: PrmCode, form: QuadraticForm) -> MinimalityVerdict:
-    """Verdict by searching the linear system of forms through the zero set.
-
-    Minimal iff every form vanishing on the zero set has exactly that zero
-    set; the first strictly larger one in enumeration order is the witness.
-    """
+    """Verdict by the dimension of the linear system I(Z) of forms
+    vanishing on the zero set Z of F: minimal iff dim I(Z) = 1 (Ashikhmin
+    and Barg, IEEE Trans. IT 44, 1998).  F is nonzero and evaluation is
+    injective, so F(p) != 0 at some point p.  If dim I(Z) >= 2, the members
+    vanishing at p form a nonzero subspace, and any nonzero G in it has
+    Z(G) strictly containing Z.  The witness is the first strictly larger
+    member of the span in :func:`iter_span_monic` order."""
     if form.is_zero:
         raise ZeroForm("minimality of the zero form is undefined")
     zeros = point_set(form)
+    basis = interpolation_space(code, zeros)
+    if len(basis) == 1:
+        return MinimalityVerdict(minimal=True, method="interpolation")
     count = zeros.bit_count()
-    for candidate in iter_span_monic(code.field, interpolation_space(code, zeros)):
+    for candidate in iter_span_monic(code.field, basis):
         if point_set(candidate).bit_count() > count:
-            return MinimalityVerdict(
-                minimal=False, method="interpolation", witness=candidate
-            )
-    return MinimalityVerdict(minimal=True, method="interpolation")
+            return MinimalityVerdict(minimal=False, method="interpolation", witness=candidate)
+    raise RuntimeError(f"a span of dimension {len(basis)} holds no larger zero set")
 
 
 def is_minimal_exhaustive(

@@ -25,12 +25,14 @@ from prmquadrics.gf import field_from_order
 from prmquadrics.prm import (
     build_code,
     characterization_minimal,
+    interpolation_kernel,
     interpolation_space,
+    is_minimal_interpolation,
     iter_span_monic,
     monic_coeffs_at,
 )
 from prmquadrics.projspace import bits_to_indices, gaussian_binomial, projective_size
-from prmquadrics.quadric import QuadricClass, monomials
+from prmquadrics.quadric import QuadraticForm, QuadricClass, monomials, point_set
 
 P = QuadricClass.PARABOLIC
 H = QuadricClass.HYPERBOLIC
@@ -142,6 +144,32 @@ def test_census_tester_independence_small():
             for tester in ("characterization", "interpolation", "exhaustive")
         ]
         assert tables[0] == tables[1] == tables[2] == expected
+
+
+@pytest.mark.parametrize("q,n", GRID + ((7, 2), (8, 2)))
+def test_census_testers_agree_row_by_row(q, n):
+    """The census's interpolation verdict, dim I(Z) = 1, equals the
+    strict-containment query and the characterization on every row."""
+    code = build_code(field_from_order(q), n)
+    index = survey(q, n)
+    for _, cls, rk, mask in index.rows:
+        minimal = len(interpolation_kernel(code, mask)) == 1
+        assert minimal == (not index.strictly_through(mask)), (q, n, mask)
+        assert minimal == characterization_minimal(cls, rk, q), (q, n, cls, rk)
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
+def test_interpolation_walk_matches_the_census(q, n):
+    """The single-form tester still walks the span for its witness: its
+    verdict equals the census's, and each witness's zero set strictly
+    contains the form's."""
+    code = build_code(field_from_order(q), n)
+    for coeffs, _, _, mask in survey(q, n).rows:
+        verdict = is_minimal_interpolation(code, QuadraticForm(code.field, n, coeffs))
+        assert verdict.minimal == (len(interpolation_kernel(code, mask)) == 1), coeffs
+        if verdict.witness is not None:
+            witness = point_set(verdict.witness)
+            assert witness & mask == mask and witness != mask, coeffs
 
 
 def test_census_workers_deterministic():

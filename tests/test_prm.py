@@ -9,11 +9,12 @@ from conftest import FIELD_ORDERS, GRID, random_form
 
 from prmquadrics.census import brute_force_census
 from prmquadrics.gf import field_create, field_from_order
-from prmquadrics.linalg import kernel_basis
+from prmquadrics.linalg import kernel_basis, kernel_basis_gf2
 from prmquadrics.prm import (
     BudgetExceeded,
     ZeroCodeword,
     build_code,
+    interpolation_kernel,
     interpolation_space,
     is_minimal_characterization,
     is_minimal_exhaustive,
@@ -205,10 +206,10 @@ def _kernel_basis_path(code, zero_mask):
 
 
 def test_interpolation_space_equals_the_kernel_basis_path():
-    """Same basis, same order: every zero mask of the (3,2), (4,2) and (5,2)
-    surveys, the empty mask, and canonical and random forms at q in
-    {7, 9, 16, 25}, N in {2, 3}."""
-    for q, n in [(3, 2), (4, 2), (5, 2)]:
+    """Same basis, same order: every zero mask of the (2,2), (2,3), (3,2),
+    (4,2) and (5,2) surveys, the empty mask, and canonical and random forms
+    at q in {7, 9, 16, 25}, N in {2, 3}."""
+    for q, n in [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)]:
         code = build_code(field_from_order(q), n)
         for mask in {0} | {row[3] for row in survey(q, n)}:
             got = [b.coeffs for b in interpolation_space(code, mask)]
@@ -228,6 +229,26 @@ def test_interpolation_space_equals_the_kernel_basis_path():
             for mask in [0] + [point_set(f) for f in forms]:
                 got = [b.coeffs for b in interpolation_space(code, mask)]
                 assert got == _kernel_basis_path(code, mask), (q, n, mask)
+
+
+def test_gf2_interpolation_kernel_equals_the_row_elimination():
+    """The GF(2) column elimination against ``kernel_basis_gf2`` on packed
+    point rows, bit k for monomial k: every zero mask of the (2,4) survey,
+    the empty mask, and random forms at N = 6 and 8."""
+    rng = random.Random(29)
+    cases = [(4, {0} | {row[3] for row in survey(2, 4)})]
+    for n, count in [(6, 12), (8, 6)]:
+        cases.append((n, [0] + [point_set(random_form(F2, n, rng)) for _ in range(count)]))
+    for n, masks in cases:
+        code = build_code(F2, n)
+        rows = [
+            sum((p[i] & p[j]) << k for k, (i, j) in enumerate(code.monomials))
+            for p in code.space.points
+        ]
+        for mask in masks:
+            packed = kernel_basis_gf2([rows[p] for p in bits_to_indices(mask)], code.dimension)
+            expected = [tuple(b >> k & 1 for k in range(code.dimension)) for b in packed]
+            assert interpolation_kernel(code, mask) == expected, (n, mask)
 
 
 def test_characterization_examples():
