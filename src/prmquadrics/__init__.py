@@ -58,7 +58,6 @@ from .quadric import (
     restrict_to_hyperplane,
     singular_locus,
     substitute,
-    tangent_space,
 )
 
 __version__ = "0.1.0"

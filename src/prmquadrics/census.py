@@ -31,6 +31,7 @@ from .gf import field_from_order
 from .prm import (
     DEFAULT_FORM_BUDGET,
     BudgetExceeded,
+    Survey,
     build_code,
     characterization_minimal,
     check_budget,
@@ -296,14 +297,29 @@ def brute_force_census(
     )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ContainmentViolation:
     """One strict nesting: the zero set of ``form`` lies strictly inside
-    that of ``witness``.  The reports classify on each read."""
+    that of ``witness``.  A view over two rows of ``survey``'s per-row
+    view, ``row`` the form's and ``witness_row`` the witness's, with the
+    witness ``scalar`` times its row; the forms are built and the reports
+    classified on each read."""
 
-    form: QuadraticForm
-    witness: QuadraticForm
+    survey: Survey
+    row: tuple
+    witness_row: tuple
+    scalar: int
     shape: str
+
+    @property
+    def form(self) -> QuadraticForm:
+        s = self.survey
+        return QuadraticForm(field_from_order(s.q), s.n, self.row[0])
+
+    @property
+    def witness(self) -> QuadraticForm:
+        s = self.survey
+        return QuadraticForm(field_from_order(s.q), s.n, self.witness_row[0]).scale(self.scalar)
 
     @property
     def form_report(self) -> ClassificationReport:
@@ -422,24 +438,10 @@ def verify_containment(
     outside the admissible shapes appears (a theorem failure).
     """
     check_budget(q, n, budget)
-    rows = survey(q, n).rows  # built here, so forked workers inherit it
-    field = field_from_order(q)
-    mul = field._mul
-    forms: dict[int, QuadraticForm] = {}
-
-    def shared(i: int, scalar: int) -> QuadraticForm:
-        """``scalar`` times row i, one object per (row, scalar)."""
-        key = i * q + scalar
-        form = forms.get(key)
-        if form is None:
-            coeffs = rows[i][0]
-            if scalar != 1:
-                coeffs = tuple(mul[scalar][c] for c in coeffs)
-            form = forms[key] = QuadraticForm(field, n, coeffs)
-        return form
-
+    index = survey(q, n)
+    rows = index.rows  # built here, so forked workers inherit it
     return [
-        ContainmentViolation(shared(i, 1), shared(j, scalar), shape)
+        ContainmentViolation(index, rows[i], rows[j], scalar, shape)
         for part in _scan(_containment_chunk, (q, n), q, n, workers)
         for i, j, scalar, shape in part
     ]

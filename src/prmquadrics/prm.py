@@ -184,8 +184,7 @@ class Survey:
     ``classes`` maps each (class, rank, zero count) to the mask of its
     rows, in order of each key's first row.  ``rows`` holds one
     ``(coeffs, class, rank, zero-set mask)`` per row, in
-    ``iter_monic_coeffs`` order; indexing, slicing, iteration and
-    equality read it.
+    ``iter_monic_coeffs`` order; iteration and equality read it.
     """
 
     def __init__(self, q: int, n: int, columns: tuple[int, ...], classes: dict):
@@ -221,9 +220,6 @@ class Survey:
     def __iter__(self):
         return iter(self.rows)
 
-    def __getitem__(self, i):
-        return self.rows[i]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Survey):
             return NotImplemented
@@ -237,13 +233,24 @@ class Survey:
             through &= columns[p]
         return through
 
+    @cached_property
+    def _more_zeros(self) -> list[int]:
+        """``[c]``: the mask of the rows with more than c zeros, for c from
+        0 to the point count.  A count that no row has shares the mask
+        of the count above it, so the list holds one big integer per
+        distinct zero count."""
+        exact = [0] * (len(self.columns) + 1)
+        for (_, _, c), rows in self.classes.items():
+            exact[c] |= rows
+        more = [0] * len(exact)
+        for c in range(len(exact) - 1, 0, -1):
+            more[c - 1] = more[c] | exact[c] if exact[c] else more[c]
+        return more
+
     def strictly_through(self, zeros: int) -> int:
         """The mask of the rows whose zero set strictly contains ``zeros``:
-        ``through(zeros)`` on the class masks of larger zero count."""
-        count = zeros.bit_count()
-        # The class masks are disjoint, so their sum is their union.
-        larger = sum(rows for (_, _, c), rows in self.classes.items() if c > count)
-        return self.through(zeros) & larger
+        ``through(zeros)`` on the rows of larger zero count."""
+        return self.through(zeros) & self._more_zeros[zeros.bit_count()]
 
     def containing(self, zeros: int) -> list[int]:
         """Ascending indices of the rows whose zero set contains ``zeros``."""

@@ -36,7 +36,6 @@ from .gf import Field, irreducible_binary_constants
 from .linalg import (
     identity,
     kernel_basis,
-    mat_vec,
     rref,
     transpose,
     vec_add,
@@ -44,8 +43,6 @@ from .linalg import (
 )
 from .projspace import (
     LinearSubspace,
-    hyperplane,
-    normalize,
     projective_size,
     projective_space,
     subspace_from_vectors,
@@ -65,10 +62,6 @@ class DimensionMismatch(QuadricError):
 
 
 class ZeroLinearForm(QuadricError):
-    pass
-
-
-class PointNotOnQuadric(QuadricError):
     pass
 
 
@@ -440,21 +433,6 @@ def restrict_to_hyperplane(form: QuadraticForm, linear_form) -> QuadraticForm:
     idx = _monomial_index(n)
     coeffs = tuple(g.coeffs[idx[(i, j)]] for i, j in monomials(n - 1))
     return QuadraticForm(field, n - 1, coeffs)
-
-
-def tangent_space(form: QuadraticForm, point) -> LinearSubspace:
-    """Projective tangent space at a rational point of the quadric.
-
-    A hyperplane at smooth points; the whole space at singular ones.
-    """
-    field, n = form.field, form.ambient
-    pt = normalize(field, point)
-    if form.evaluate(pt) != 0:
-        raise PointNotOnQuadric(f"form does not vanish at {pt}")
-    grad = mat_vec(field, polarize(form), pt)
-    if not any(grad):
-        return subspace_from_vectors(field, n, identity(n + 1))
-    return hyperplane(field, grad)
 
 
 def projective_index_bruteforce(form: QuadraticForm) -> int:

@@ -229,6 +229,28 @@ def test_containment_shapes_p2():
     assert set(payload) == {"form", "form_report", "witness", "witness_report", "shape"}
 
 
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2)])
+def test_containment_records_outlive_the_survey_cache(q, n):
+    """A record reads its forms from the rows it holds, so clearing the
+    survey cache and building a new survey changes nothing it gives."""
+    violations = verify_containment(q, n)
+    assert violations
+
+    def read():
+        return [
+            (v.form.coeffs, v.witness.coeffs, v.shape, v.to_json(render_form))
+            for v in violations
+        ]
+
+    before = read()
+    survey.cache_clear()
+    survey(q, n)
+    assert read() == before
+    for v in violations:
+        inner, outer = point_set(v.form), point_set(v.witness)
+        assert inner != outer and inner | outer == outer
+
+
 def test_containment_empty_for_large_q():
     assert verify_containment(4, 2) == []
     assert verify_containment(5, 2) == []
