@@ -14,7 +14,6 @@ from .census import (
     minimal_count_closed_form,
     orbit_count,
     serre_scan,
-    smooth_quadric_count,
     verify_containment,
     verify_exception_example,
 )

@@ -1,13 +1,19 @@
 """Closed-form counting of quadrics and exhaustive cross-verification.
 
-Two independent routes to the same numbers: product formulas for the count
-of smooth quadrics per class and for minimal codewords per weight, and a
+Two independent routes to the same numbers: product formulas, and a
 brute-force scan that enumerates every form up to scalar, classifies it,
 and applies a selected minimality tester.  The scan also searches, through
 the survey's point index, for pairs of quadrics whose rational point sets
 are strictly nested, asserting that every such pair has one of the
 admissible shapes (the q = 2 elliptic/hyperbolic rank-4 pair, or low-rank
 cones inside hyperplane pairs).
+
+The product formulas read each class's Witt sign (``quadric.WITT_SIGN``):
+the quadrics of one class and rank r in P^N number
+``gaussian_binomial(N+1, r, q)`` vertices times ``orbit_count``, the smooth
+quadrics of that class in P^(r-1), by one product formula for sign 0 and
+one for +-1 over all six classes.  Summed over the minimal classes they
+give the minimal codewords per weight.
 
 Every scan reads ``prm.survey(q, n)``: its class masks, one row mask per
 (class, rank, zero count), its point index, or its per-row view
@@ -40,12 +46,15 @@ from .prm import (
 )
 from .projspace import gaussian_binomial, projective_size
 from .quadric import (
+    WITT_SIGN,
     ClassificationReport,
     QuadraticForm,
     QuadricClass,
     classify,
+    expected_point_count,
     form_from_terms,
     point_set,
+    witt_class,
 )
 
 
@@ -68,49 +77,21 @@ _RANGE_FORMS = 256
 def orbit_count(cls: QuadricClass, r: int, q: int) -> int:
     """Number of smooth quadrics of the given class in P^(r-1).
 
-    Parabolic: q**((r-1)(r+1)/4) * prod(q**(2i+1) - 1, i = 1..(r-1)/2).
-    Hyperbolic/elliptic: q**(r^2/4) * (q**(r/2) +- 1)/2 * the same product
-    taken to (r-2)/2.
+    Sign 0 (r odd): q**((r-1)(r+1)/4) * prod(q**(2i+1) - 1, i = 1..(r-1)/2).
+    Sign +-1 (r even): q**(r^2/4) * (q**(r/2) +- 1)/2 * the same product
+    taken to (r-2)/2.  Rank 1 gives 1 and rank 2 gives q(q +- 1)/2.
     """
-    if cls is QuadricClass.PARABOLIC:
-        if r < 3 or r % 2 == 0:
-            raise ParityMismatch(f"parabolic rank must be odd >= 3, got {r}")
-        value = q ** ((r - 1) * (r + 1) // 4)
-        for i in range(1, (r - 1) // 2 + 1):
-            value *= q ** (2 * i + 1) - 1
-        return value
-    if cls in (QuadricClass.HYPERBOLIC, QuadricClass.ELLIPTIC):
-        if r < 4 or r % 2 == 1:
-            raise ParityMismatch(f"{cls.value} rank must be even >= 4, got {r}")
-        sign = 1 if cls is QuadricClass.HYPERBOLIC else -1
-        value = q ** (r * r // 4) * (q ** (r // 2) + sign)
+    sign = WITT_SIGN[cls]
+    if witt_class(r, sign) is not cls:
+        raise ParityMismatch(f"class {cls.value} cannot have rank {r}")
+    value = q ** (r * r // 4)
+    if sign:
+        value *= q ** (r // 2) + sign
         assert value % 2 == 0
         value //= 2
-        for i in range(1, (r - 2) // 2 + 1):
-            value *= q ** (2 * i + 1) - 1
-        return value
-    raise ParityMismatch(f"orbit counts apply to absolutely irreducible classes, not {cls.value}")
-
-
-def smooth_quadric_count(r: int, q: int) -> int:
-    """Smooth quadrics of rank r in P^(r-1), all classes combined."""
-    if r == 1:
-        return 1
-    if r == 2:
-        return (q * (q + 1)) // 2 + (q * (q - 1)) // 2
-    if r % 2:
-        return orbit_count(QuadricClass.PARABOLIC, r, q)
-    return orbit_count(QuadricClass.HYPERBOLIC, r, q) + orbit_count(
-        QuadricClass.ELLIPTIC, r, q
-    )
-
-
-def total_quadric_count(q: int, n: int) -> int:
-    """Sum over ranks of (singular-locus choices) * (smooth counts)."""
-    return sum(
-        gaussian_binomial(n + 1, r, q) * smooth_quadric_count(r, q)
-        for r in range(1, n + 2)
-    )
+    for i in range(1, (r - 1) // 2 + 1):
+        value *= q ** (2 * i + 1) - 1
+    return value
 
 
 @dataclass(frozen=True)
@@ -157,42 +138,25 @@ def _delta_epsilon(q: int) -> tuple[int, int]:
 def minimal_count_closed_form(q: int, n: int) -> MinimalCountTable:
     """Per-weight counts of minimal codewords from the product formulas.
 
-    Hyperplane pairs sit at weight q**N - q**(N-1); parabolic quadrics of
-    every admissible odd rank share weight q**N; hyperbolic rank r lands at
-    q**N - q**(N-r/2) and elliptic rank r at q**N + q**(N-r/2).  Ranks are
-    clipped by delta (no rank 3 when q <= 3) and epsilon (no elliptic rank
-    4 when q = 2); empty ranges contribute no rows.
+    The minimal quadrics are those of sign +1 from rank 2 (hyperplane
+    pairs, then hyperbolic), sign 0 from rank 3 + delta (parabolic; no
+    rank 3 when q <= 3) and sign -1 from rank 4 + epsilon (elliptic; no
+    rank 4 when q = 2), in steps of 2.  Each (class, rank) contributes
+    q - 1 scalars times ``gaussian_binomial(N+1, r, q)`` singular loci
+    times ``orbit_count`` smooth parts, at weight |P^N| minus
+    ``expected_point_count``; empty ranges contribute no rows.
     """
     if n < 1:
         raise CensusError("census needs N >= 1")
     delta, epsilon = _delta_epsilon(q)
+    length = projective_size(q, n)
     counts: dict[int, int] = {}
-    scalars = q - 1
-
-    w_pairs = q**n - q ** (n - 1)
-    counts[w_pairs] = (
-        scalars * gaussian_binomial(n + 1, 2, q) * (q + 1) * q // 2
-    )
-
-    parabolic_total = sum(
-        gaussian_binomial(n + 1, r, q) * orbit_count(QuadricClass.PARABOLIC, r, q)
-        for r in range(3 + delta, n + 2, 2)
-        if r % 2 == 1
-    )
-    if parabolic_total:
-        counts[q**n] = scalars * parabolic_total
-
-    for r in range(4, n + 2, 2):
-        w = q**n - q ** (n - r // 2)
-        counts[w] = counts.get(w, 0) + scalars * gaussian_binomial(
-            n + 1, r, q
-        ) * orbit_count(QuadricClass.HYPERBOLIC, r, q)
-    for r in range(4 + epsilon, n + 2, 2):
-        w = q**n + q ** (n - r // 2)
-        counts[w] = counts.get(w, 0) + scalars * gaussian_binomial(
-            n + 1, r, q
-        ) * orbit_count(QuadricClass.ELLIPTIC, r, q)
-
+    for sign, least in ((1, 2), (0, 3 + delta), (-1, 4 + epsilon)):
+        for r in range(least, n + 2, 2):
+            cls = witt_class(r, sign)
+            w = length - expected_point_count(cls, r, n, q)
+            size = gaussian_binomial(n + 1, r, q) * orbit_count(cls, r, q)
+            counts[w] = counts.get(w, 0) + (q - 1) * size
     rows = tuple((w, counts[w], None) for w in sorted(counts))
     return MinimalCountTable(q=q, n=n, delta=delta, epsilon=epsilon, rows=rows)
 
@@ -208,7 +172,7 @@ def class_rank_census(q: int, n: int) -> dict[tuple[QuadricClass, int], int]:
 def serre_scan(q: int, n: int, budget: int | None = None) -> tuple[int, int, bool]:
     """(closed-form bound, max observed zeros, attained only by pairs)."""
     check_budget(q, n, budget)
-    bound = 2 * q ** (n - 1) + projective_size(q, n - 2)
+    bound = expected_point_count(QuadricClass.HYPERPLANE_PAIR, 2, n, q)
     keys = survey(q, n).classes
     max_seen = max(count for _, _, count in keys)
     only_pairs = all(

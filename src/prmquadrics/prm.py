@@ -184,7 +184,7 @@ class Survey:
     ``classes`` maps each (class, rank, zero count) to the mask of its
     rows, in order of each key's first row.  ``rows`` holds one
     ``(coeffs, class, rank, zero-set mask)`` per row, in
-    ``iter_monic_coeffs`` order; iteration and equality read it.
+    ``iter_monic_coeffs`` order.
     """
 
     def __init__(self, q: int, n: int, columns: tuple[int, ...], classes: dict):
@@ -216,14 +216,6 @@ class Survey:
                 labels[i] = label
         coeffs = iter_monic_coeffs(field_from_order(self.q), len(monomials(self.n)))
         return tuple((c, *label, mask) for c, label, mask in zip(coeffs, labels, masks))
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Survey):
-            return NotImplemented
-        return self.rows == other.rows
 
     def through(self, zeros: int) -> int:
         """The mask of the rows whose zero set contains ``zeros``."""

@@ -3,27 +3,35 @@
 A quadric in P^N falls into one of six projective classes: double
 hyperplane, pair of distinct rational hyperplanes, pair of conjugate
 hyperplanes over GF(q^2), and the three absolutely irreducible classes
-(parabolic, hyperbolic, elliptic).  ``classify`` decides class membership
-from two independent measurements: the rank, obtained by exact linear
-algebra on the radical, and the number of rational zeros, obtained by
-exhaustive evaluation.  ``point_set`` evaluates a form at every point at
-once on byte lanes (``gf.LaneCode``): the sum of c_k times monomial k's
-lane (``ProjectiveSpace.monomial_rows()``), one byte per point, whose zero
-bytes are the zero set.  Each class/rank pair admits a closed-form point
-count, and ``discriminate`` insists the measured count matches it, so
-every call doubles as a self-check of the counting identities.  The
-survey in ``prm`` measures the rank another way, by counting the rational
-points of the singular locus (``subspace_dimension``), and passes through
-the same check.
+(parabolic, hyperbolic, elliptic).  A rank-r quadric is a cone over a
+smooth quadric in P^(r-1) of one of three Witt types: parabolic (odd r,
+sign 0), hyperbolic (+1) or elliptic (-1).  The double hyperplane is the
+parabolic type at rank 1, and the rational and conjugate hyperplane pairs
+are the hyperbolic and elliptic types at rank 2.  ``WITT_SIGN`` holds each
+class's sign and ``witt_class`` maps (rank, sign) back to the class; the
+point count p_(N-1) + sign * q**(N - r/2), the projective index, the
+canonical form and ``discriminate`` read the sign, not the class.
+
+``classify`` decides class membership from two independent measurements:
+the rank, obtained by exact linear algebra on the radical, and the number
+of rational zeros, obtained by exhaustive evaluation.  ``point_set``
+evaluates a form at every point at once on byte lanes (``gf.LaneCode``):
+the sum of c_k times monomial k's lane (``ProjectiveSpace.monomial_rows()``),
+one byte per point, whose zero bytes are the zero set.  ``discriminate``
+insists the measured count matches the closed form for the rank and the
+sign it reads, so every call doubles as a self-check of the counting
+identities.  The survey in ``prm`` measures the rank another way, by
+counting the rational points of the singular locus (``subspace_dimension``),
+and passes through the same check.
 
 Canonicalization performs an explicit Witt decomposition in one frame s_k,
 the unit vectors at first, held with F(s_k) and B(s_k, s_l) and changed only
 by s_j <- c s_j + d s_i.  Each step reads F on three vectors still to split
 (``point_set`` on P^2; Chevalley-Warning says it has a zero) and sends that
 zero to the radical or to a hyperbolic pair; the zero-free rest is at most
-a plane.  The result is an invertible T with F(T y) a multiple of the
-canonical form of the class; its columns are the anisotropic part, then the
-hyperbolic pairs, then the radical.
+a plane, of 1 - sign vectors.  The result is an invertible T with F(T y) a
+multiple of the canonical form of the class; its columns are the
+anisotropic part, then the hyperbolic pairs, then the radical.
 """
 
 from __future__ import annotations
@@ -87,6 +95,17 @@ ABSOLUTELY_IRREDUCIBLE = (
     QuadricClass.HYPERBOLIC,
     QuadricClass.ELLIPTIC,
 )
+
+# A class's Witt sign is the type of its smooth part, a quadric in P^(r-1):
+# parabolic 0, hyperbolic +1, elliptic -1, with 1 - sign anisotropic
+# variables.  Each sign maps to its class at the least rank (1 for sign 0,
+# 2 for +-1) and its class at every higher rank.
+_WITT_TYPES = {
+    0: (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.PARABOLIC),
+    1: (QuadricClass.HYPERPLANE_PAIR, QuadricClass.HYPERBOLIC),
+    -1: (QuadricClass.CONJUGATE_PAIR, QuadricClass.ELLIPTIC),
+}
+WITT_SIGN = {cls: sign for sign, types in _WITT_TYPES.items() for cls in types}
 
 
 @lru_cache(maxsize=None)
@@ -243,83 +262,48 @@ def point_set(form: QuadraticForm) -> int:
     return form.field.lane_code.zero_mask(evaluation_lane(form))
 
 
-def expected_point_count(cls: QuadricClass, rk: int, n: int, q: int) -> int:
-    """Closed-form number of rational points for a class/rank pair."""
-    _check_class_rank(cls, rk, n)
-    pn1 = projective_size(q, n - 1)
-    if cls is QuadricClass.DOUBLE_HYPERPLANE:
-        return pn1
-    if cls is QuadricClass.HYPERPLANE_PAIR:
-        return 2 * q ** (n - 1) + projective_size(q, n - 2)
-    if cls is QuadricClass.CONJUGATE_PAIR:
-        return projective_size(q, n - 2)
-    if cls is QuadricClass.PARABOLIC:
-        return pn1
-    s = rk // 2
-    if cls is QuadricClass.HYPERBOLIC:
-        return pn1 + q ** (n - s)
-    return pn1 - q ** (n - s)
+def witt_class(rk: int, sign: int) -> QuadricClass | None:
+    """The class of rank rk whose smooth part has Witt sign ``sign``, or
+    None when no class has both: odd ranks are sign 0, even ranks +-1."""
+    if rk < 1 or (rk % 2 == 1) != (sign == 0):
+        return None
+    return _WITT_TYPES[sign][rk > 2]
 
 
 def _check_class_rank(cls: QuadricClass, rk: int, n: int) -> None:
     if not 1 <= rk <= n + 1:
         raise InconsistentClassRank(f"rank {rk} impossible in P^{n}")
-    ok = {
-        QuadricClass.DOUBLE_HYPERPLANE: rk == 1,
-        QuadricClass.HYPERPLANE_PAIR: rk == 2,
-        QuadricClass.CONJUGATE_PAIR: rk == 2,
-        QuadricClass.PARABOLIC: rk >= 3 and rk % 2 == 1,
-        QuadricClass.HYPERBOLIC: rk >= 4 and rk % 2 == 0,
-        QuadricClass.ELLIPTIC: rk >= 4 and rk % 2 == 0,
-    }[cls]
-    if not ok:
+    if witt_class(rk, WITT_SIGN[cls]) is not cls:
         raise InconsistentClassRank(f"class {cls.value} cannot have rank {rk}")
 
 
+def expected_point_count(cls: QuadricClass, rk: int, n: int, q: int) -> int:
+    """Closed-form number of rational points for a class/rank pair:
+    p_(N-1) + sign * q**(N - r/2)."""
+    _check_class_rank(cls, rk, n)
+    return projective_size(q, n - 1) + WITT_SIGN[cls] * q ** (n - rk // 2)
+
+
 def closed_form_projective_index(cls: QuadricClass, rk: int, n: int) -> int:
-    """Largest dimension of a rational linear subspace inside the quadric."""
-    if cls is QuadricClass.DOUBLE_HYPERPLANE:
-        return n - 1
-    if cls is QuadricClass.HYPERPLANE_PAIR:
-        return n - 1
-    if cls is QuadricClass.CONJUGATE_PAIR:
-        return n - 2
-    if cls is QuadricClass.PARABOLIC:
-        return n - (rk - 1) // 2 - 1
-    if cls is QuadricClass.HYPERBOLIC:
-        return n - rk // 2
-    return n - rk // 2 - 1
+    """Largest dimension of a rational linear subspace inside the quadric:
+    N - ceil(r/2), one less for sign -1."""
+    return n - (rk + 1) // 2 - (WITT_SIGN[cls] < 0)
 
 
 def discriminate(rk: int, count: int, n: int, q: int) -> QuadricClass:
-    """Resolve the class from measured rank and point count.
+    """Resolve the class from measured rank and point count: the sign of
+    count - p_(N-1).
 
     Raises InternalInconsistency when the count matches no class formula for
     the rank; by the counting theory this can never happen for a genuine
     quadratic form, so a raise indicates a bug upstream.
     """
-    pn1 = projective_size(q, n - 1)
-    if rk == 1:
-        cls = QuadricClass.DOUBLE_HYPERPLANE
-        if count != pn1:
-            raise InternalInconsistency(f"rank-1 form with {count} points")
-        return cls
-    if rk == 2:
-        if count == 2 * q ** (n - 1) + projective_size(q, n - 2):
-            return QuadricClass.HYPERPLANE_PAIR
-        if count == projective_size(q, n - 2):
-            return QuadricClass.CONJUGATE_PAIR
-        raise InternalInconsistency(f"rank-2 form with {count} points")
-    if rk % 2 == 1:
-        if count != pn1:
-            raise InternalInconsistency(f"odd-rank form with {count} points")
-        return QuadricClass.PARABOLIC
-    s = rk // 2
-    if count == pn1 + q ** (n - s):
-        return QuadricClass.HYPERBOLIC
-    if count == pn1 - q ** (n - s):
-        return QuadricClass.ELLIPTIC
-    raise InternalInconsistency(f"rank-{rk} form with {count} points")
+    excess = count - projective_size(q, n - 1)
+    sign = (excess > 0) - (excess < 0)
+    cls = witt_class(rk, sign)
+    if cls is None or excess != sign * q ** (n - rk // 2):
+        raise InternalInconsistency(f"rank-{rk} form with {count} points")
+    return cls
 
 
 def subspace_dimension(count: int, q: int) -> int:
@@ -455,28 +439,18 @@ def projective_index_bruteforce(form: QuadraticForm) -> int:
 
 @lru_cache(maxsize=None)
 def canonical_form(field: Field, n: int, cls: QuadricClass, rk: int) -> QuadraticForm:
-    """Reference form of the given class and rank on P^n."""
+    """Reference form of the given class and rank on P^n: the anisotropic
+    part on the first 1 - sign variables (X0^2, or the norm form
+    X0^2 + alpha X0 X1 + d X1^2), then hyperbolic pairs X_k X_(k+1)."""
     _check_class_rank(cls, rk, n)
-    alpha, d = irreducible_binary_constants(field)
-    terms: dict[tuple[int, int], int] = {}
-    if cls is QuadricClass.DOUBLE_HYPERPLANE:
+    aniso = 1 - WITT_SIGN[cls]
+    terms = {(k, k + 1): 1 for k in range(aniso, rk, 2)}
+    if aniso:
         terms[(0, 0)] = 1
-    elif cls is QuadricClass.HYPERPLANE_PAIR:
-        terms[(0, 1)] = 1
-    elif cls in (QuadricClass.CONJUGATE_PAIR, QuadricClass.ELLIPTIC):
-        terms[(0, 0)] = 1
-        if alpha:
-            terms[(0, 1)] = alpha
+    if aniso == 2:
+        alpha, d = irreducible_binary_constants(field)
+        terms[(0, 1)] = alpha
         terms[(1, 1)] = d
-        for i in range(1, rk // 2):
-            terms[(2 * i, 2 * i + 1)] = 1
-    elif cls is QuadricClass.PARABOLIC:
-        terms[(0, 0)] = 1
-        for i in range((rk - 1) // 2):
-            terms[(2 * i + 1, 2 * i + 2)] = 1
-    else:
-        for i in range(rk // 2):
-            terms[(2 * i, 2 * i + 1)] = 1
     return form_from_terms(field, n, terms)
 
 
@@ -550,13 +524,13 @@ def canonicalize(form: QuadraticForm) -> CanonicalizationResult:
             move(x, 1, u, neg[b[x][w]])
         pairs += [u, w]
 
+    if len(rest) > 2:
+        raise InternalInconsistency("anisotropic residual of dimension > 2")
     r = (n + 1) - len(radical)
+    cls = witt_class(r, 1 - len(rest))  # the rest is the anisotropic part
     lam = 1
-    if not rest:
-        cls = QuadricClass.HYPERBOLIC if r >= 4 else QuadricClass.HYPERPLANE_PAIR
-    elif len(rest) == 1:
+    if len(rest) == 1:
         lam = f[rest[0]]
-        cls = QuadricClass.PARABOLIC if r >= 3 else QuadricClass.DOUBLE_HYPERPLANE
         for u in pairs[::2]:
             move(u, lam, u, 0)
     elif len(rest) == 2:
@@ -574,9 +548,6 @@ def canonicalize(form: QuadraticForm) -> CanonicalizationResult:
                     and add[mul[c][b[u][u]]][mul[e][b[u][w]]] == alpha)
         move(w, e, u, c)
         rest = [u, w]
-        cls = QuadricClass.ELLIPTIC if r >= 4 else QuadricClass.CONJUGATE_PAIR
-    else:
-        raise InternalInconsistency("anisotropic residual of dimension > 2")
 
     t = transpose([s[k] for k in rest + pairs + radical])
     target = canonical_form(field, n, cls, r).scale(lam)

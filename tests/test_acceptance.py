@@ -58,7 +58,7 @@ def test_criterion_1_point_count_law():
     """Every nonzero form's zero-set size equals its class/rank closed form."""
     checked = 0
     for q, n in GRID + BEYOND:
-        for coeffs, cls, rk, mask in survey(q, n):
+        for coeffs, cls, rk, mask in survey(q, n).rows:
             assert expected_point_count(cls, rk, n, q) == mask.bit_count(), (
                 q, n, coeffs, cls, rk,
             )
@@ -74,7 +74,7 @@ def test_criterion_2_serre_bound():
         assert only_pairs, (q, n)
         # complement view: the code's minimum nonzero weight
         length = projective_size(q, n)
-        min_weight = min(length - mask.bit_count() for _, _, _, mask in survey(q, n))
+        min_weight = min(length - mask.bit_count() for _, _, _, mask in survey(q, n).rows)
         assert min_weight == q**n - q ** (n - 1)
     _passed(2, "maximum zero-set size attained exactly and only by hyperplane pairs")
 
@@ -104,7 +104,7 @@ def test_criterion_4_tester_agreement():
     for q, n in ((2, 2), (2, 3), (3, 2)):
         field = field_from_order(q)
         code = build_code(field, n)
-        for coeffs, _, _, _ in survey(q, n):
+        for coeffs, _, _, _ in survey(q, n).rows:
             base = QuadraticForm(field, n, coeffs)
             for lam in range(1, q):
                 form = base.scale(lam)
@@ -243,7 +243,7 @@ def test_criterion_8c_canonicalization_identity():
     total = 0
     for q, n in EXHAUSTIVE_CANONICAL:
         field = field_from_order(q)
-        for coeffs, cls, rk, _ in survey(q, n):
+        for coeffs, cls, rk, _ in survey(q, n).rows:
             form = QuadraticForm(field, n, coeffs)
             result = canonicalize(form)
             assert (result.quadric_class, result.rank) == (cls, rk)
@@ -272,7 +272,7 @@ def test_criterion_8d_projective_index_bruteforce():
     checked = 0
     for q, n in GRID:
         field = field_from_order(q)
-        for coeffs, cls, rk, _ in survey(q, n):
+        for coeffs, cls, rk, _ in survey(q, n).rows:
             got = projective_index_bruteforce(QuadraticForm(field, n, coeffs))
             assert got == closed_form_projective_index(cls, rk, n), (
                 q, n, coeffs, cls, rk, got,

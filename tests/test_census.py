@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import GRID
+from conftest import FIELD_ORDERS, GRID
 
 from prmquadrics.census import (
     BudgetExceeded,
@@ -14,9 +14,7 @@ from prmquadrics.census import (
     minimal_count_closed_form,
     orbit_count,
     serre_scan,
-    smooth_quadric_count,
     survey,
-    total_quadric_count,
     verify_containment,
     verify_exception_example,
 )
@@ -32,7 +30,15 @@ from prmquadrics.prm import (
     monic_coeffs_at,
 )
 from prmquadrics.projspace import bits_to_indices, gaussian_binomial, projective_size
-from prmquadrics.quadric import QuadraticForm, QuadricClass, monomials, point_set
+from prmquadrics.quadric import (
+    WITT_SIGN,
+    QuadraticForm,
+    QuadricClass,
+    expected_point_count,
+    monomials,
+    point_set,
+    witt_class,
+)
 
 P = QuadricClass.PARABOLIC
 H = QuadricClass.HYPERBOLIC
@@ -57,17 +63,51 @@ def test_orbit_count_parity_errors():
         orbit_count(H, 5, 2)
     with pytest.raises(ParityMismatch):
         orbit_count(E, 2, 2)
-    with pytest.raises(ParityMismatch):
-        orbit_count(QuadricClass.HYPERPLANE_PAIR, 2, 2)
 
 
-@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)])
+# Stirling numbers of the second kind, STIRLING[k][j] for k <= 4.
+STIRLING = ((1,), (0, 1), (0, 1, 1), (0, 1, 3, 1), (0, 1, 7, 6, 1))
+MOMENT_GRID = [
+    (q, n) for q in FIELD_ORDERS for n in range(1, 12) if projective_size(q, n) <= 10**12
+]
+
+
+@pytest.mark.parametrize("q,n", MOMENT_GRID)
 def test_orbit_closure_identity(q, n):
-    """Summing singular-locus choices times smooth counts over all ranks must
-    reproduce the total number of quadrics, (q**dim - 1)/(q - 1)."""
-    total = total_quadric_count(q, n)
-    expected = (q ** len(monomials(n)) - 1) // (q - 1)
-    assert total == expected
+    """Power moments of the zero counts over all quadrics up to scalar,
+    M_k = sum of size * expected_point_count**k over (class, rank) with
+    size = gaussian_binomial(N+1, r, q) * orbit_count, for k = 0..4.
+
+    Counted the other way, M_k sums over ordered k-tuples of points the
+    forms vanishing at all of them: S(k, j) times the ordered tuples of j
+    distinct points times (q**(m-c) - 1)/(q - 1), m = dim of the forms and
+    c the conditions the points impose.  Up to three distinct points impose
+    c = j, four impose 4 unless they are collinear, and collinear 4-tuples,
+    L(q+1)q(q-1)(q-2) of them over L lines, impose 3.  M_0 is the number
+    of quadrics.
+    """
+    m = len(monomials(n))
+    points = projective_size(q, n)
+
+    def forms_through(c):
+        # c > m only at N = 1 with c = 4, where no 4-tuple is non-collinear
+        return (q ** max(m - c, 0) - 1) // (q - 1)
+
+    tuples = [1]
+    for j in range(4):
+        tuples.append(tuples[-1] * (points - j))
+    collinear = gaussian_binomial(n + 1, 2, q) * (q + 1) * q * (q - 1) * (q - 2)
+    through = [forms_through(j) * tuples[j] for j in range(4)]
+    through.append(forms_through(4) * (tuples[4] - collinear) + forms_through(3) * collinear)
+    sizes = [
+        (gaussian_binomial(n + 1, r, q) * orbit_count(cls, r, q), expected_point_count(cls, r, n, q))
+        for r in range(1, n + 2)
+        for cls in QuadricClass
+        if witt_class(r, WITT_SIGN[cls]) is cls
+    ]
+    for k, stirling in enumerate(STIRLING):
+        moment = sum(size * count**k for size, count in sizes)
+        assert moment == sum(s * t for s, t in zip(stirling, through)), (q, n, k)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3)])
@@ -91,8 +131,9 @@ def test_class_rank_census_matches_cone_times_orbit(q, n):
 
 def test_smooth_quadric_count_low_ranks():
     # rank 1: the double point in P^0; rank 2: point pairs in P^1
-    assert smooth_quadric_count(1, 3) == 1
-    assert smooth_quadric_count(2, 3) == 6 + 3  # C(4,2) rational + conjugate
+    assert orbit_count(QuadricClass.DOUBLE_HYPERPLANE, 1, 3) == 1
+    assert orbit_count(QuadricClass.HYPERPLANE_PAIR, 2, 3) == 6  # C(4,2) rational
+    assert orbit_count(QuadricClass.CONJUGATE_PAIR, 2, 3) == 3
 
 
 def test_closed_form_tables():
@@ -273,7 +314,7 @@ def test_class_masks_equal_the_per_row_view(q, n):
     length = projective_size(q, n)
     bound = 2 * q ** (n - 1) + projective_size(q, n - 2)
     census, tally, counts, at_bound = {}, {}, set(), set()
-    for i, (coeffs, cls, rk, mask) in enumerate(index):
+    for i, (coeffs, cls, rk, mask) in enumerate(index.rows):
         count = mask.bit_count()
         assert key_of[i] == (cls, rk, count), (q, n, i)
         assert monic_coeffs_at(field, m, i) == coeffs, (q, n, i)
@@ -313,7 +354,7 @@ SKIP_SMALL_SIDE = (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.CONJUGATE_PAIR)
 def containment_pairs_allpairs(q, n):
     """Every (form, monic witness) with nested zero sets, by comparing all
     pairs of survey rows (quadratic cost)."""
-    rows = survey(q, n)
+    rows = survey(q, n).rows
     return {
         (coeffs_a, coeffs_b)
         for coeffs_a, cls_a, _, mask_a in rows
@@ -335,7 +376,7 @@ def containment_by_interpolation(q, n):
     its scalars."""
     field = field_from_order(q)
     code = build_code(field, n)
-    rows = survey(q, n)
+    rows = survey(q, n).rows
     by_coeffs = {row[0]: row for row in rows}
     out = []
     for coeffs, cls, rk, mask in rows:
@@ -377,3 +418,20 @@ def test_pencil_profiles():
 def test_survey_counts_forms_up_to_scalar():
     rows = survey(3, 2)
     assert len(rows) == (3 ** len(monomials(2)) - 1) // 2
+
+
+@pytest.mark.parametrize(
+    "q, n, shared",
+    [(q, n, 0) for q, n in GRID if q == 2]
+    + [(3, 2, 39), (3, 3, 390), (4, 2, 126), (5, 2, 310), (7, 2, 1197), (8, 2, 2044)],
+)
+def test_equal_zero_sets_are_conjugate_pairs(q, n, shared):
+    """Forms up to scalar with the same zero set are conjugate hyperplane
+    pairs through one codimension-2 subspace; every other zero set belongs
+    to one form up to scalar."""
+    by_mask: dict[int, list] = {}
+    for _, cls, _, mask in survey(q, n).rows:
+        by_mask.setdefault(mask, []).append(cls)
+    groups = [classes for classes in by_mask.values() if len(classes) > 1]
+    assert all(set(classes) == {QuadricClass.CONJUGATE_PAIR} for classes in groups)
+    assert sum(map(len, groups)) == shared

@@ -121,17 +121,17 @@ def test_injectivity_no_nonzero_form_has_empty_support():
 
 def test_point_index_is_the_transpose_of_the_survey():
     for field, n in [(F2, 3), (F3, 2), (F4, 2)]:
-        rows = survey(field.q, n)
-        assert len(rows.columns) == build_code(field, n).length
-        for p, column in enumerate(rows.columns):
-            for i, (*_, mask) in enumerate(rows):
+        index = survey(field.q, n)
+        assert len(index.columns) == build_code(field, n).length
+        for p, column in enumerate(index.columns):
+            for i, (*_, mask) in enumerate(index.rows):
                 assert column >> i & 1 == mask >> p & 1, (field.q, n, p, i)
     before = survey(2, 3)
     columns = before.columns
     survey.cache_clear()
     after = survey(2, 3)
     assert "rows" not in vars(after)
-    assert after is not before and after == before
+    assert after is not before and after.rows == before.rows
     assert after.columns == columns and after.columns is not columns
 
 
@@ -143,7 +143,7 @@ def test_survey_equals_the_single_form_path(q, n):
     m = len(monomials(n))
     rows = survey(q, n)
     assert len(rows) == (q**m - 1) // (q - 1)
-    for row, coeffs in zip(rows, iter_monic_coeffs(field, m)):
+    for row, coeffs in zip(rows.rows, iter_monic_coeffs(field, m)):
         form = QuadraticForm(field, n, coeffs)
         zeros = point_set(form)
         rk = n + 1 - len(radical_quadratic(form))
@@ -211,7 +211,7 @@ def test_interpolation_space_equals_the_kernel_basis_path():
     at q in {7, 9, 16, 25}, N in {2, 3}."""
     for q, n in [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)]:
         code = build_code(field_from_order(q), n)
-        for mask in {0} | {row[3] for row in survey(q, n)}:
+        for mask in {0} | {row[3] for row in survey(q, n).rows}:
             got = [b.coeffs for b in interpolation_space(code, mask)]
             assert got == _kernel_basis_path(code, mask), (q, n, mask)
     rng = random.Random(23)
@@ -236,7 +236,7 @@ def test_gf2_interpolation_kernel_equals_the_row_elimination():
     point rows, bit k for monomial k: every zero mask of the (2,4) survey,
     the empty mask, and random forms at N = 6 and 8."""
     rng = random.Random(29)
-    cases = [(4, {0} | {row[3] for row in survey(2, 4)})]
+    cases = [(4, {0} | {row[3] for row in survey(2, 4).rows})]
     for n, count in [(6, 12), (8, 6)]:
         cases.append((n, [0] + [point_set(random_form(F2, n, rng)) for _ in range(count)]))
     for n, masks in cases:
@@ -344,7 +344,7 @@ def test_exhaustive_tester_equals_a_linear_scan(q, n):
     survey row, in order, whose zero set strictly contains the form's."""
     field = field_from_order(q)
     code = build_code(field, n)
-    rows = survey(q, n)
+    rows = survey(q, n).rows
     for coeffs in itertools.product(range(q), repeat=code.dimension):
         if not any(coeffs):
             continue

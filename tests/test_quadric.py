@@ -32,6 +32,7 @@ from prmquadrics.quadric import (
     canonical_form,
     canonicalize,
     classify,
+    discriminate,
     expected_point_count,
     form_from_terms,
     point_set,
@@ -257,6 +258,19 @@ def test_expected_point_count_examples():
         expected_point_count(QuadricClass.DOUBLE_HYPERPLANE, 2, 3, 2)
     with pytest.raises(InconsistentClassRank):
         expected_point_count(QuadricClass.ELLIPTIC, 6, 3, 2)  # rank > N+1
+
+
+def test_discriminate_rejects_impossible_counts():
+    """In P^3 over GF(3), p_2 = 13: rank 1 and odd ranks have 13 points,
+    rank 2 has 13 +- 9 and rank 4 has 13 +- 3.  Any other count raises,
+    whether its sign or its size is wrong."""
+    assert discriminate(1, 13, 3, 3) is QuadricClass.DOUBLE_HYPERPLANE
+    assert discriminate(2, 4, 3, 3) is QuadricClass.CONJUGATE_PAIR
+    assert discriminate(3, 13, 3, 3) is QuadricClass.PARABOLIC
+    assert discriminate(4, 16, 3, 3) is QuadricClass.HYPERBOLIC
+    for rk, count in [(1, 12), (2, 11), (3, 22), (4, 13), (4, 17)]:
+        with pytest.raises(InternalInconsistency):
+            discriminate(rk, count, 3, 3)
 
 
 def test_classify_examples():
@@ -610,7 +624,7 @@ def test_hyperplane_confinement_full_grid():
 
     for q, n in GRID:
         hyperplanes = projective_space(field_from_order(q), n).flats(n - 1)
-        for coeffs, cls, _, mask in survey(q, n):
+        for coeffs, cls, _, mask in survey(q, n).rows:
             confined = any(mask & ~h == 0 for h in hyperplanes)
             expected = cls in (
                 QuadricClass.DOUBLE_HYPERPLANE,
