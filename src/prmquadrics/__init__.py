@@ -2,7 +2,8 @@
 
 Exact-arithmetic classification of quadratic forms, code construction,
 three independent minimal-codeword testers, and exhaustive censuses that
-cross-check the closed-form counting identities.
+cross-check the closed-form counting identities.  A form's rank and
+singular locus are read off its ``classify`` report.
 """
 
 from .census import (
@@ -36,7 +37,6 @@ from .projspace import (
     line_through,
     projective_size,
     projective_space,
-    subspace_points,
 )
 from .quadric import (
     CanonicalizationResult,
@@ -51,11 +51,8 @@ from .quadric import (
     point_set,
     polarize,
     projective_index_bruteforce,
-    radical_bilinear,
     radical_quadratic,
-    rank,
     restrict_to_hyperplane,
-    singular_locus,
     substitute,
 )
 

@@ -44,7 +44,7 @@ from .prm import (
     interpolation_kernel,
     survey,
 )
-from .projspace import gaussian_binomial, projective_size
+from .projspace import bits_to_indices, gaussian_binomial, projective_size
 from .quadric import (
     WITT_SIGN,
     ClassificationReport,
@@ -104,9 +104,6 @@ class MinimalCountTable:
 
     def closed_dict(self) -> dict[int, int]:
         return {w: c for w, c, _ in self.rows if c}
-
-    def brute_dict(self) -> dict[int, int]:
-        return {w: b for w, _, b in self.rows if b}
 
     def matches(self) -> bool:
         if any(b is None for _, _, b in self.rows):
@@ -189,7 +186,9 @@ def _scan(chunk_fn, args, q: int, n: int, workers: int):
     at a time (containments cluster among the low-lead forms), and keep the
     workers evenly loaded; the split is the same serial or parallel.
     """
-    total = len(survey(q, n))
+    index = survey(q, n)
+    index.rows  # every chunk reads the per-row view: built before any fork
+    total = len(index)
     parts = -(-total // _RANGE_FORMS)
     bounds = [total * k // parts for k in range(parts + 1)]
     ranges = [(*args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -246,7 +245,6 @@ def brute_force_census(
                 weight = length - count
                 tally[weight] = tally.get(weight, 0) + (q - 1) * rows.bit_count()
     else:
-        survey(q, n).rows  # built here, so forked workers inherit it
         for part in _scan(_census_chunk, (q, n, tester), q, n, workers):
             for w, c in part.items():
                 tally[w] = tally.get(w, 0) + c
@@ -356,7 +354,7 @@ def _containment_chunk(args) -> list[tuple[int, int, int, str]]:
         _, cls, rk, mask = rows[i]
         if cls in (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.CONJUGATE_PAIR):
             continue
-        members = index.containing(mask)
+        members = bits_to_indices(index.through(mask))
         count = mask.bit_count()
         strict = [j for j in members if rows[j][3].bit_count() > count]
         if not strict:
@@ -403,7 +401,7 @@ def verify_containment(
     """
     check_budget(q, n, budget)
     index = survey(q, n)
-    rows = index.rows  # built here, so forked workers inherit it
+    rows = index.rows
     return [
         ContainmentViolation(index, rows[i], rows[j], scalar, shape)
         for part in _scan(_containment_chunk, (q, n), q, n, workers)
@@ -453,7 +451,7 @@ def conic_interpolation_profile(q: int, budget: int | None = None) -> PencilProf
     for _, _, rk, mask in rows:
         if rk != 3:
             continue
-        classes = [rows[i][1] for i in index.containing(mask)]
+        classes = [rows[i][1] for i in bits_to_indices(index.through(mask))]
         found = PencilProfile(
             len(classes),
             classes.count(QuadricClass.HYPERPLANE_PAIR),

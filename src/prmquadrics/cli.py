@@ -44,6 +44,8 @@ METHODS = {
 
 MAX_Q = 25
 MAX_POINTS = 500_000
+# Survey rows: just above (5,3)'s 2,441,406, about 53 MB of survey.
+MAX_BUDGET = 2_500_000
 
 
 class UsageError(Exception):
@@ -60,8 +62,6 @@ def _emit(args, payload: dict, table_lines=None, csv_text=None) -> None:
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
-        if csv_text is None:
-            raise UsageError(f"subcommand {args.command!r} has no CSV output")
         text = csv_text
     else:
         if table_lines is None:
@@ -307,6 +307,12 @@ def main(argv=None) -> int:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
         if getattr(args, "limit", 0) < 0:
             raise UsageError(f"--limit must be at least 0, got {args.limit}")
+        if (getattr(args, "budget", None) or 0) > MAX_BUDGET:
+            raise UsageError(
+                f"--budget {args.budget} exceeds the supported bound {MAX_BUDGET}"
+            )
+        if args.format == "csv" and args.command != "census":
+            raise UsageError(f"subcommand {args.command!r} has no CSV output")
         return args.func(args)
     except VerificationFailure as exc:
         sys.stderr.write(f"verification failed: {json.dumps(exc.payload, sort_keys=True)}\n")

@@ -103,8 +103,6 @@ class Field:
         self.modulus = _canonical_modulus(p, e)
         # Fields key lru_caches; hash once, not on every lookup.
         self._hash = hash((p, e, self.modulus))
-        self.zero = 0
-        self.one = 1
         self._build_tables()
         # Canonical order: lex on the coefficient vector, constant term first.
         self.elements: tuple[int, ...] = tuple(
@@ -199,9 +197,6 @@ class Field:
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]

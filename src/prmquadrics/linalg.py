@@ -95,19 +95,6 @@ def kernel_basis_gf2(row_masks, ncols: int) -> list[int]:
     return basis
 
 
-def mat_vec(field: Field, rows, v) -> list[int]:
-    """A v, summed over the nonzero entries of v only."""
-    add, mul = field._add, field._mul
-    terms = [(i, mul[y]) for i, y in enumerate(v) if y]
-    out = []
-    for row in rows:
-        acc = 0
-        for i, times in terms:
-            acc = add[acc][times[row[i]]]
-        out.append(acc)
-    return out
-
-
 def transpose(rows) -> list[list[int]]:
     return [list(c) for c in zip(*rows)]
 

@@ -244,10 +244,6 @@ class Survey:
         ``through(zeros)`` on the rows of larger zero count."""
         return self.through(zeros) & self._more_zeros[zeros.bit_count()]
 
-    def containing(self, zeros: int) -> list[int]:
-        """Ascending indices of the rows whose zero set contains ``zeros``."""
-        return bits_to_indices(self.through(zeros))
-
 
 def _row_count(q: int, n: int) -> int:
     """Forms up to scalar on P^n over GF(q): (q**dim - 1)/(q - 1)."""

@@ -8,13 +8,12 @@ point set in the package is keyed by position in that list.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
 from .gf import Field
-from .linalg import kernel_basis, rref, vec_add, vec_scale
+from .linalg import rref, vec_add, vec_scale
 
 
 class ProjSpaceError(Exception):
@@ -175,21 +174,6 @@ class LinearSubspace:
     def dimension(self) -> int:
         return len(self.spanning) - 1
 
-    def points(self) -> list[tuple[int, ...]]:
-        """All rational points, normalized and canonically ordered."""
-        field = self.field
-        out = set()
-        for combo in itertools.product(field.elements, repeat=len(self.spanning)):
-            if not any(combo):
-                continue
-            vec = [0] * (self.ambient + 1)
-            for c, s in zip(combo, self.spanning):
-                if c:
-                    vec = vec_add(field, vec, vec_scale(field, c, s))
-            out.add(normalize(field, vec))
-        key = field.order_index
-        return sorted(out, key=lambda pt: tuple(key(c) for c in pt))
-
     def to_json(self) -> dict:
         space = projective_space(self.field, self.ambient)
         return {
@@ -206,21 +190,6 @@ def subspace_from_vectors(field: Field, ambient: int, vectors) -> LinearSubspace
     red, pivots = rref(field, rows)
     spanning = tuple(normalize(field, red[i]) for i in range(len(pivots)))
     return LinearSubspace(field, ambient, spanning)
-
-
-def subspace_points(subspace: LinearSubspace) -> list[tuple[int, ...]]:
-    """Point list of a nonempty subspace; length is p_dim."""
-    if subspace.dimension < 0:
-        raise ValueError("subspace_points needs a nonempty subspace")
-    return subspace.points()
-
-
-def hyperplane(field: Field, linear_form) -> LinearSubspace:
-    """The hyperplane {x : sum(L_i x_i) = 0} given the coefficient vector."""
-    if not any(linear_form):
-        raise ValueError("zero linear form does not define a hyperplane")
-    basis = kernel_basis(field, [list(linear_form)])
-    return subspace_from_vectors(field, len(list(linear_form)) - 1, basis)
 
 
 _PEEL_BITS = 64

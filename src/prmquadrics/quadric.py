@@ -200,13 +200,8 @@ def polarize(form: QuadraticForm):
     return tuple(tuple(row) for row in gram)
 
 
-def radical_bilinear(form: QuadraticForm) -> list[list[int]]:
-    """Basis of the kernel of the polar form, as coordinate vectors."""
-    return kernel_basis(form.field, polarize(form), form.ambient + 1)
-
-
 def radical_quadratic(form: QuadraticForm) -> list[list[int]]:
-    """Basis of {v in Rad B : F(v) = 0}.
+    """Basis of {v in Rad B : F(v) = 0}, Rad B the kernel of the polar form.
 
     In odd characteristic this is all of Rad B.  In characteristic 2, with
     basis w_i of Rad B and s_i = F(w_i), the form restricted to Rad B is
@@ -215,7 +210,7 @@ def radical_quadratic(form: QuadraticForm) -> list[list[int]]:
     square roots map a basis of its solution space back.
     """
     field = form.field
-    radb = radical_bilinear(form)
+    radb = kernel_basis(field, polarize(form), form.ambient + 1)
     if field.p != 2 or not radb:
         return radb
     svals = [form.evaluate(w) for w in radb]
@@ -231,22 +226,6 @@ def radical_quadratic(form: QuadraticForm) -> list[list[int]]:
                 vec = vec_add(field, vec, vec_scale(field, field.pow(di, half), w))
         out.append(vec)
     return out
-
-
-def rank(form: QuadraticForm) -> int:
-    """Least number of variables after an invertible substitution."""
-    if form.is_zero:
-        raise ZeroForm("rank of the zero form is undefined")
-    return (form.ambient + 1) - len(radical_quadratic(form))
-
-
-def singular_locus(form: QuadraticForm) -> LinearSubspace:
-    """Projectivization of the quadratic radical; empty iff rank = N+1."""
-    if form.is_zero:
-        raise ZeroForm("singular locus of the zero form is undefined")
-    return subspace_from_vectors(
-        form.field, form.ambient, radical_quadratic(form)
-    )
 
 
 def evaluation_lane(form: QuadraticForm) -> bytes:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 
 import pytest
 
 from prmquadrics.gf import Field
-from prmquadrics.linalg import matrix_rank
+from prmquadrics.linalg import matrix_rank, vec_add, vec_scale
+from prmquadrics.projspace import LinearSubspace, normalize
 from prmquadrics.quadric import QuadraticForm, monomials
 
 # Every exhaustively checkable (q, N) this artifact is required to cover.
@@ -38,6 +40,41 @@ def random_nonzero_vector(field: Field, size: int, rng: random.Random):
         v = [rng.randrange(field.q) for _ in range(size)]
         if any(v):
             return v
+
+
+def brute_dict(table) -> dict[int, int]:
+    """{weight: brute-force count} of a census table, zero counts left out."""
+    return {w: b for w, _, b in table.rows if b}
+
+
+def mat_vec(field: Field, rows, v) -> list[int]:
+    """The matrix-vector product A v over GF(q)."""
+    add, mul = field._add, field._mul
+    out = []
+    for row in rows:
+        acc = 0
+        for a, y in zip(row, v):
+            acc = add[acc][mul[a][y]]
+        out.append(acc)
+    return out
+
+
+def points(subspace: LinearSubspace) -> list[tuple[int, ...]]:
+    """All rational points of a subspace, normalized and canonically
+    ordered, by enumerating the combinations of its spanning points; none
+    for the empty subspace."""
+    field = subspace.field
+    out = set()
+    for combo in itertools.product(field.elements, repeat=len(subspace.spanning)):
+        if not any(combo):
+            continue
+        vec = [0] * (subspace.ambient + 1)
+        for c, s in zip(combo, subspace.spanning):
+            if c:
+                vec = vec_add(field, vec, vec_scale(field, c, s))
+        out.add(normalize(field, vec))
+    key = field.order_index
+    return sorted(out, key=lambda pt: tuple(key(c) for c in pt))
 
 
 def pytest_collection_modifyitems(config, items):

@@ -9,7 +9,7 @@ throughout.  The exhaustive grid is (q, N) in {(2,2), (2,3), (2,4), (3,2),
 import hashlib
 import random
 
-from conftest import GRID, random_form, random_invertible, random_nonzero_vector
+from conftest import GRID, brute_dict, random_form, random_invertible, random_nonzero_vector
 
 from prmquadrics.census import (
     brute_force_census,
@@ -38,9 +38,7 @@ from prmquadrics.quadric import (
     closed_form_projective_index,
     expected_point_count,
     projective_index_bruteforce,
-    rank,
     restrict_to_hyperplane,
-    singular_locus,
     substitute,
 )
 
@@ -90,13 +88,13 @@ def test_criterion_3_minimal_codeword_census():
     }
     for (q, n, tester), table in expected.items():
         result = brute_force_census(q, n, tester)
-        assert result.brute_dict() == table, (q, n, tester, result.brute_dict())
+        assert brute_dict(result) == table, (q, n, tester, brute_dict(result))
         assert result.closed_dict() == table
         assert result.matches()
     runtime = brute_force_census(2, 4, "interpolation")
     assert runtime.matches(), runtime.to_json()
-    assert runtime.brute_dict() == runtime.closed_dict()
-    _passed(3, f"census tables match closed forms, incl. (2,4): {runtime.brute_dict()}")
+    assert brute_dict(runtime) == runtime.closed_dict()
+    _passed(3, f"census tables match closed forms, incl. (2,4): {brute_dict(runtime)}")
 
 
 def test_criterion_4_tester_agreement():
@@ -204,8 +202,8 @@ def test_criterion_8b_section_rank_laws():
         form = random_form(field, n, rng)
         lvec = random_nonzero_vector(field, n + 1, rng)
         section = restrict_to_hyperplane(form, lvec)
-        r = rank(form)
-        r_sec = 0 if section.is_zero else rank(section)
+        r = classify(form).rank
+        r_sec = 0 if section.is_zero else classify(section).rank
         assert r - 2 <= r_sec <= r, (q, n, form.coeffs, lvec)
         sandwich += 1
 
@@ -217,7 +215,7 @@ def test_criterion_8b_section_rank_laws():
         q, n = GRID[attempts % len(GRID)]
         field = field_from_order(q)
         form = random_form(field, n, rng)
-        locus = singular_locus(form)
+        locus = classify(form).singular_locus
         if locus.dimension < 0:
             continue
         lvec = random_nonzero_vector(field, n + 1, rng)
@@ -227,7 +225,7 @@ def test_criterion_8b_section_rank_laws():
         if not misses:
             continue
         section = restrict_to_hyperplane(form, lvec)
-        assert not section.is_zero and rank(section) == rank(form)
+        assert not section.is_zero and classify(section).rank == classify(form).rank
         preserved += 1
     _passed(8, "section-rank sandwich and preservation hold on 1000 random pairs each")
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import FIELD_ORDERS, GRID
+from conftest import FIELD_ORDERS, GRID, brute_dict
 
 from prmquadrics.census import (
     BudgetExceeded,
@@ -161,11 +161,11 @@ def test_closed_form_delta_epsilon_ranges():
 
 def test_brute_census_small_grids():
     tab = brute_force_census(2, 2, "exhaustive")
-    assert tab.brute_dict() == {2: 21} and tab.matches()
+    assert brute_dict(tab) == {2: 21} and tab.matches()
     tab = brute_force_census(3, 2, "interpolation")
-    assert tab.brute_dict() == {6: 156} and tab.matches()
+    assert brute_dict(tab) == {6: 156} and tab.matches()
     tab = brute_force_census(4, 2, "characterization")
-    assert tab.brute_dict() == {12: 630, 16: 3024} and tab.matches()
+    assert brute_dict(tab) == {12: 630, 16: 3024} and tab.matches()
 
 
 def test_brute_census_remaining_grid_points():
@@ -173,15 +173,15 @@ def test_brute_census_remaining_grid_points():
     # the parabolic rank-3 row admitted at q = 5; together with the other
     # tests every grid table is checked row-exactly against brute force.
     tab = brute_force_census(3, 3, "characterization")
-    assert tab.brute_dict() == {18: 1560, 24: 21060, 30: 16848} and tab.matches()
+    assert brute_dict(tab) == {18: 1560, 24: 21060, 30: 16848} and tab.matches()
     tab = brute_force_census(5, 2, "characterization")
-    assert tab.brute_dict() == {20: 1860, 25: 12400} and tab.matches()
+    assert brute_dict(tab) == {20: 1860, 25: 12400} and tab.matches()
 
 
 def test_census_tester_independence_small():
     for q, n, expected in ((2, 2, {2: 21}), (3, 2, {6: 156})):
         tables = [
-            brute_force_census(q, n, tester).brute_dict()
+            brute_dict(brute_force_census(q, n, tester))
             for tester in ("characterization", "interpolation", "exhaustive")
         ]
         assert tables[0] == tables[1] == tables[2] == expected
@@ -218,7 +218,7 @@ def test_census_workers_deterministic():
     b = brute_force_census(2, 2, "characterization", workers=2)
     assert a == b
     c = brute_force_census(2, 2, "interpolation", workers=2)
-    assert c.brute_dict() == a.brute_dict()
+    assert brute_dict(c) == brute_dict(a)
     for q, n in [(2, 3), (3, 2)]:
         serial, parallel = (
             [(v.form.coeffs, v.witness.coeffs, v.shape) for v in verify_containment(q, n, workers=w)]
@@ -327,7 +327,7 @@ def test_class_masks_equal_the_per_row_view(q, n):
     assert list(class_rank_census(q, n).items()) == list(census.items())
     only_pairs = at_bound == {QuadricClass.HYPERPLANE_PAIR} and max(counts) == bound
     assert serre_scan(q, n) == (bound, max(counts), only_pairs)
-    assert brute_force_census(q, n).brute_dict() == tally
+    assert brute_dict(brute_force_census(q, n)) == tally
 
 
 @pytest.mark.slow

@@ -9,7 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import prmquadrics
-from prmquadrics.cli import main
+from prmquadrics.cli import MAX_BUDGET, main
+from prmquadrics.prm import survey
 
 
 def run_cli(argv):
@@ -164,6 +165,31 @@ def test_usage_errors_exit_2(tmp_path):
     for command, form in (("classify", "X0^2"), ("points", "0")):
         _, _, err = run_cli([command, form, "--q", "2", "--N", "-1"])
         assert err == "error: --N must be at least 0, got -1\n", err
+
+
+def test_csv_refused_before_any_scan():
+    before = survey.cache_info()
+    code, out, err = run_cli(
+        ["verify", "containment", "--q", "2", "--N", "4", "--format", "csv", "--workers", "1"]
+    )
+    assert (code, out, err) == (2, "", "error: subcommand 'verify' has no CSV output\n")
+    assert survey.cache_info() == before
+
+
+def test_budget_above_the_ceiling_refused_before_any_survey():
+    before = survey.cache_info()
+    for argv in (
+        ["census", "--q", "25", "--N", "3", "--budget", "4000000000000"],
+        ["verify", "serre", "--q", "25", "--N", "3", "--budget", str(MAX_BUDGET + 1)],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), (argv, err)
+        assert err.startswith("error: --budget") and err.count("\n") == 1, (argv, err)
+    assert survey.cache_info() == before
+    code, _, err = run_cli(
+        ["census", "--q", "2", "--N", "2", "--workers", "1", "--budget", str(MAX_BUDGET)]
+    )
+    assert code == 0, err
 
 
 def test_table_format():

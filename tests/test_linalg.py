@@ -2,12 +2,13 @@
 
 import random
 
+from conftest import mat_vec
+
 from prmquadrics.gf import field_create
 from prmquadrics.linalg import (
     identity,
     kernel_basis,
     kernel_basis_gf2,
-    mat_vec,
     matrix_rank,
     rref,
 )

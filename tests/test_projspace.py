@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIELD_ORDERS, GRID, random_nonzero_vector
+from conftest import FIELD_ORDERS, GRID, points, random_nonzero_vector
 
 from prmquadrics.gf import field_create, field_from_order
 from prmquadrics.linalg import rref, vec_scale
@@ -17,13 +17,11 @@ from prmquadrics.projspace import (
     OutOfRange,
     bits_to_indices,
     gaussian_binomial,
-    hyperplane,
     line_through,
     normalize,
     projective_size,
     projective_space,
     subspace_from_vectors,
-    subspace_points,
 )
 
 
@@ -135,22 +133,20 @@ def test_line_points_lie_on_line():
         pts = line_through(f4, p, q)
         assert len(pts) == 5
         sub = subspace_from_vectors(f4, 2, [p, q])
-        assert set(pts) <= set(subspace_points(sub))
+        assert set(pts) <= set(points(sub))
 
 
 def test_subspace_points_sizes():
     f2 = field_create(2, 1)
     pt = subspace_from_vectors(f2, 3, [(1, 0, 0, 1)])
-    assert pt.dimension == 0 and len(subspace_points(pt)) == 1
+    assert pt.dimension == 0 and len(points(pt)) == 1
     plane = subspace_from_vectors(f2, 3, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
-    assert plane.dimension == 2 and len(subspace_points(plane)) == 7
+    assert plane.dimension == 2 and len(points(plane)) == 7
     f3 = field_create(3, 1)
     line = subspace_from_vectors(f3, 2, [(1, 0, 0), (0, 1, 0)])
-    assert line.dimension == 1 and len(subspace_points(line)) == 4
+    assert line.dimension == 1 and len(points(line)) == 4
     empty = subspace_from_vectors(f3, 2, [])
     assert empty.dimension == -1
-    with pytest.raises(ValueError):
-        subspace_points(empty)
 
 
 def test_subspace_canonical_and_dependent_input():
@@ -185,16 +181,6 @@ def test_flats_lines_of_fano_plane():
     assert space.flats(2) == (space.full_mask,)
     with pytest.raises(OutOfRange):
         space.flats(-1)
-
-
-def test_hyperplane():
-    f3 = field_create(3, 1)
-    h = hyperplane(f3, (1, 0, 0, 0))
-    assert h.dimension == 2
-    assert all(pt[0] == 0 for pt in subspace_points(h))
-    assert len(subspace_points(h)) == projective_size(3, 2)
-    with pytest.raises(ValueError):
-        hyperplane(f3, (0, 0, 0, 0))
 
 
 def test_point_rendering():

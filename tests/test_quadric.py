@@ -7,18 +7,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIELD_ORDERS, random_form, random_invertible, random_nonzero_vector
+from conftest import (
+    FIELD_ORDERS,
+    mat_vec,
+    points,
+    random_form,
+    random_invertible,
+    random_nonzero_vector,
+)
 
 from prmquadrics.gf import field_create, field_from_order
-from prmquadrics.linalg import kernel_basis, mat_vec, matrix_rank, transpose
+from prmquadrics.linalg import kernel_basis, matrix_rank, transpose
 from prmquadrics.projspace import (
     bits_to_indices,
-    hyperplane,
     line_through,
     normalize,
     projective_space,
     subspace_from_vectors,
-    subspace_points,
 )
 from prmquadrics.quadric import (
     CanonicalizationResult,
@@ -38,11 +43,8 @@ from prmquadrics.quadric import (
     point_set,
     polarize,
     projective_index_bruteforce,
-    radical_bilinear,
     radical_quadratic,
-    rank,
     restrict_to_hyperplane,
-    singular_locus,
     substitute,
     subspace_dimension,
 )
@@ -102,7 +104,7 @@ def test_polarize_is_the_polar_form():
             u = [rng.randrange(field.q) for _ in range(4)]
             v = [rng.randrange(field.q) for _ in range(4)]
             uv = [field.add(a, b) for a, b in zip(u, v)]
-            lhs = field.sub(field.sub(f.evaluate(uv), f.evaluate(u)), f.evaluate(v))
+            lhs = field.add(f.evaluate(uv), field.neg(field.add(f.evaluate(u), f.evaluate(v))))
             assert lhs == _dot(field, mat_vec(field, g, u), v)
 
 
@@ -116,20 +118,26 @@ def _dot(field, u, v):
 # -- radicals and rank ------------------------------------------------------
 
 
+def _radical_bilinear(f):
+    """Basis of the kernel of the polar form, as ``radical_quadratic``
+    computes it."""
+    return kernel_basis(f.field, polarize(f), f.ambient + 1)
+
+
 def test_radical_bilinear_examples():
-    assert radical_bilinear(T(F2, 3, {(0, 1): 1, (2, 3): 1})) == []
-    rad = radical_bilinear(T(F2, 4, {(0, 1): 1, (2, 3): 1}))
+    assert _radical_bilinear(T(F2, 3, {(0, 1): 1, (2, 3): 1})) == []
+    rad = _radical_bilinear(T(F2, 4, {(0, 1): 1, (2, 3): 1}))
     assert rad == [[0, 0, 0, 0, 1]]
-    assert len(radical_bilinear(T(F2, 1, {(0, 0): 1}))) == 2
+    assert len(_radical_bilinear(T(F2, 1, {(0, 0): 1}))) == 2
 
 
 def test_radical_quadratic_examples():
     rad = radical_quadratic(T(F2, 1, {(0, 0): 1}))
     assert rad == [[0, 1]]
-    assert rank(T(F2, 1, {(0, 0): 1})) == 1
+    assert classify(T(F2, 1, {(0, 0): 1})).rank == 1
     exception = T(F2, 3, {(0, 0): 1, (0, 1): 1, (1, 1): 1, (2, 3): 1})
     assert radical_quadratic(exception) == []
-    assert rank(exception) == 4
+    assert classify(exception).rank == 4
 
 
 def test_radical_quadratic_equals_bilinear_in_odd_characteristic():
@@ -137,7 +145,7 @@ def test_radical_quadratic_equals_bilinear_in_odd_characteristic():
     for field in (F3, F5):
         for _ in range(50):
             f = random_form(field, 3, rng)
-            assert radical_quadratic(f) == radical_bilinear(f)
+            assert radical_quadratic(f) == _radical_bilinear(f)
 
 
 def test_radical_quadratic_is_radical_subspace_in_char2():
@@ -147,7 +155,7 @@ def test_radical_quadratic_is_radical_subspace_in_char2():
     for field in (F2, F4):
         for _ in range(60):
             f = random_form(field, 3, rng)
-            radb = radical_bilinear(f)
+            radb = _radical_bilinear(f)
             radq = radical_quadratic(f)
             g = polarize(f)
             for v in radq:
@@ -165,21 +173,21 @@ def test_radical_quadratic_is_radical_subspace_in_char2():
 
 
 def test_rank_examples_and_zero_form():
-    assert rank(T(F3, 2, {(0, 0): 1})) == 1
-    assert rank(T(F3, 2, {(0, 1): 1})) == 2
-    assert rank(T(F3, 2, {(0, 0): 1, (1, 2): 1})) == 3
+    assert classify(T(F3, 2, {(0, 0): 1})).rank == 1
+    assert classify(T(F3, 2, {(0, 1): 1})).rank == 2
+    assert classify(T(F3, 2, {(0, 0): 1, (1, 2): 1})).rank == 3
     with pytest.raises(ZeroForm):
-        rank(QuadraticForm(F3, 2, (0,) * 6))
+        classify(QuadraticForm(F3, 2, (0,) * 6))
 
 
 def test_singular_locus_examples():
     smooth = T(F2, 3, {(0, 1): 1, (2, 3): 1})
-    assert singular_locus(smooth).dimension == -1
+    assert classify(smooth).singular_locus.dimension == -1
     cone = T(F3, 3, {(0, 0): 1, (1, 2): 1})
-    locus = singular_locus(cone)
+    locus = classify(cone).singular_locus
     assert locus.dimension == 0 and locus.spanning == ((0, 0, 0, 1),)
     pair = T(F3, 2, {(0, 1): 1})
-    assert singular_locus(pair).spanning == ((0, 0, 1),)
+    assert classify(pair).singular_locus.spanning == ((0, 0, 1),)
 
 
 def test_singular_locus_matches_vanishing_gradient():
@@ -188,14 +196,14 @@ def test_singular_locus_matches_vanishing_gradient():
         space = projective_space(field, 3)
         for _ in range(25):
             f = random_form(field, 3, rng)
-            locus = singular_locus(f)
+            locus = classify(f).singular_locus
             g = polarize(f)
             expected = {
                 pt
                 for pt in space.points
                 if f.evaluate(pt) == 0 and not any(mat_vec(field, g, pt))
             }
-            got = set(subspace_points(locus)) if locus.dimension >= 0 else set()
+            got = set(points(locus))
             assert got == expected
 
 
@@ -341,10 +349,11 @@ def test_section_rank_sandwich_and_preservation_samples():
             f = random_form(field, 3, rng)
             lvec = random_nonzero_vector(field, 4, rng)
             sec = restrict_to_hyperplane(f, lvec)
-            r = rank(f)
-            r_sec = 0 if sec.is_zero else rank(sec)
+            report = classify(f)
+            r = report.rank
+            r_sec = 0 if sec.is_zero else classify(sec).rank
             assert r - 2 <= r_sec <= r
-            locus = singular_locus(f)
+            locus = report.singular_locus
             if locus.dimension >= 0 and any(
                 _dot(field, lvec, v) != 0 for v in locus.spanning
             ):
@@ -421,7 +430,7 @@ def test_tangency_dichotomy_over_quadratic_extension(q):
         line = line_through(small, p, r)
         # The tangent space at p: the hyperplane B(p, .) = 0, or all of
         # P^3 where p is singular.
-        on_tangent = set(hyperplane(small, grad).points() if any(grad) else space.points)
+        on_tangent = {x for x in space.points if _dot(small, grad, x) == 0}
         tangent = all(x in on_tangent for x in line)
         assert tangent == (b_pr == 0)
         assert (roots == 1) == tangent
@@ -446,7 +455,7 @@ def test_subspace_in_quadric_iff_restriction_vanishes():
                 for i, u in enumerate(vs)
                 for v in vs[i + 1 :]
             )
-            all_points_in = all(f.evaluate(x) == 0 for x in subspace_points(sub))
+            all_points_in = all(f.evaluate(x) == 0 for x in points(sub))
             assert restriction_zero == all_points_in
 
 
