@@ -33,15 +33,15 @@ import os
 from dataclasses import dataclass
 from operator import itemgetter
 
+from .formexpr import render_form
 from .gf import field_from_order
 from .prm import (
-    DEFAULT_FORM_BUDGET,
-    BudgetExceeded,
     Survey,
     build_code,
     characterization_minimal,
     check_budget,
     interpolation_kernel,
+    least_minimal_rank,
     survey,
 )
 from .projspace import bits_to_indices, gaussian_binomial, projective_size
@@ -50,6 +50,7 @@ from .quadric import (
     ClassificationReport,
     QuadraticForm,
     QuadricClass,
+    _check_class_rank,
     classify,
     expected_point_count,
     form_from_terms,
@@ -59,10 +60,6 @@ from .quadric import (
 
 
 class CensusError(Exception):
-    pass
-
-
-class ParityMismatch(CensusError):
     pass
 
 
@@ -80,10 +77,10 @@ def orbit_count(cls: QuadricClass, r: int, q: int) -> int:
     Sign 0 (r odd): q**((r-1)(r+1)/4) * prod(q**(2i+1) - 1, i = 1..(r-1)/2).
     Sign +-1 (r even): q**(r^2/4) * (q**(r/2) +- 1)/2 * the same product
     taken to (r-2)/2.  Rank 1 gives 1 and rank 2 gives q(q +- 1)/2.
+    A rank the class cannot have raises ``InconsistentClassRank``.
     """
+    _check_class_rank(cls, r, r - 1)
     sign = WITT_SIGN[cls]
-    if witt_class(r, sign) is not cls:
-        raise ParityMismatch(f"class {cls.value} cannot have rank {r}")
     value = q ** (r * r // 4)
     if sign:
         value *= q ** (r // 2) + sign
@@ -128,33 +125,27 @@ class MinimalCountTable:
         return "\n".join(lines) + "\n"
 
 
-def _delta_epsilon(q: int) -> tuple[int, int]:
-    return (2 if q <= 3 else 0), (2 if q == 2 else 0)
-
-
 def minimal_count_closed_form(q: int, n: int) -> MinimalCountTable:
     """Per-weight counts of minimal codewords from the product formulas.
 
-    The minimal quadrics are those of sign +1 from rank 2 (hyperplane
-    pairs, then hyperbolic), sign 0 from rank 3 + delta (parabolic; no
-    rank 3 when q <= 3) and sign -1 from rank 4 + epsilon (elliptic; no
-    rank 4 when q = 2), in steps of 2.  Each (class, rank) contributes
-    q - 1 scalars times ``gaussian_binomial(N+1, r, q)`` singular loci
-    times ``orbit_count`` smooth parts, at weight |P^N| minus
-    ``expected_point_count``; empty ranges contribute no rows.
+    The minimal quadrics are those of each Witt sign from its
+    ``prm.least_minimal_rank`` on, in steps of 2.  Each (class, rank)
+    contributes q - 1 scalars times ``gaussian_binomial(N+1, r, q)``
+    singular loci times ``orbit_count`` smooth parts, at weight |P^N|
+    minus ``expected_point_count``; empty ranges contribute no rows.
     """
     if n < 1:
         raise CensusError("census needs N >= 1")
-    delta, epsilon = _delta_epsilon(q)
     length = projective_size(q, n)
     counts: dict[int, int] = {}
-    for sign, least in ((1, 2), (0, 3 + delta), (-1, 4 + epsilon)):
-        for r in range(least, n + 2, 2):
+    for sign in (1, 0, -1):
+        for r in range(least_minimal_rank(sign, q), n + 2, 2):
             cls = witt_class(r, sign)
             w = length - expected_point_count(cls, r, n, q)
             size = gaussian_binomial(n + 1, r, q) * orbit_count(cls, r, q)
             counts[w] = counts.get(w, 0) + (q - 1) * size
     rows = tuple((w, counts[w], None) for w in sorted(counts))
+    delta, epsilon = least_minimal_rank(0, q) - 3, least_minimal_rank(-1, q) - 4
     return MinimalCountTable(q=q, n=n, delta=delta, epsilon=epsilon, rows=rows)
 
 
@@ -291,11 +282,11 @@ class ContainmentViolation:
     def witness_report(self) -> ClassificationReport:
         return classify(self.witness)
 
-    def to_json(self, renderer) -> dict:
+    def to_json(self) -> dict:
         return {
-            "form": renderer(self.form),
+            "form": render_form(self.form),
             "form_report": self.form_report.to_json(),
-            "witness": renderer(self.witness),
+            "witness": render_form(self.witness),
             "witness_report": self.witness_report.to_json(),
             "shape": self.shape,
         }

@@ -115,29 +115,29 @@ class _Parser:
         field = self.field
         coeffs = [0] * len(monomials(self.n))
         idx = _monomial_index(self.n)
-        sign = 1
+        for negated, (c, (i, j)) in self.parse_signed(
+            self.parse_term, "END", FormSyntaxError, "end of input"
+        ):
+            k = idx[(i, j) if i <= j else (j, i)]
+            coeffs[k] = field.add(coeffs[k], field.neg(c) if negated else c)
+        return QuadraticForm(self.field, self.n, tuple(coeffs))
+
+    def parse_signed(self, parse_item, close: str, error, where: str) -> list:
+        """``[sign] item (sign item)*`` up to the ``close`` token, as
+        (negated, item) pairs."""
+        pairs = []
         tok = self.peek()
+        negated = tok[0] == "MINUS"
         if tok[0] in ("PLUS", "MINUS"):
             self.advance()
-            sign = -1 if tok[0] == "MINUS" else 1
         while True:
-            c, (i, j) = self.parse_term()
-            if sign < 0:
-                c = field.neg(c)
-            k = idx[(i, j) if i <= j else (j, i)]
-            coeffs[k] = field.add(coeffs[k], c)
+            pairs.append((negated, parse_item()))
             tok = self.advance()
-            if tok[0] == "END":
-                break
-            if tok[0] == "PLUS":
-                sign = 1
-            elif tok[0] == "MINUS":
-                sign = -1
-            else:
-                raise FormSyntaxError(
-                    f"expected '+', '-' or end of input, found {tok[1]!r}", tok[2]
-                )
-        return QuadraticForm(self.field, self.n, tuple(coeffs))
+            if tok[0] == close:
+                return pairs
+            if tok[0] not in ("PLUS", "MINUS"):
+                raise error(f"expected '+', '-' or {where}, found {tok[1]!r}", tok[2])
+            negated = tok[0] == "MINUS"
 
     def parse_term(self) -> tuple[int, tuple[int, int]]:
         tok = self.peek()
@@ -206,60 +206,34 @@ class _Parser:
                 "parenthesized literals need an extension field", lp[2]
             )
         value = 0
-        sign = 1
-        tok = self.peek()
-        if tok[0] in ("PLUS", "MINUS"):
-            self.advance()
-            sign = -1 if tok[0] == "MINUS" else 1
-        while True:
-            v = self.parse_zterm()
-            if sign < 0:
-                v = field.neg(v)
-            value = field.add(value, v)
-            tok = self.advance()
-            if tok[0] == "RPAREN":
-                break
-            if tok[0] == "PLUS":
-                sign = 1
-            elif tok[0] == "MINUS":
-                sign = -1
-            else:
-                raise FieldLiteralInvalid(
-                    f"expected '+', '-' or ')' in field literal, found {tok[1]!r}",
-                    tok[2],
-                )
+        for negated, v in self.parse_signed(
+            self.parse_zterm, "RPAREN", FieldLiteralInvalid, "')' in field literal"
+        ):
+            value = field.add(value, field.neg(v) if negated else v)
         return value
 
     def parse_zterm(self) -> int:
         field = self.field
         tok = self.advance()
+        c, what = 1, "an integer or z"
         if tok[0] == "INT":
             c = field.from_int(_integer(tok[1], tok[2]))
-            if self.peek()[0] == "STAR":
-                self.advance()
-                return field.mul(c, self.parse_zpow())
-            return c
-        if tok[0] == "NAME" and tok[1] == "z":
-            self.pos -= 1
-            return self.parse_zpow()
-        raise FieldLiteralInvalid(
-            f"expected an integer or z in field literal, found {tok[1]!r}", tok[2]
-        )
-
-    def parse_zpow(self) -> int:
-        tok = self.advance()
+            if self.peek()[0] != "STAR":
+                return c
+            self.advance()
+            tok, what = self.advance(), "z"
         if tok[0] != "NAME" or tok[1] != "z":
             raise FieldLiteralInvalid(
-                f"expected z in field literal, found {tok[1]!r}", tok[2]
+                f"expected {what} in field literal, found {tok[1]!r}", tok[2]
             )
-        z = self.field.p  # the polynomial-basis generator encodes as p
+        z = field.p  # the polynomial-basis generator encodes as p
         if self.peek()[0] == "CARET":
             self.advance()
             exp = self.advance()
             if exp[0] != "INT":
                 raise FieldLiteralInvalid("expected an exponent after '^'", exp[2])
-            return self.field.pow(z, _integer(exp[1], exp[2]))
-        return z
+            z = field.pow(z, _integer(exp[1], exp[2]))
+        return field.mul(c, z)
 
 
 def parse_form(text: str, field: Field, n: int) -> QuadraticForm:

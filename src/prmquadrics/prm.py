@@ -42,11 +42,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
+from .formexpr import render_form
 from .gf import Field, field_from_order
 from .linalg import matrix_rank
 from .projspace import bits_to_indices, projective_space
 from .quadric import (
-    ABSOLUTELY_IRREDUCIBLE,
+    WITT_SIGN,
     DimensionMismatch,
     QuadraticForm,
     QuadricClass,
@@ -470,21 +471,23 @@ class MinimalityVerdict:
     method: str
     witness: QuadraticForm | None = None
 
-    def to_json(self, renderer=None) -> dict:
-        witness = None
-        if self.witness is not None and renderer is not None:
-            witness = renderer(self.witness)
+    def to_json(self) -> dict:
+        witness = None if self.witness is None else render_form(self.witness)
         return {"minimal": self.minimal, "method": self.method, "witness": witness}
+
+
+def least_minimal_rank(sign: int, q: int) -> int:
+    """The least rank from which the classes of Witt sign ``sign`` are
+    minimal: 2 for +1, 3 + delta for 0 and 4 + epsilon for -1, where
+    delta = 2 when q <= 3 and epsilon = 2 when q = 2.  The double
+    hyperplane (rank 1) and the conjugate pair (rank 2) lie below these."""
+    return {1: 2, 0: 3 + 2 * (q <= 3), -1: 4 + 2 * (q == 2)}[sign]
 
 
 def characterization_minimal(cls: QuadricClass, rk: int, q: int) -> bool:
     """Hyperplane pairs and absolutely irreducible quadrics are minimal,
     except rank 3 when q <= 3 and elliptic rank 4 when q = 2."""
-    return cls is QuadricClass.HYPERPLANE_PAIR or (
-        cls in ABSOLUTELY_IRREDUCIBLE
-        and not (rk == 3 and q <= 3)
-        and not (cls is QuadricClass.ELLIPTIC and rk == 4 and q == 2)
-    )
+    return rk >= least_minimal_rank(WITT_SIGN[cls], q)
 
 
 def is_minimal_characterization(form: QuadraticForm) -> MinimalityVerdict:
@@ -518,9 +521,7 @@ def is_minimal_interpolation(code: PrmCode, form: QuadraticForm) -> MinimalityVe
     raise RuntimeError(f"a span of dimension {len(basis)} holds no larger zero set")
 
 
-def is_minimal_exhaustive(
-    code: PrmCode, codeword: Codeword, budget: int | None = None
-) -> MinimalityVerdict:
+def is_minimal_exhaustive(code: PrmCode, codeword: Codeword) -> MinimalityVerdict:
     """Verdict by the survey's point index: of the forms whose zero set
     contains ``full_mask ^ support``, the first in survey order whose class
     mask has a larger zero count is the witness, its coefficients decoded
@@ -528,7 +529,7 @@ def is_minimal_exhaustive(
     if codeword.weight == 0:
         raise ZeroCodeword("minimality of the zero codeword is undefined")
     field = code.field
-    check_budget(field.q, code.n, budget)
+    check_budget(field.q, code.n)
     hits = survey(field.q, code.n).strictly_through(code.space.full_mask ^ codeword.support)
     if not hits:
         return MinimalityVerdict(minimal=True, method="exhaustive")

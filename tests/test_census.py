@@ -5,8 +5,6 @@ import pytest
 from conftest import FIELD_ORDERS, GRID, brute_dict
 
 from prmquadrics.census import (
-    BudgetExceeded,
-    ParityMismatch,
     _admissible_shape,
     brute_force_census,
     class_rank_census,
@@ -18,9 +16,9 @@ from prmquadrics.census import (
     verify_containment,
     verify_exception_example,
 )
-from prmquadrics.formexpr import render_form
 from prmquadrics.gf import field_from_order
 from prmquadrics.prm import (
+    BudgetExceeded,
     build_code,
     characterization_minimal,
     interpolation_kernel,
@@ -32,6 +30,7 @@ from prmquadrics.prm import (
 from prmquadrics.projspace import bits_to_indices, gaussian_binomial, projective_size
 from prmquadrics.quadric import (
     WITT_SIGN,
+    InconsistentClassRank,
     QuadraticForm,
     QuadricClass,
     expected_point_count,
@@ -57,11 +56,11 @@ def test_orbit_count_values():
 
 
 def test_orbit_count_parity_errors():
-    with pytest.raises(ParityMismatch):
+    with pytest.raises(InconsistentClassRank):
         orbit_count(P, 4, 2)
-    with pytest.raises(ParityMismatch):
+    with pytest.raises(InconsistentClassRank):
         orbit_count(H, 5, 2)
-    with pytest.raises(ParityMismatch):
+    with pytest.raises(InconsistentClassRank):
         orbit_count(E, 2, 2)
 
 
@@ -266,7 +265,7 @@ def test_containment_shapes_p2():
     for v in violations:
         assert v.form_report.rank == 3
         assert v.witness_report.quadric_class is QuadricClass.HYPERPLANE_PAIR
-    payload = violations[0].to_json(render_form)
+    payload = violations[0].to_json()
     assert set(payload) == {"form", "form_report", "witness", "witness_report", "shape"}
 
 
@@ -279,7 +278,7 @@ def test_containment_records_outlive_the_survey_cache(q, n):
 
     def read():
         return [
-            (v.form.coeffs, v.witness.coeffs, v.shape, v.to_json(render_form))
+            (v.form.coeffs, v.witness.coeffs, v.shape, v.to_json())
             for v in violations
         ]
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, output formats, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -214,3 +215,93 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["holds"] is True
+
+
+def _pinned_argv():
+    """The command lines whose exit code and stdout bytes are pinned."""
+    for q, n in ((2, 3), (9, 2), (25, 2)):
+        qn = ["--q", str(q), "--N", str(n)]
+        for form in ("X0^2+X1*X2", "X0*X1+X2^2"):
+            yield ["classify", form, *qn]
+            yield ["points", form, *qn]
+            for method in ("char", "interp", "exhaustive"):
+                yield ["minimal", form, *qn, "--method", method]
+        yield ["code", "info", *qn]
+    for q, n in ((2, 3), (3, 2)):
+        for method in ("char", "interp", "exhaustive"):
+            for fmt in ("json", "table", "csv"):
+                yield ["census", "--q", str(q), "--N", str(n), "--method", method,
+                       "--format", fmt, "--workers", "1"]
+    yield ["verify", "serre"]
+    yield ["verify", "pencil"]
+    yield ["verify", "containment", "--limit", "50", "--workers", "1"]
+    yield ["verify", "exception"]
+
+
+PINNED_STDOUT = {
+    "classify X0^2+X1*X2 --q 2 --N 3": "50c82668a89f82a941d29020a1b1a587",
+    "points X0^2+X1*X2 --q 2 --N 3": "efe80a0c550d5bd475668b21094a0f35",
+    "minimal X0^2+X1*X2 --q 2 --N 3 --method char": "657f469e2653a66d7c3b4921952f80bd",
+    "minimal X0^2+X1*X2 --q 2 --N 3 --method interp": "c6b459729333fec9ce970d786f7f0ba6",
+    "minimal X0^2+X1*X2 --q 2 --N 3 --method exhaustive": "30adddd7a8459edad578f218856853be",
+    "classify X0*X1+X2^2 --q 2 --N 3": "665cf23ea246f38cd8ac88debf637379",
+    "points X0*X1+X2^2 --q 2 --N 3": "b13b32102ff1ce8c2d04ea0531a37959",
+    "minimal X0*X1+X2^2 --q 2 --N 3 --method char": "ed06b0ad52b133f0b83ea07fed119fc4",
+    "minimal X0*X1+X2^2 --q 2 --N 3 --method interp": "b5b75ef2730ae48ba12b4aa767aff783",
+    "minimal X0*X1+X2^2 --q 2 --N 3 --method exhaustive": "862ada02d916362a81a4d3f330eb5ef4",
+    "code info --q 2 --N 3": "17809998f3f4c40043c79b44e07b283d",
+    "classify X0^2+X1*X2 --q 9 --N 2": "94cf0ba21b74762dcaa5f7554adefc62",
+    "points X0^2+X1*X2 --q 9 --N 2": "426bf6bc139595f6fd799657d06dc6aa",
+    "minimal X0^2+X1*X2 --q 9 --N 2 --method char": "4d2b774aec4ce30905afcf30217f44ad",
+    "minimal X0^2+X1*X2 --q 9 --N 2 --method interp": "382233b1a8770b0f8c38dc19f10f561d",
+    "minimal X0^2+X1*X2 --q 9 --N 2 --method exhaustive": "26ab0db90d72e28ad0ba1e22ee510510",
+    "classify X0*X1+X2^2 --q 9 --N 2": "ada4ae22756911bdfc6471187f42febc",
+    "points X0*X1+X2^2 --q 9 --N 2": "73a73ca2580ae2d943003eadb60db3bb",
+    "minimal X0*X1+X2^2 --q 9 --N 2 --method char": "aab1cb3995405ea851306067aca5a77e",
+    "minimal X0*X1+X2^2 --q 9 --N 2 --method interp": "85f81c6b1e17f7e63eaede76695f06e2",
+    "minimal X0*X1+X2^2 --q 9 --N 2 --method exhaustive": "26ab0db90d72e28ad0ba1e22ee510510",
+    "code info --q 9 --N 2": "b3922f5af886938f20bf34bbf8eb4b08",
+    "classify X0^2+X1*X2 --q 25 --N 2": "892d82fb1d8f4adb29cb6c1296199b93",
+    "points X0^2+X1*X2 --q 25 --N 2": "09defdb6416567aed824755318feb1b0",
+    "minimal X0^2+X1*X2 --q 25 --N 2 --method char": "84aff3ea8b5dce30f0f6dd8acdae7039",
+    "minimal X0^2+X1*X2 --q 25 --N 2 --method interp": "2d1c60a20d9f518dea73774bbce21c49",
+    "minimal X0^2+X1*X2 --q 25 --N 2 --method exhaustive": "26ab0db90d72e28ad0ba1e22ee510510",
+    "classify X0*X1+X2^2 --q 25 --N 2": "a2568e54a867370a5abab08f0756e9e3",
+    "points X0*X1+X2^2 --q 25 --N 2": "3ddaef8b979be54e58ed4be278af26af",
+    "minimal X0*X1+X2^2 --q 25 --N 2 --method char": "1471922f418888add29f8775673f751c",
+    "minimal X0*X1+X2^2 --q 25 --N 2 --method interp": "1b38e70af9800d322191b4c228d27ce1",
+    "minimal X0*X1+X2^2 --q 25 --N 2 --method exhaustive": "26ab0db90d72e28ad0ba1e22ee510510",
+    "code info --q 25 --N 2": "690fe17e8e2135c23515e36a8d230ed4",
+    "census --q 2 --N 3 --method char --format json --workers 1": "2cf5edb39ff161a1a21b2f4efc70200d",
+    "census --q 2 --N 3 --method char --format table --workers 1": "cd140e02bd87b1bfbfe9795897205c05",
+    "census --q 2 --N 3 --method char --format csv --workers 1": "1f6fde8277aa864a5ab5ed75915ec3ac",
+    "census --q 2 --N 3 --method interp --format json --workers 1": "2cf5edb39ff161a1a21b2f4efc70200d",
+    "census --q 2 --N 3 --method interp --format table --workers 1": "cd140e02bd87b1bfbfe9795897205c05",
+    "census --q 2 --N 3 --method interp --format csv --workers 1": "1f6fde8277aa864a5ab5ed75915ec3ac",
+    "census --q 2 --N 3 --method exhaustive --format json --workers 1": "2cf5edb39ff161a1a21b2f4efc70200d",
+    "census --q 2 --N 3 --method exhaustive --format table --workers 1": "cd140e02bd87b1bfbfe9795897205c05",
+    "census --q 2 --N 3 --method exhaustive --format csv --workers 1": "1f6fde8277aa864a5ab5ed75915ec3ac",
+    "census --q 3 --N 2 --method char --format json --workers 1": "37d90c3edf964fdde2efd3882c2fa168",
+    "census --q 3 --N 2 --method char --format table --workers 1": "095b648072fd3e69b084426c1ad7b5de",
+    "census --q 3 --N 2 --method char --format csv --workers 1": "16a15fdafc7544908e4af78dc5bfcc1c",
+    "census --q 3 --N 2 --method interp --format json --workers 1": "37d90c3edf964fdde2efd3882c2fa168",
+    "census --q 3 --N 2 --method interp --format table --workers 1": "095b648072fd3e69b084426c1ad7b5de",
+    "census --q 3 --N 2 --method interp --format csv --workers 1": "16a15fdafc7544908e4af78dc5bfcc1c",
+    "census --q 3 --N 2 --method exhaustive --format json --workers 1": "37d90c3edf964fdde2efd3882c2fa168",
+    "census --q 3 --N 2 --method exhaustive --format table --workers 1": "095b648072fd3e69b084426c1ad7b5de",
+    "census --q 3 --N 2 --method exhaustive --format csv --workers 1": "16a15fdafc7544908e4af78dc5bfcc1c",
+    "verify serre": "728995d2f8ed67022573b89709361a1e",
+    "verify pencil": "cc0a81a68e29bfa4caee998003ab0cf8",
+    "verify containment --limit 50 --workers 1": "2187901fad2c39aab1c56aa899586959",
+    "verify exception": "fa6d09d562fd50ddeb4f18961f52b14f",
+}
+
+
+def test_stdout_bytes_are_pinned():
+    """The md5 of each pinned line's exit code and stdout: any change to
+    these output bytes fails here, so a refactor keeps them identical."""
+    got = {}
+    for argv in _pinned_argv():
+        code, out, _ = run_cli(argv)
+        got[" ".join(argv)] = hashlib.md5(f"{code}\n{out}".encode()).hexdigest()
+    assert got == PINNED_STDOUT

@@ -69,6 +69,7 @@ def test_parse_extension_field_literals():
     assert h.coeff(0, 0) == f9.add(f9.mul(2, z9), 1)
     k = parse_form("(z - 1)*X0^2", f9, 1)
     assert k.coeff(0, 0) == f9.add(z9, f9.neg(1))
+    assert parse_form("(-z)*X0^2", f9, 2).coeff(0, 0) == 6  # a leading sign
 
 
 def test_parse_zero_form():
@@ -106,6 +107,25 @@ def test_parse_errors_and_positions():
         parse_form("(w+1)*X0^2", F4, 2)
     with pytest.raises(FieldLiteralInvalid):
         parse_form("(z", F4, 2)
+
+
+@pytest.mark.parametrize(
+    "text, q, error, position, message",
+    [
+        ("(2*w)*X0^2", 9, FieldLiteralInvalid, 3, "expected z in field literal"),
+        ("(z^)*X0^2", 4, FieldLiteralInvalid, 3, "expected an exponent after '^'"),
+        ("(z X0^2", 4, FieldLiteralInvalid, 3, "expected '+', '-' or ')' in field literal"),
+        ("X0^2 X1^2", 2, FormSyntaxError, 5, "expected '+', '-' or end of input"),
+    ],
+)
+def test_parse_error_after_each_kind_of_item(text, q, error, position, message):
+    """The signed-sum rule and the field-literal terms, each failing past
+    its first item: class, position and message."""
+    with pytest.raises(error) as exc:
+        parse_form(text, field_from_order(q), 2)
+    assert type(exc.value) is error
+    assert exc.value.position == position
+    assert str(exc.value).startswith(message)
 
 
 def test_roundtrip_canonical_examples():

@@ -32,35 +32,60 @@ def test_package_imports_only_the_standard_library():
 TEST_ONLY = {"restrict_to_hyperplane", "projective_index_bruteforce"}
 
 
-def _loads(node) -> Counter:
-    """How often each name or attribute is read in ``node``."""
-    out = Counter()
+def _loads(node) -> tuple[Counter, Counter]:
+    """How often each bare name, and each attribute, is read in ``node``."""
+    names, attributes = Counter(), Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            out[sub.id] += 1
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            out[sub.attr] += 1
-    return out
+            attributes[sub.attr] += 1
+    return names, attributes
 
 
 def test_every_definition_is_reached_by_the_package():
-    """Every function and method in the package, dunders aside, is loaded
-    by name somewhere in the package outside its own body, or named in the
-    benchmark harness (whose tracer resolves some by name)."""
+    """Every function and method in the package, dunders aside, is reached
+    from the package outside its own body, or named in the benchmark
+    harness (whose tracer resolves some by name).  A method is reached by
+    an attribute load ``.name``.  Any other function is reached by a bare
+    name load in its own module, by ``from .module import name`` in a
+    module other than ``__init__``, or by a ``module.name`` load."""
     sources = sorted(pathlib.Path(prmquadrics.__file__).parent.glob("*.py"))
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
-    loads = sum((_loads(tree) for tree in trees.values()), Counter())
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    attributes = Counter()
+    imported = set()  # (module, name)
+    for module, tree in trees.items():
+        attributes += _loads(tree)[1]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and module != "__init__":
+                imported |= {(node.module, alias.name) for alias in node.names}
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+            ):
+                imported.add((node.value.id, node.attr))
     harness = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
     words = set()
     for path in harness.glob("*.py"):
         words |= set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
-    unreached = [
-        f"{module}:{node.name}"
-        for module, tree in trees.items()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in words | TEST_ONLY
-        and loads[node.name] == _loads(node)[node.name]
-    ]
+
+    unreached = []
+    for module, tree in trees.items():
+        names = _loads(tree)[0]
+        methods = {
+            id(sub) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for sub in cls.body
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                continue
+            own_names, own_attributes = _loads(node)
+            if id(node) in methods:
+                hit = attributes[node.name] > own_attributes[node.name]
+            else:
+                hit = names[node.name] > own_names[node.name] or (module, node.name) in imported
+            if not hit and node.name not in words | TEST_ONLY:
+                unreached.append(f"{module}:{node.name}")
     assert not unreached, unreached
