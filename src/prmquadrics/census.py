@@ -44,7 +44,7 @@ from .prm import (
     least_minimal_rank,
     survey,
 )
-from .projspace import bits_to_indices, gaussian_binomial, projective_size
+from .projspace import gaussian_binomial, projective_size
 from .quadric import (
     WITT_SIGN,
     ClassificationReport,
@@ -178,7 +178,9 @@ def _scan(chunk_fn, args, q: int, n: int, workers: int):
     workers evenly loaded; the split is the same serial or parallel.
     """
     index = survey(q, n)
-    index.rows  # every chunk reads the per-row view: built before any fork
+    # Every chunk reads the per-row view and the point index: built before
+    # any fork.
+    index.rows, index.point_index
     total = len(index)
     parts = -(-total // _RANGE_FORMS)
     bounds = [total * k // parts for k in range(parts + 1)]
@@ -187,9 +189,22 @@ def _scan(chunk_fn, args, q: int, n: int, workers: int):
         yield from map(chunk_fn, ranges)
         return
     # Forked workers inherit the survey computed above; under other start
-    # methods each worker rebuilds it, which is correct but slower.
-    with multiprocessing.Pool(min(workers, parts, os.cpu_count() or 1)) as pool:
+    # methods each worker rebuilds it, which is correct but slower.  Where
+    # the OS allows it, each worker keeps a CPU of its own: left alone, the
+    # scheduler may start two forked workers on one CPU and leave the other
+    # idle for a second, which at (3,3) is most of the scan.
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    size = min(workers, parts, len(cpus) or os.cpu_count() or 1)
+    slots = multiprocessing.SimpleQueue()
+    for cpu in cpus[:size]:
+        slots.put(cpu)
+    with multiprocessing.Pool(size, _own_cpu if cpus else None, (slots,)) as pool:
         yield from pool.imap(chunk_fn, ranges)
+
+
+def _own_cpu(slots) -> None:
+    """Pool initializer: pin this worker to the next CPU in ``slots``."""
+    os.sched_setaffinity(0, {slots.get()})
 
 
 def _census_chunk(args) -> dict[int, int]:
@@ -321,7 +336,8 @@ def _containment_chunk(args) -> list[tuple[int, int, int, str]]:
     survey row j, and row i is the form itself.
 
     The forms vanishing on a zero set are the survey rows the point index
-    gives.  Witnesses come in the order and with the scalars of
+    gives.  The strict witnesses are asked for first, and a form with none
+    is skipped.  Witnesses come in the order and with the scalars of
     ``iter_span_monic(interpolation_space(...))``.  That kernel basis has
     vector i equal to 1 at free column f_i, 0 at the other free columns and
     0 right of f_i, so the free columns are the members' last nonzero
@@ -345,11 +361,13 @@ def _containment_chunk(args) -> list[tuple[int, int, int, str]]:
         _, cls, rk, mask = rows[i]
         if cls in (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.CONJUGATE_PAIR):
             continue
-        members = bits_to_indices(index.through(mask))
-        count = mask.bit_count()
-        strict = [j for j in members if rows[j][3].bit_count() > count]
-        if not strict:
+        hits = index.strictly_through(mask)
+        if not hits:
             continue
+        # Index order puts the strict witnesses first, then the members with
+        # as many zeros as the form, itself included.
+        members = index.row_numbers(index.through(mask))
+        strict = members[: hits.bit_count()]
         for j in members:
             if j not in last:
                 last[j] = len(bytes(rows[j][0]).rstrip(b"\0")) - 1
@@ -442,7 +460,7 @@ def conic_interpolation_profile(q: int, budget: int | None = None) -> PencilProf
     for _, _, rk, mask in rows:
         if rk != 3:
             continue
-        classes = [rows[i][1] for i in bits_to_indices(index.through(mask))]
+        classes = [rows[i][1] for i in index.row_numbers(index.through(mask))]
         found = PencilProfile(
             len(classes),
             classes.count(QuadricClass.HYPERPLANE_PAIR),

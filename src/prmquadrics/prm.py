@@ -13,15 +13,18 @@ the same one ``point_set`` reads the zero set from.
 ``survey(q, n)`` classifies every form up to scalar once, bit-sliced over
 its rows, the forms in ``iter_monic_coeffs`` order: for each point it
 builds, as integers whose bit i stands for row i, the rows where the form
-takes each field value there.  The zero buckets are the point index,
-whose AND over a point set gives the rows whose zero set contains it.  A
-few more ANDs give the singular points, by polarization, and bit-sliced
-counters the zero and singular counts of every row, so each (class, rank,
-zero count) is one row mask and the census reductions are popcounts; the
-per-row view ``(coeffs, class, rank, mask)`` is built only for the scans
-that read it.  The scans the CLI runs and the exhaustive tester pass
-``check_budget`` before they build a survey: its row count, the
-(q**dim - 1)/(q - 1) forms up to scalar, may not exceed the budget.
+takes each field value there.  The zero buckets are the point index.
+Its queries read a copy whose bits follow the rows by zero count, most
+zeros first, so the rows that can contain a zero set of size c are a
+prefix, and the AND of the columns over a point set runs only over that
+prefix and stops once it is 0.  A few more ANDs give the singular
+points, by polarization, and bit-sliced counters the zero and singular
+counts of every row, so each (class, rank, zero count) is one row mask
+and the census reductions are popcounts; the per-row view ``(coeffs,
+class, rank, mask)`` is built only for the scans that read it.  The scans
+the CLI runs and the exhaustive tester pass ``check_budget`` before they
+build a survey: its row count, the (q**dim - 1)/(q - 1) forms up to
+scalar, may not exceed the budget.
 ``build_code`` shares one immutable code per (field, N).
 
 A nonzero codeword is minimal when no other nonzero codeword has support
@@ -38,6 +41,7 @@ monomial's mask of value-1 points ANDed with the zero set.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -179,13 +183,17 @@ _TRANSPOSE_ROWS = 4096
 
 class Survey:
     """The forms up to scalar of :func:`survey`, as a point index and class
-    masks over the rows, with the per-row view built on first read.
+    masks over the rows, with the per-row view and the point index ordered
+    by zero count built on first read.
 
     ``columns[p]`` has bit i set when row i's zero set contains point p;
     ``classes`` maps each (class, rank, zero count) to the mask of its
     rows, in order of each key's first row.  ``rows`` holds one
     ``(coeffs, class, rank, zero-set mask)`` per row, in
-    ``iter_monic_coeffs`` order.
+    ``iter_monic_coeffs`` order.  Every point-index query (``through``,
+    ``strictly_through``) reads ``point_index``, whose bits follow the
+    rows by zero count, most zeros first, and answers in that order;
+    ``row_numbers`` maps an answer to survey rows.
     """
 
     def __init__(self, q: int, n: int, columns: tuple[int, ...], classes: dict):
@@ -218,32 +226,74 @@ class Survey:
         coeffs = iter_monic_coeffs(field_from_order(self.q), len(monomials(self.n)))
         return tuple((c, *label, mask) for c, label, mask in zip(coeffs, labels, masks))
 
-    def through(self, zeros: int) -> int:
-        """The mask of the rows whose zero set contains ``zeros``."""
-        columns = self.columns
-        through = (1 << len(self)) - 1
-        for p in bits_to_indices(zeros):
+    @cached_property
+    def point_index(self) -> tuple[array, tuple[int, ...], list[int]]:
+        """The point index ordered by zero count: ``(order, columns,
+        at_least)``.  ``order`` lists the survey rows by zero count, most
+        zeros first and in survey order within one count; bit k of
+        ``columns[p]`` stands for row ``order[k]``; ``at_least[c]``, for c
+        from 0 to the point count plus 1, is the prefix mask of the rows
+        with at least c zeros.  The rows that can contain a zero set are
+        thus a prefix, and ``&`` on two non-negative ints is only as wide as
+        the narrower one.  Built from ``columns`` and the class masks."""
+        exact: dict[int, int] = {}
+        for (_, _, c), rows in self.classes.items():
+            exact[c] = exact.get(c, 0) | rows
+        width = len(self)
+        digits, bits = f"0{width}b", bytes.maketrans(b"01", b"\0\1")
+        order = array("H" if width <= 1 << 16 else "I")
+        at_least = [0] * (len(self.columns) + 2)
+        code = 0
+        for g, c in enumerate(sorted(exact, reverse=True)):
+            # Byte j of the numeral is 1 when row width-1-j has c zeros.
+            numeral = format(exact[c], digits).encode().translate(bits)
+            order.extend(itertools.compress(range(width), numeral[::-1]))
+            at_least[c] = (1 << len(order)) - 1
+            code += 2 * g * int.from_bytes(numeral, "big")
+        for c in range(len(at_least) - 2, -1, -1):
+            at_least[c] = at_least[c] or at_least[c + 1]
+        # A column's numeral plus `code` has byte 0x30 + 2g + bit at row
+        # width-1-j, g the index of the row's zero count, most zeros first; a
+        # zero count is p_(N-1) + sign q**(N - r/2), so there are at most
+        # N + 2 of them, and the byte fits.  Keeping one g's bytes at a time,
+        # fewest zeros first, picks the column's bits in reversed `order`.
+        lanes = range(0x30, 0x30 + 2 * len(exact))
+        picks = [
+            (bytes.maketrans(bytes((b, b + 1)), b"01"), bytes(x for x in lanes if x >> 1 != b >> 1))
+            for b in reversed(lanes[::2])
+        ]
+        columns = []
+        for col in self.columns:
+            coded = (int.from_bytes(format(col, digits).encode(), "big") + code).to_bytes(width, "big")
+            columns.append(int(b"".join(coded.translate(*pick) for pick in picks), 2))
+        return order, tuple(columns), at_least
+
+    def _through(self, zeros: int, count: int) -> int:
+        """The mask, in index order, of the rows with at least ``count``
+        zeros whose zero set contains ``zeros``.  The points are peeled off
+        the top, so the ANDs stop as soon as the running AND is 0."""
+        _, columns, at_least = self.point_index
+        through = at_least[count]
+        while zeros and through:
+            p = zeros.bit_length() - 1
             through &= columns[p]
+            zeros ^= 1 << p
         return through
 
-    @cached_property
-    def _more_zeros(self) -> list[int]:
-        """``[c]``: the mask of the rows with more than c zeros, for c from
-        0 to the point count.  A count that no row has shares the mask
-        of the count above it, so the list holds one big integer per
-        distinct zero count."""
-        exact = [0] * (len(self.columns) + 1)
-        for (_, _, c), rows in self.classes.items():
-            exact[c] |= rows
-        more = [0] * len(exact)
-        for c in range(len(exact) - 1, 0, -1):
-            more[c - 1] = more[c] | exact[c] if exact[c] else more[c]
-        return more
+    def through(self, zeros: int) -> int:
+        """The mask, in index order, of the rows whose zero set contains
+        ``zeros``."""
+        return self._through(zeros, zeros.bit_count())
 
     def strictly_through(self, zeros: int) -> int:
-        """The mask of the rows whose zero set strictly contains ``zeros``:
-        ``through(zeros)`` on the rows of larger zero count."""
-        return self.through(zeros) & self._more_zeros[zeros.bit_count()]
+        """The mask, in index order, of the rows whose zero set strictly
+        contains ``zeros``: those of ``through`` with more zeros."""
+        return self._through(zeros, zeros.bit_count() + 1)
+
+    def row_numbers(self, mask: int) -> list[int]:
+        """The survey rows of a mask in index order."""
+        order = self.point_index[0]
+        return [order[k] for k in bits_to_indices(mask)]
 
 
 def _row_count(q: int, n: int) -> int:
@@ -314,7 +364,8 @@ def survey(q: int, n: int) -> Survey:
     the largest budget a test passes, one survey's columns and class masks
     take about 53 MB.  Its per-row view, built only when read, adds about
     236 bytes a row: 82 MB at (4,3), the largest survey a test reads row
-    by row.
+    by row.  Its point index ordered by zero count, built on the first
+    query, adds as much as ``columns`` plus 4 bytes a row for the order.
     """
     field = field_from_order(q)
     space = projective_space(field, n)
@@ -523,17 +574,17 @@ def is_minimal_interpolation(code: PrmCode, form: QuadraticForm) -> MinimalityVe
 
 def is_minimal_exhaustive(code: PrmCode, codeword: Codeword) -> MinimalityVerdict:
     """Verdict by the survey's point index: of the forms whose zero set
-    contains ``full_mask ^ support``, the first in survey order whose class
-    mask has a larger zero count is the witness, its coefficients decoded
-    from its row index."""
+    strictly contains ``full_mask ^ support``, the first in survey order is
+    the witness, its coefficients decoded from its row index."""
     if codeword.weight == 0:
         raise ZeroCodeword("minimality of the zero codeword is undefined")
     field = code.field
     check_budget(field.q, code.n)
-    hits = survey(field.q, code.n).strictly_through(code.space.full_mask ^ codeword.support)
+    index = survey(field.q, code.n)
+    hits = index.strictly_through(code.space.full_mask ^ codeword.support)
     if not hits:
         return MinimalityVerdict(minimal=True, method="exhaustive")
-    coeffs = monic_coeffs_at(field, code.dimension, (hits & -hits).bit_length() - 1)
+    coeffs = monic_coeffs_at(field, code.dimension, min(index.row_numbers(hits)))
     return MinimalityVerdict(
         minimal=False, method="exhaustive", witness=QuadraticForm(field, code.n, coeffs)
     )

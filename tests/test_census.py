@@ -1,11 +1,15 @@
 """Counting formulas against exhaustive enumeration."""
 
+import hashlib
+import os
+
 import pytest
 
 from conftest import FIELD_ORDERS, GRID, brute_dict
 
 from prmquadrics.census import (
     _admissible_shape,
+    _scan,
     brute_force_census,
     class_rank_census,
     conic_interpolation_profile,
@@ -226,6 +230,24 @@ def test_census_workers_deterministic():
         assert serial and parallel == serial
 
 
+def _worker_cpus(args):
+    return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs CPU affinity and two CPUs",
+)
+def test_scan_workers_keep_a_cpu_each():
+    """Every pool worker runs on one CPU of the parent's, no two workers on
+    the same one, and the parent's own affinity is left as it was."""
+    before = os.sched_getaffinity(0)
+    seen = dict(_scan(_worker_cpus, (), 2, 3, workers=2))
+    assert os.sched_getaffinity(0) == before
+    assert all(len(cpus) == 1 and cpus <= before for cpus in seen.values())
+    assert len(set(seen.values())) == len(seen)
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         brute_force_census(2, 5)
@@ -289,6 +311,19 @@ def test_containment_records_outlive_the_survey_cache(q, n):
     for v in violations:
         inner, outer = point_set(v.form), point_set(v.witness)
         assert inner != outer and inner | outer == outer
+
+
+@pytest.mark.parametrize(
+    "q, n, digest",
+    [(2, 4, "dade2b70ac7797313ad577da36e6a473"), (3, 3, "dc0cbdeb6d71266e575a5c5f05fb12d9")],
+)
+def test_containment_pair_lists_are_pinned(q, n, digest):
+    """The whole pair list, in order: form row, witness row, scalar and
+    shape of each of the 182,280 pairs at (2,4) and 28,080 at (3,3)."""
+    h = hashlib.md5()
+    for v in verify_containment(q, n):
+        h.update(repr((v.row[0], v.witness_row[0], v.scalar, v.shape)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_containment_empty_for_large_q():

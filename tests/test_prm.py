@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIELD_ORDERS, GRID, random_form
 
@@ -12,6 +14,7 @@ from prmquadrics.gf import field_create, field_from_order
 from prmquadrics.linalg import kernel_basis, kernel_basis_gf2
 from prmquadrics.prm import (
     BudgetExceeded,
+    Codeword,
     ZeroCodeword,
     build_code,
     interpolation_kernel,
@@ -354,6 +357,56 @@ def test_exhaustive_tester_equals_a_linear_scan(q, n):
         assert verdict.minimal is (witness is None), coeffs
         if witness is not None:
             assert verdict.witness.coeffs == witness, coeffs
+
+
+_QUERY_SPACES = ((2, 3), (3, 2), (4, 2))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    at=st.sampled_from(_QUERY_SPACES),
+    positions=st.sets(st.integers(0, 20)),
+    row=st.none() | st.integers(0, 2_000),
+)
+@example(at=(2, 3), positions=set(), row=None)
+@example(at=(3, 2), positions=set(), row=None)
+@example(at=(4, 2), positions=set(), row=None)
+@example(at=(2, 3), positions=set(range(21)), row=None)
+@example(at=(3, 2), positions=set(range(21)), row=None)
+@example(at=(4, 2), positions=set(range(21)), row=None)
+def test_point_index_queries_equal_the_naive_filters(at, positions, row):
+    """On a random point set Z, or a row's zero set: ``through`` and
+    ``strictly_through`` mapped to survey rows are the naive filters over
+    the rows, listed by zero count, most zeros first, then in survey order;
+    the exhaustive tester's witness is the first naive strict row."""
+    q, n = at
+    field = field_from_order(q)
+    code = build_code(field, n)
+    full = code.space.full_mask
+    index = survey(q, n)
+    rows = index.rows
+    if row is None:
+        zeros = sum(1 << p for p in positions) & full
+    else:
+        zeros = rows[row % len(rows)][3]
+    through = sorted(
+        (i for i, (*_, mask) in enumerate(rows) if mask & zeros == zeros),
+        key=lambda i: (-rows[i][3].bit_count(), i),
+    )
+    strict = [i for i in through if rows[i][3].bit_count() > zeros.bit_count()]
+    assert index.row_numbers(index.through(zeros)) == through
+    assert index.row_numbers(index.strictly_through(zeros)) == strict
+    # The tester reads only the codeword's support.
+    support = full ^ zeros
+    codeword = Codeword(values=(), support=support, weight=support.bit_count())
+    if zeros == full:
+        with pytest.raises(ZeroCodeword):
+            is_minimal_exhaustive(code, codeword)
+        return
+    verdict = is_minimal_exhaustive(code, codeword)
+    assert verdict.minimal == (not strict)
+    if strict:
+        assert verdict.witness.coeffs == rows[min(strict)][0]
 
 
 def test_verdict_scalar_invariance():
