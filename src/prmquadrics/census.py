@@ -23,15 +23,20 @@ run in process.  The scans the CLI runs pass ``prm.check_budget`` first.
 The interpolation and exhaustive censuses and the containment search are
 reductions over one chunk function each, run by ``_scan`` over balanced
 index ranges of the per-row view, in-process or in a worker pool, with
-the same result either way.
+the same result either way.  A containment chunk returns its pairs as four
+flat columns (form rows, witness rows, scalars, shape codes), and
+``verify_containment`` concatenates them into a ``ContainmentTable``,
+which builds a pair's ``ContainmentViolation`` only when it is read.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
 
 from .formexpr import render_form
 from .gf import field_from_order
@@ -178,9 +183,9 @@ def _scan(chunk_fn, args, q: int, n: int, workers: int):
     workers evenly loaded; the split is the same serial or parallel.
     """
     index = survey(q, n)
-    # Every chunk reads the per-row view and the point index: built before
-    # any fork.
-    index.rows, index.point_index
+    # Every chunk reads the per-row view and the point index, and the
+    # containment chunks the shared zero masks: built before any fork.
+    index.rows, index.point_index, index.shared_masks
     total = len(index)
     parts = -(-total // _RANGE_FORMS)
     bounds = [total * k // parts for k in range(parts + 1)]
@@ -307,6 +312,16 @@ class ContainmentViolation:
         }
 
 
+# The admissible shapes; a pair table's shape column holds indices here.
+SHAPES = (
+    "elliptic4_in_hyperbolic4",
+    "rank3_in_hyperplane_pair",
+    "elliptic4_in_hyperplane_pair",
+)
+_CLASSES = tuple(QuadricClass)
+_INADMISSIBLE = len(SHAPES)
+
+
 def _admissible_shape(
     q: int, cls: QuadricClass, rk: int, wcls: QuadricClass, wrk: int
 ) -> str | None:
@@ -330,33 +345,51 @@ def _admissible_shape(
     return None
 
 
-def _containment_chunk(args) -> list[tuple[int, int, int, str]]:
-    """(form row i, witness row j, scalar, shape) for the strict
-    containments of the chunk's forms: the witness is ``scalar`` times
-    survey row j, and row i is the form itself.
+def _class_rank_code(cls: QuadricClass, rk: int) -> int:
+    """A small int per (class, rank): ``tuple.index`` finds the class by
+    identity, so no ``Enum.__hash__`` runs."""
+    return rk * len(_CLASSES) + _CLASSES.index(cls)
 
-    The forms vanishing on a zero set are the survey rows the point index
-    gives.  The strict witnesses are asked for first, and a form with none
-    is skipped.  Witnesses come in the order and with the scalars of
+
+def _containment_chunk(args) -> tuple[array, array, bytes, bytes]:
+    """The strict containments of the chunk's forms as four columns: form
+    rows, witness rows, scalars and shape codes (indices into ``SHAPES``);
+    the witness is the scalar times its survey row.
+
+    The forms vanishing on a zero set Z are the rows the point index gives
+    (the strict witnesses, asked for first; a form with none is skipped)
+    and the rows whose mask equals Z's (``shared_masks``, else the form
+    alone).  Witnesses come in the order and with the scalars of
     ``iter_span_monic(interpolation_space(...))``.  That kernel basis has
     vector i equal to 1 at free column f_i, 0 at the other free columns and
     0 right of f_i, so the free columns are the members' last nonzero
     positions, a member's span coordinates are its coefficients there, and
     the span lists each member scaled to monic coordinates, in
-    ``iter_monic_coeffs`` order of those coordinates.  Each row's last
-    nonzero position and each (class, rank, witness class, witness rank)
-    shape are worked out once per chunk.
+    ``iter_monic_coeffs`` order of those coordinates: by the free column of
+    its first nonzero coordinate, the lead, left to right, then by the
+    order indices of the scaled coordinates after it.  Each witness gets
+    one integer per chunk, a byte per coefficient holding its order index,
+    first coefficient on top.  Masked to the free columns, its top byte is
+    the lead and gives the scalar; the masked integer of the scaled
+    coefficients orders the witnesses of one lead.  Shapes are looked up
+    per chunk by class-rank code.  A pair of no admissible shape raises
+    ``InadmissibleViolation``, at the first such pair in that order.
     """
     q, n, start, stop = args
     index = survey(q, n)
-    rows = index.rows
+    rows, shared = index.rows, index.shared_masks
+    typecode = index.point_index[0].typecode
     field = field_from_order(q)
-    inv, mul, order = field._inv, field._mul, field._order_index
+    inv, mul, rank, elements = field._inv, field._mul, field._order_index, field.elements
     # ranked[s]: the byte translation c -> order index of s*c.
-    ranked = [bytes(order[mul[s][c]] for c in range(q)) + bytes(256 - q) for s in range(q)]
-    last: dict[int, int] = {}
-    shapes: dict[tuple, str | None] = {}
-    out = []
+    ranked = [bytes(rank[mul[s][c]] for c in range(q)) + bytes(256 - q) for s in range(q)]
+    width = 8 * len(rows[0][0])
+    # row -> (its order-index digits, the byte of its last nonzero
+    # coefficient, its coefficient bytes, its class-rank code)
+    keys: dict[int, tuple] = {}
+    shapes: dict[int, int] = {}
+    form_rows, witness_rows = array(typecode), array(typecode)
+    scalars, codes = bytearray(), bytearray()
     for i in range(start, stop):
         _, cls, rk, mask = rows[i]
         if cls in (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.CONJUGATE_PAIR):
@@ -364,58 +397,117 @@ def _containment_chunk(args) -> list[tuple[int, int, int, str]]:
         hits = index.strictly_through(mask)
         if not hits:
             continue
-        # Index order puts the strict witnesses first, then the members with
-        # as many zeros as the form, itself included.
-        members = index.row_numbers(index.through(mask))
-        strict = members[: hits.bit_count()]
-        for j in members:
-            if j not in last:
-                last[j] = len(bytes(rows[j][0]).rstrip(b"\0")) - 1
-        free = sorted({last[j] for j in members})
-        # At least two free columns: the form and a strict witness are
-        # independent members, so the getter returns a tuple.
-        coordinates = itemgetter(*free)
+        strict = index.row_numbers(hits)
+        code = _class_rank_code(cls, rk) << 8  # above every witness's code
+        free, keyed = 0, []
+        for j in (*strict, *shared.get(mask, (i,))):
+            key = keys.get(j)
+            if key is None:
+                coeffs, wcls, wrk, _ = rows[j]
+                coeffs = bytes(coeffs)
+                digits = int.from_bytes(coeffs.translate(ranked[1]), "big")
+                low = digits & -digits
+                last = 0xFF << ((low.bit_length() - 1) & -8)
+                key = keys[j] = (digits, last, coeffs, _class_rank_code(wcls, wrk))
+            free |= key[1]
+            keyed.append(key)
         found = []
-        for j in strict:
-            wc, wcls, wrk, _ = rows[j]
-            key = (cls, rk, wcls, wrk)
-            if key not in shapes:
-                shapes[key] = _admissible_shape(q, *key)
-            tail = bytes(coordinates(wc)).lstrip(b"\0")
-            scalar = inv[tail[0]]
-            lead = len(free) - len(tail)
-            found.append((lead, tail[1:].translate(ranked[scalar]), j, scalar, shapes[key]))
-        found.sort()
-        for _, _, j, scalar, shape in found:
+        for j, (digits, _, coeffs, wcode) in zip(strict, keyed):
+            top = digits & free
+            shift = (top.bit_length() - 1) & -8
+            scalar = inv[elements[top >> shift]]
+            if scalar != 1:
+                top = int.from_bytes(coeffs.translate(ranked[scalar]), "big") & free
+            shape = shapes.get(code | wcode)
             if shape is None:
                 _, wcls, wrk, _ = rows[j]
-                raise InadmissibleViolation(
-                    f"inadmissible containment: {cls.value} rank "
-                    f"{rk} inside {wcls.value} rank {wrk}"
-                )
-            out.append((i, j, scalar, shape))
-    return out
+                name = _admissible_shape(q, cls, rk, wcls, wrk)
+                shape = shapes[code | wcode] = _INADMISSIBLE if name is None else SHAPES.index(name)
+            # Leads left to right, then the scaled coordinates: one int.
+            found.append(((width - shift) << width | top, j, scalar, shape))
+        found.sort()
+        _, found_rows, found_scalars, found_shapes = zip(*found)
+        if _INADMISSIBLE in found_shapes:
+            _, wcls, wrk, _ = rows[found_rows[found_shapes.index(_INADMISSIBLE)]]
+            raise InadmissibleViolation(
+                f"inadmissible containment: {cls.value} rank "
+                f"{rk} inside {wcls.value} rank {wrk}"
+            )
+        form_rows.extend(repeat(i, len(found)))
+        witness_rows.extend(found_rows)
+        scalars.extend(found_scalars)
+        codes.extend(found_shapes)
+    return form_rows, witness_rows, bytes(scalars), bytes(codes)
+
+
+class ContainmentTable(Sequence):
+    """The pairs of ``verify_containment`` as four flat columns: form rows,
+    witness rows (arrays of survey row numbers), scalars and shape codes
+    (bytes, each code an index into ``SHAPES``).  Reading a pair, by index,
+    slice or iteration, builds its ``ContainmentViolation`` from the
+    survey's rows; the table equals any sequence of equal records."""
+
+    def __init__(self, index: Survey, form_rows, witness_rows, scalars, shapes):
+        self.survey = index
+        self.form_rows = form_rows
+        self.witness_rows = witness_rows
+        self.scalars = scalars
+        self.shapes = shapes
+
+    def __len__(self) -> int:
+        return len(self.scalars)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        rows = self.survey.rows
+        return ContainmentViolation(
+            self.survey,
+            rows[self.form_rows[k]],
+            rows[self.witness_rows[k]],
+            self.scalars[k],
+            SHAPES[self.shapes[k]],
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def shape_counts(self) -> dict[str, int]:
+        """Pairs per shape, the shapes with no pair left out."""
+        counts = {name: self.shapes.count(k) for k, name in enumerate(SHAPES)}
+        return {name: c for name, c in counts.items() if c}
 
 
 def verify_containment(
     q: int, n: int, workers: int = 1, budget: int | None = None
-) -> list[ContainmentViolation]:
+) -> ContainmentTable:
     """Collect all strict point-set containments with a non-degenerate form
     on the small side, asserting each matches an admissible shape.
 
     Double hyperplanes and conjugate pairs are excluded on the small side:
     their point sets sit inside hyperplanes, so containments are expected
     and carry no information.  Raises InadmissibleViolation when a pair
-    outside the admissible shapes appears (a theorem failure).
+    outside the admissible shapes appears (a theorem failure).  The pairs
+    come as a ``ContainmentTable`` of the chunks' columns, in chunk order.
     """
     check_budget(q, n, budget)
     index = survey(q, n)
-    rows = index.rows
-    return [
-        ContainmentViolation(index, rows[i], rows[j], scalar, shape)
-        for part in _scan(_containment_chunk, (q, n), q, n, workers)
-        for i, j, scalar, shape in part
-    ]
+    typecode = index.point_index[0].typecode
+    form_rows, witness_rows = array(typecode), array(typecode)
+    scalars, shapes = [], []
+    for forms, witnesses, part_scalars, part_shapes in _scan(
+        _containment_chunk, (q, n), q, n, workers
+    ):
+        form_rows += forms
+        witness_rows += witnesses
+        scalars.append(part_scalars)
+        shapes.append(part_shapes)
+    return ContainmentTable(index, form_rows, witness_rows, b"".join(scalars), b"".join(shapes))
 
 
 def verify_exception_example() -> bool:

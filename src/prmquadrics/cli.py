@@ -186,16 +186,13 @@ def cmd_verify(args) -> int:
             )
         except InadmissibleViolation as exc:
             raise VerificationFailure({"target": "containment", "error": str(exc)})
-        shapes: dict[str, int] = {}
-        for v in violations:
-            shapes[v.shape] = shapes.get(v.shape, 0) + 1
         payload = {
             "target": "containment",
             "q": args.q,
             "N": args.N,
             "holds": True,
             "violation_count": len(violations),
-            "shapes": shapes,
+            "shapes": violations.shape_counts(),
             "violations_shown": min(len(violations), args.limit),
             "violations": [v.to_json() for v in violations[: args.limit]],
         }

@@ -193,7 +193,8 @@ class Survey:
     ``iter_monic_coeffs`` order.  Every point-index query (``through``,
     ``strictly_through``) reads ``point_index``, whose bits follow the
     rows by zero count, most zeros first, and answers in that order;
-    ``row_numbers`` maps an answer to survey rows.
+    ``row_numbers`` maps an answer to survey rows.  ``shared_masks`` holds
+    the few zero masks that more than one row has.
     """
 
     def __init__(self, q: int, n: int, columns: tuple[int, ...], classes: dict):
@@ -267,6 +268,21 @@ class Survey:
             coded = (int.from_bytes(format(col, digits).encode(), "big") + code).to_bytes(width, "big")
             columns.append(int(b"".join(coded.translate(*pick) for pick in picks), 2))
         return order, tuple(columns), at_least
+
+    @cached_property
+    def shared_masks(self) -> dict[int, tuple[int, ...]]:
+        """{zero mask: its rows, in survey order} for the zero masks that
+        two or more rows share, found by sorting the masks once: the rows
+        whose zero set equals a given row's are that row alone unless its
+        mask is a key here."""
+        masks = sorted(row[3] for row in self.rows)
+        twice = {a for a, b in zip(masks, masks[1:]) if a == b}
+        shared: dict[int, tuple[int, ...]] = {}
+        if twice:
+            for i, row in enumerate(self.rows):
+                if row[3] in twice:
+                    shared[row[3]] = shared.get(row[3], ()) + (i,)
+        return shared
 
     def _through(self, zeros: int, count: int) -> int:
         """The mask, in index order, of the rows with at least ``count``

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from prmquadrics import census
 from prmquadrics.gf import Field
 from prmquadrics.linalg import matrix_rank, vec_add, vec_scale
 from prmquadrics.projspace import LinearSubspace, normalize
@@ -75,6 +76,19 @@ def points(subspace: LinearSubspace) -> list[tuple[int, ...]]:
         out.add(normalize(field, vec))
     key = field.order_index
     return sorted(out, key=lambda pt: tuple(key(c) for c in pt))
+
+
+@pytest.fixture
+def no_elliptic_in_hyperbolic(monkeypatch):
+    """Make the q = 2 elliptic-in-hyperbolic shape inadmissible, as if the
+    theorem had no exception; forked scan workers inherit the patch."""
+    admissible = census._admissible_shape
+
+    def patched(q, cls, rk, wcls, wrk):
+        shape = admissible(q, cls, rk, wcls, wrk)
+        return None if shape == "elliptic4_in_hyperbolic4" else shape
+
+    monkeypatch.setattr(census, "_admissible_shape", patched)
 
 
 def pytest_collection_modifyitems(config, items):

@@ -8,6 +8,8 @@ import pytest
 from conftest import FIELD_ORDERS, GRID, brute_dict
 
 from prmquadrics.census import (
+    SHAPES,
+    InadmissibleViolation,
     _admissible_shape,
     _scan,
     brute_force_census,
@@ -313,15 +315,25 @@ def test_containment_records_outlive_the_survey_cache(q, n):
         assert inner != outer and inner | outer == outer
 
 
+_PINNED_24 = "dade2b70ac7797313ad577da36e6a473"
+_PINNED_33 = "dc0cbdeb6d71266e575a5c5f05fb12d9"
+
+
 @pytest.mark.parametrize(
-    "q, n, digest",
-    [(2, 4, "dade2b70ac7797313ad577da36e6a473"), (3, 3, "dc0cbdeb6d71266e575a5c5f05fb12d9")],
+    "q, n, digest, workers",
+    [
+        pytest.param(2, 4, _PINNED_24, 1, id=f"2-4-{_PINNED_24}"),
+        pytest.param(3, 3, _PINNED_33, 1, id=f"3-3-{_PINNED_33}"),
+        pytest.param(3, 3, _PINNED_33, 2, id=f"3-3-{_PINNED_33}-workers2"),
+        pytest.param(2, 4, _PINNED_24, 2, id=f"2-4-{_PINNED_24}-workers2"),
+    ],
 )
-def test_containment_pair_lists_are_pinned(q, n, digest):
+def test_containment_pair_lists_are_pinned(q, n, digest, workers):
     """The whole pair list, in order: form row, witness row, scalar and
-    shape of each of the 182,280 pairs at (2,4) and 28,080 at (3,3)."""
+    shape of each of the 182,280 pairs at (2,4) and 28,080 at (3,3), the
+    same from one process and from two workers."""
     h = hashlib.md5()
-    for v in verify_containment(q, n):
+    for v in verify_containment(q, n, workers=workers):
         h.update(repr((v.row[0], v.witness_row[0], v.scalar, v.shape)).encode())
     assert h.hexdigest() == digest
 
@@ -329,6 +341,53 @@ def test_containment_pair_lists_are_pinned(q, n, digest):
 def test_containment_empty_for_large_q():
     assert verify_containment(4, 2) == []
     assert verify_containment(5, 2) == []
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2)])
+def test_containment_table_reads_like_a_list(q, n):
+    """The pair table indexes, slices, iterates and compares like the list
+    of its records, and its columns are flat: row numbers of at most 4
+    bytes, scalars and shape codes as bytes, the same serial or parallel."""
+    table = verify_containment(q, n)
+    records = list(table)
+    size = len(table)
+    assert table and size == len(records) > 2
+    assert table == records and records == table and table != records[:-1]
+    assert table[0] == records[0] and table[-1] == records[-1]
+    assert table[-size] == records[0] and table[size - 1] == records[-1]
+    for bad in (size, -size - 1):
+        with pytest.raises(IndexError):
+            table[bad]
+    for part in (slice(None, 5), slice(-3, None), slice(None, None, -7), slice(3, 1)):
+        assert table[part] == records[part], part
+    rows = survey(q, n).rows
+    for k, v in enumerate(records):
+        assert v.row is rows[table.form_rows[k]]
+        assert v.witness_row is rows[table.witness_rows[k]]
+        assert (v.scalar, v.shape) == (table.scalars[k], SHAPES[table.shapes[k]])
+    shapes = {}
+    for v in records:
+        shapes[v.shape] = shapes.get(v.shape, 0) + 1
+    assert table.shape_counts() == shapes
+    for column in (table.form_rows, table.witness_rows):
+        assert column.itemsize <= 4 and len(column) == size
+    assert type(table.scalars) is bytes and type(table.shapes) is bytes
+    parallel = verify_containment(q, n, workers=2)
+    columns = ("form_rows", "witness_rows", "scalars", "shapes")
+    for name in columns:
+        a, b = getattr(table, name), getattr(parallel, name)
+        assert type(a) is type(b) and a == b, name
+    assert table.form_rows.typecode == parallel.form_rows.typecode
+    empty = verify_containment(4, 2)
+    assert not empty and len(empty) == 0 and list(empty) == [] and empty[:3] == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_inadmissible_pair_fails_the_scan(no_elliptic_in_hyperbolic, workers):
+    message = "inadmissible containment: elliptic rank 4 inside hyperbolic rank 4"
+    with pytest.raises(InadmissibleViolation) as caught:
+        verify_containment(2, 3, workers=workers)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("q, n", GRID + ((7, 2), (8, 2)))
@@ -469,3 +528,14 @@ def test_equal_zero_sets_are_conjugate_pairs(q, n, shared):
     groups = [classes for classes in by_mask.values() if len(classes) > 1]
     assert all(set(classes) == {QuadricClass.CONJUGATE_PAIR} for classes in groups)
     assert sum(map(len, groups)) == shared
+
+
+@pytest.mark.parametrize("q, n", GRID + ((7, 2), (8, 2)))
+def test_shared_masks_group_the_rows_by_zero_set(q, n):
+    """``Survey.shared_masks`` holds every zero mask of two or more rows,
+    with those rows in survey order, and no other mask."""
+    by_mask: dict[int, list] = {}
+    for i, (*_, mask) in enumerate(survey(q, n).rows):
+        by_mask.setdefault(mask, []).append(i)
+    expected = {mask: tuple(rows) for mask, rows in by_mask.items() if len(rows) > 1}
+    assert survey(q, n).shared_masks == expected

@@ -117,6 +117,16 @@ def test_verify_containment_dump_shape():
     assert {"form", "witness", "form_report", "witness_report", "shape"} == set(v)
 
 
+def test_verify_containment_theorem_failure_exits_1(no_elliptic_in_hyperbolic):
+    code, out, err = run_cli(["verify", "containment", "--q", "2", "--N", "3", "--workers", "1"])
+    assert code == 1 and out == ""
+    payload = {
+        "target": "containment",
+        "error": "inadmissible containment: elliptic rank 4 inside hyperbolic rank 4",
+    }
+    assert err == f"verification failed: {json.dumps(payload, sort_keys=True)}\n"
+
+
 def test_usage_errors_exit_2(tmp_path):
     cases = [
         ["classify", "X0 + X1", "--q", "2", "--N", "3"],      # non-homogeneous
