@@ -16,15 +16,15 @@ one for +-1 over all six classes.  Summed over the minimal classes they
 give the minimal codewords per weight.
 
 Every scan reads ``prm.survey(q, n)``: its class masks, one row mask per
-(class, rank, zero count), its point index, or its per-row view
-``(coeffs, class, rank, zero-set mask)``.  The class-rank census, the Serre
-scan and the characterization census are popcounts of the class masks and
-run in process.  The scans the CLI runs pass ``prm.check_budget`` first.
-The interpolation and exhaustive censuses and the containment search are
+(class, rank, zero count), its point index, the zero masks read off it by
+range, and the class-rank bytes.  The class-rank census, the Serre scan
+and the characterization census are popcounts of the class masks and run
+in process.  The scans the CLI runs pass ``prm.check_budget`` first.  The
+interpolation and exhaustive censuses and the containment search are
 reductions over one chunk function each, run by ``_scan`` over balanced
-index ranges of the per-row view, in-process or in a worker pool, with
-the same result either way.  A containment chunk returns its pairs as four
-flat columns (form rows, witness rows, scalars, shape codes), and
+ranges of survey rows, in-process or in a worker pool, with the same
+result either way.  A containment chunk returns its pairs as four flat
+columns (form rows, witness rows, scalars, shape codes), and
 ``verify_containment`` concatenates them into a ``ContainmentTable``,
 which builds a pair's ``ContainmentViolation`` only when it is read.
 """
@@ -41,15 +41,15 @@ from itertools import repeat
 from .formexpr import render_form
 from .gf import field_from_order
 from .prm import (
-    Survey,
     build_code,
     characterization_minimal,
     check_budget,
     interpolation_kernel,
     least_minimal_rank,
+    monic_coeffs_at,
     survey,
 )
-from .projspace import gaussian_binomial, projective_size
+from .projspace import bits_to_indices, gaussian_binomial, projective_size
 from .quadric import (
     WITT_SIGN,
     ClassificationReport,
@@ -59,6 +59,7 @@ from .quadric import (
     classify,
     expected_point_count,
     form_from_terms,
+    monomials,
     point_set,
     witt_class,
 )
@@ -108,8 +109,8 @@ class MinimalCountTable:
         return {w: c for w, c, _ in self.rows if c}
 
     def matches(self) -> bool:
-        if any(b is None for _, _, b in self.rows):
-            return False
+        """Whether every weight's brute-force count equals its closed
+        form; a missing (None) count equals no int."""
         return all(c == b for _, c, b in self.rows)
 
     def to_json(self) -> dict:
@@ -183,9 +184,9 @@ def _scan(chunk_fn, args, q: int, n: int, workers: int):
     workers evenly loaded; the split is the same serial or parallel.
     """
     index = survey(q, n)
-    # Every chunk reads the per-row view and the point index, and the
-    # containment chunks the shared zero masks: built before any fork.
-    index.rows, index.point_index, index.shared_masks
+    # Every chunk reads the point index, and the containment chunks the
+    # class-rank bytes: built before any fork, so workers share them.
+    index.point_index, index.class_ranks
     total = len(index)
     parts = -(-total // _RANGE_FORMS)
     bounds = [total * k // parts for k in range(parts + 1)]
@@ -219,7 +220,7 @@ def _census_chunk(args) -> dict[int, int]:
     code = build_code(field_from_order(q), n)
     index = survey(q, n)
     tally: dict[int, int] = {}
-    for _, _, _, mask in index.rows[start:stop]:
+    for mask in index.masks(start, stop):
         if tester == "interpolation":
             minimal = len(interpolation_kernel(code, mask)) == 1
         else:
@@ -273,26 +274,29 @@ def brute_force_census(
 @dataclass(slots=True)
 class ContainmentViolation:
     """One strict nesting: the zero set of ``form`` lies strictly inside
-    that of ``witness``.  A view over two rows of ``survey``'s per-row
-    view, ``row`` the form's and ``witness_row`` the witness's, with the
-    witness ``scalar`` times its row; the forms are built and the reports
+    that of ``witness``.  Two survey rows at (q, n), ``row`` the form's
+    and ``witness_row`` the witness's, with the witness ``scalar`` times
+    its row; the forms are decoded from the row numbers and the reports
     classified on each read."""
 
-    survey: Survey
-    row: tuple
-    witness_row: tuple
+    q: int
+    n: int
+    row: int
+    witness_row: int
     scalar: int
     shape: str
 
+    def _decode(self, row: int) -> QuadraticForm:
+        field = field_from_order(self.q)
+        return QuadraticForm(field, self.n, monic_coeffs_at(field, len(monomials(self.n)), row))
+
     @property
     def form(self) -> QuadraticForm:
-        s = self.survey
-        return QuadraticForm(field_from_order(s.q), s.n, self.row[0])
+        return self._decode(self.row)
 
     @property
     def witness(self) -> QuadraticForm:
-        s = self.survey
-        return QuadraticForm(field_from_order(s.q), s.n, self.witness_row[0]).scale(self.scalar)
+        return self._decode(self.witness_row).scale(self.scalar)
 
     @property
     def form_report(self) -> ClassificationReport:
@@ -318,37 +322,20 @@ SHAPES = (
     "rank3_in_hyperplane_pair",
     "elliptic4_in_hyperplane_pair",
 )
-_CLASSES = tuple(QuadricClass)
 _INADMISSIBLE = len(SHAPES)
 
 
 def _admissible_shape(
     q: int, cls: QuadricClass, rk: int, wcls: QuadricClass, wrk: int
 ) -> str | None:
-    if (
-        q == 2
-        and cls is QuadricClass.ELLIPTIC
-        and rk == 4
-        and wcls is QuadricClass.HYPERBOLIC
-        and wrk == 4
-    ):
-        return "elliptic4_in_hyperbolic4"
     if rk == 3 and q <= 3 and wcls is QuadricClass.HYPERPLANE_PAIR:
         return "rank3_in_hyperplane_pair"
-    if (
-        q == 2
-        and cls is QuadricClass.ELLIPTIC
-        and rk == 4
-        and wcls is QuadricClass.HYPERPLANE_PAIR
-    ):
-        return "elliptic4_in_hyperplane_pair"
+    if q == 2 and cls is QuadricClass.ELLIPTIC and rk == 4:
+        if wcls is QuadricClass.HYPERBOLIC and wrk == 4:
+            return "elliptic4_in_hyperbolic4"
+        if wcls is QuadricClass.HYPERPLANE_PAIR:
+            return "elliptic4_in_hyperplane_pair"
     return None
-
-
-def _class_rank_code(cls: QuadricClass, rk: int) -> int:
-    """A small int per (class, rank): ``tuple.index`` finds the class by
-    identity, so no ``Enum.__hash__`` runs."""
-    return rk * len(_CLASSES) + _CLASSES.index(cls)
 
 
 def _containment_chunk(args) -> tuple[array, array, bytes, bytes]:
@@ -356,79 +343,86 @@ def _containment_chunk(args) -> tuple[array, array, bytes, bytes]:
     rows, witness rows, scalars and shape codes (indices into ``SHAPES``);
     the witness is the scalar times its survey row.
 
-    The forms vanishing on a zero set Z are the rows the point index gives
-    (the strict witnesses, asked for first; a form with none is skipped)
-    and the rows whose mask equals Z's (``shared_masks``, else the form
-    alone).  Witnesses come in the order and with the scalars of
-    ``iter_span_monic(interpolation_space(...))``.  That kernel basis has
-    vector i equal to 1 at free column f_i, 0 at the other free columns and
-    0 right of f_i, so the free columns are the members' last nonzero
-    positions, a member's span coordinates are its coefficients there, and
-    the span lists each member scaled to monic coordinates, in
-    ``iter_monic_coeffs`` order of those coordinates: by the free column of
-    its first nonzero coordinate, the lead, left to right, then by the
-    order indices of the scaled coordinates after it.  Each witness gets
-    one integer per chunk, a byte per coefficient holding its order index,
-    first coefficient on top.  Masked to the free columns, its top byte is
-    the lead and gives the scalar; the masked integer of the scaled
-    coefficients orders the witnesses of one lead.  Shapes are looked up
-    per chunk by class-rank code.  A pair of no admissible shape raises
-    ``InadmissibleViolation``, at the first such pair in that order.
+    The strict witnesses of a form F with zero set Z are the rows the point
+    index gives (a form with none is skipped).  Witnesses come in the order
+    and with the scalars of ``iter_span_monic(interpolation_space(...))``.
+    That kernel basis has vector i equal to 1 at free column f_i, 0 at the
+    other free columns and 0 right of f_i, so the free columns are the
+    members' last nonzero positions, a member's span coordinates are its
+    coefficients there, and the span lists each member scaled to monic
+    coordinates, in ``iter_monic_coeffs`` order of those coordinates: by
+    the free column of its first nonzero coordinate, the lead, left to
+    right, then by the order indices of the scaled coordinates after it.
+    Each witness gets one integer per chunk, a byte per coefficient holding
+    its order index, first coefficient on top.  Masked to the free columns,
+    its top byte is the lead and gives the scalar; the masked integer of
+    the scaled coefficients orders the witnesses of one lead.  Shapes are
+    looked up per chunk by the two rows' class-rank bytes.
+
+    The members vanishing at a point off Z are strict witnesses, at least
+    (q**(d-1) - 1)/(q - 1) of them, d = dim I(Z); so F is the only form
+    with zero set Z iff the witnesses and F, whose last nonzero positions
+    give the d free columns, are all (q**d - 1)/(q - 1) monic members.  A
+    form failing that count, and a pair of no admissible shape, raise
+    ``InadmissibleViolation``, at the first such form or pair.
     """
     q, n, start, stop = args
     index = survey(q, n)
-    rows, shared = index.rows, index.shared_masks
+    # labels[b]: the survey key, (class, rank, zero count), of class-rank byte b
+    codes, labels = index.class_ranks, tuple(index.classes)
     typecode = index.point_index[0].typecode
     field = field_from_order(q)
     inv, mul, rank, elements = field._inv, field._mul, field._order_index, field.elements
     # ranked[s]: the byte translation c -> order index of s*c.
     ranked = [bytes(rank[mul[s][c]] for c in range(q)) + bytes(256 - q) for s in range(q)]
-    width = 8 * len(rows[0][0])
-    # row -> (its order-index digits, the byte of its last nonzero
-    # coefficient, its coefficient bytes, its class-rank code)
+    m = len(monomials(n))
+    width = 8 * m
+    # row -> (order-index digits, last nonzero coefficient's byte, coefficient bytes)
     keys: dict[int, tuple] = {}
     shapes: dict[int, int] = {}
     form_rows, witness_rows = array(typecode), array(typecode)
-    scalars, codes = bytearray(), bytearray()
-    for i in range(start, stop):
-        _, cls, rk, mask = rows[i]
+    scalars, shape_codes = bytearray(), bytearray()
+    for i, mask in enumerate(index.masks(start, stop), start):
+        cls, rk, _ = labels[codes[i]]
         if cls in (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.CONJUGATE_PAIR):
             continue
         hits = index.strictly_through(mask)
         if not hits:
             continue
         strict = index.row_numbers(hits)
-        code = _class_rank_code(cls, rk) << 8  # above every witness's code
         free, keyed = 0, []
-        for j in (*strict, *shared.get(mask, (i,))):
+        for j in (*strict, i):
             key = keys.get(j)
             if key is None:
-                coeffs, wcls, wrk, _ = rows[j]
-                coeffs = bytes(coeffs)
+                coeffs = bytes(monic_coeffs_at(field, m, j))
                 digits = int.from_bytes(coeffs.translate(ranked[1]), "big")
                 low = digits & -digits
-                last = 0xFF << ((low.bit_length() - 1) & -8)
-                key = keys[j] = (digits, last, coeffs, _class_rank_code(wcls, wrk))
+                key = keys[j] = (digits, 0xFF << ((low.bit_length() - 1) & -8), coeffs)
             free |= key[1]
             keyed.append(key)
+        if len(strict) + 1 != (q ** (free.bit_count() // 8) - 1) // (q - 1):
+            raise InadmissibleViolation(
+                f"equal zero sets: another form vanishes exactly where {cls.value} rank {rk} does"
+            )
+        code = codes[i] << 8  # above every witness's code
         found = []
-        for j, (digits, _, coeffs, wcode) in zip(strict, keyed):
+        for j, (digits, _, coeffs) in zip(strict, keyed):
             top = digits & free
             shift = (top.bit_length() - 1) & -8
             scalar = inv[elements[top >> shift]]
             if scalar != 1:
                 top = int.from_bytes(coeffs.translate(ranked[scalar]), "big") & free
-            shape = shapes.get(code | wcode)
+            pair = code | codes[j]
+            shape = shapes.get(pair)
             if shape is None:
-                _, wcls, wrk, _ = rows[j]
-                name = _admissible_shape(q, cls, rk, wcls, wrk)
-                shape = shapes[code | wcode] = _INADMISSIBLE if name is None else SHAPES.index(name)
+                name = _admissible_shape(q, cls, rk, *labels[codes[j]][:2])
+                shape = shapes[pair] = _INADMISSIBLE if name is None else SHAPES.index(name)
             # Leads left to right, then the scaled coordinates: one int.
             found.append(((width - shift) << width | top, j, scalar, shape))
         found.sort()
         _, found_rows, found_scalars, found_shapes = zip(*found)
         if _INADMISSIBLE in found_shapes:
-            _, wcls, wrk, _ = rows[found_rows[found_shapes.index(_INADMISSIBLE)]]
+            wcls, wrk, _ = labels[codes[found_rows[found_shapes.index(_INADMISSIBLE)]]]
             raise InadmissibleViolation(
                 f"inadmissible containment: {cls.value} rank "
                 f"{rk} inside {wcls.value} rank {wrk}"
@@ -436,23 +430,24 @@ def _containment_chunk(args) -> tuple[array, array, bytes, bytes]:
         form_rows.extend(repeat(i, len(found)))
         witness_rows.extend(found_rows)
         scalars.extend(found_scalars)
-        codes.extend(found_shapes)
-    return form_rows, witness_rows, bytes(scalars), bytes(codes)
+        shape_codes.extend(found_shapes)
+    return form_rows, witness_rows, bytes(scalars), bytes(shape_codes)
 
 
+@dataclass(eq=False)
 class ContainmentTable(Sequence):
-    """The pairs of ``verify_containment`` as four flat columns: form rows,
-    witness rows (arrays of survey row numbers), scalars and shape codes
-    (bytes, each code an index into ``SHAPES``).  Reading a pair, by index,
-    slice or iteration, builds its ``ContainmentViolation`` from the
-    survey's rows; the table equals any sequence of equal records."""
+    """The pairs of ``verify_containment`` at (q, n) as four flat columns:
+    form rows, witness rows (arrays of survey row numbers), scalars and
+    shape codes (bytes, each code an index into ``SHAPES``).  Reading a
+    pair, by index, slice or iteration, builds its ``ContainmentViolation``;
+    the table equals any sequence of equal records."""
 
-    def __init__(self, index: Survey, form_rows, witness_rows, scalars, shapes):
-        self.survey = index
-        self.form_rows = form_rows
-        self.witness_rows = witness_rows
-        self.scalars = scalars
-        self.shapes = shapes
+    q: int
+    n: int
+    form_rows: array
+    witness_rows: array
+    scalars: bytes
+    shapes: bytes
 
     def __len__(self) -> int:
         return len(self.scalars)
@@ -460,14 +455,8 @@ class ContainmentTable(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
-        rows = self.survey.rows
-        return ContainmentViolation(
-            self.survey,
-            rows[self.form_rows[k]],
-            rows[self.witness_rows[k]],
-            self.scalars[k],
-            SHAPES[self.shapes[k]],
-        )
+        row, witness, scalar = self.form_rows[k], self.witness_rows[k], self.scalars[k]
+        return ContainmentViolation(self.q, self.n, row, witness, scalar, SHAPES[self.shapes[k]])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -496,8 +485,7 @@ def verify_containment(
     come as a ``ContainmentTable`` of the chunks' columns, in chunk order.
     """
     check_budget(q, n, budget)
-    index = survey(q, n)
-    typecode = index.point_index[0].typecode
+    typecode = survey(q, n).point_index[0].typecode
     form_rows, witness_rows = array(typecode), array(typecode)
     scalars, shapes = [], []
     for forms, witnesses, part_scalars, part_shapes in _scan(
@@ -507,7 +495,7 @@ def verify_containment(
         witness_rows += witnesses
         scalars.append(part_scalars)
         shapes.append(part_shapes)
-    return ContainmentTable(index, form_rows, witness_rows, b"".join(scalars), b"".join(shapes))
+    return ContainmentTable(q, n, form_rows, witness_rows, b"".join(scalars), b"".join(shapes))
 
 
 def verify_exception_example() -> bool:
@@ -547,23 +535,18 @@ def conic_interpolation_profile(q: int, budget: int | None = None) -> PencilProf
     """
     check_budget(q, 2, budget)
     index = survey(q, 2)
-    rows = index.rows
-    profile = None
-    for _, _, rk, mask in rows:
-        if rk != 3:
-            continue
-        classes = [rows[i][1] for i in index.row_numbers(index.through(mask))]
-        found = PencilProfile(
-            len(classes),
-            classes.count(QuadricClass.HYPERPLANE_PAIR),
-            classes.count(QuadricClass.PARABOLIC),
-        )
-        if profile is None:
-            profile = found
-        elif profile != found:
-            raise CensusError(
-                f"conic interpolation profile is not uniform: {profile} vs {found}"
-            )
-    if profile is None:
+    codes, labels = index.class_ranks, tuple(index.classes)
+    profiles = set()
+    for (_, rk, _), conics in index.classes.items():
+        for i in bits_to_indices(conics) if rk == 3 else ():
+            (mask,) = index.masks(i, i + 1)
+            classes = [labels[codes[j]][0] for j in index.row_numbers(index.through(mask))]
+            pairs = classes.count(QuadricClass.HYPERPLANE_PAIR)
+            profiles.add(PencilProfile(len(classes), pairs, classes.count(QuadricClass.PARABOLIC)))
+    if not profiles:
         raise CensusError("no smooth conics found")
-    return profile
+    if len(profiles) > 1:
+        raise CensusError(
+            f"conic interpolation profile is not uniform: {sorted(profiles, key=repr)}"
+        )
+    return profiles.pop()

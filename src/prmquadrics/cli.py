@@ -44,7 +44,7 @@ METHODS = {
 
 MAX_Q = 25
 MAX_POINTS = 500_000
-# Survey rows: just above (5,3)'s 2,441,406, about 53 MB of survey.
+# Survey rows: just above (5,3)'s 2,441,406, a 144 MB peak before its first scan.
 MAX_BUDGET = 2_500_000
 
 

@@ -11,20 +11,18 @@ form's value vector off its evaluation lane (``quadric.evaluation_lane``),
 the same one ``point_set`` reads the zero set from.
 
 ``survey(q, n)`` classifies every form up to scalar once, bit-sliced over
-its rows, the forms in ``iter_monic_coeffs`` order: for each point it
-builds, as integers whose bit i stands for row i, the rows where the form
-takes each field value there.  The zero buckets are the point index.
-Its queries read a copy whose bits follow the rows by zero count, most
+its rows in ``iter_monic_coeffs`` order: for each point, integers whose
+bit i stands for row i give the rows where the form takes each value
+there, and the zero buckets are the point index.  Polarization gives the
+singular points, and bit-sliced counters the zero and singular counts, so
+each (class, rank, zero count) is one row mask and the census reductions
+are popcounts.  The first query reorders the index by zero count, most
 zeros first, so the rows that can contain a zero set of size c are a
-prefix, and the AND of the columns over a point set runs only over that
-prefix and stops once it is 0.  A few more ANDs give the singular
-points, by polarization, and bit-sliced counters the zero and singular
-counts of every row, so each (class, rank, zero count) is one row mask
-and the census reductions are popcounts; the per-row view ``(coeffs,
-class, rank, mask)`` is built only for the scans that read it.  The scans
-the CLI runs and the exhaustive tester pass ``check_budget`` before they
-build a survey: its row count, the (q**dim - 1)/(q - 1) forms up to
-scalar, may not exceed the budget.
+prefix, and the ANDs over a point set run only over it, stopping once 0.
+A row's zero mask is read back off that index, its class and rank from
+one byte, its coefficients from its row number.  The scans the CLI runs
+and the exhaustive tester pass ``check_budget`` before they build a
+survey: its row count, (q**dim - 1)/(q - 1), may not exceed the budget.
 ``build_code`` shares one immutable code per (field, N).
 
 A nonzero codeword is minimal when no other nonzero codeword has support
@@ -42,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -156,24 +155,29 @@ def iter_monic_coeffs(field: Field, length: int):
             yield head + tail
 
 
+@lru_cache(maxsize=8)
+def _monic_tails(elements: tuple[int, ...], length: int) -> tuple[list[int], list[tuple]]:
+    """For :func:`monic_coeffs_at`, keyed by the field's element order (a
+    tuple hashes without a Python call): the first index of each lead's
+    block, then the row count, and every tail of ``length // 2`` digits."""
+    sizes = (len(elements) ** (length - 1 - lead) for lead in range(length))
+    starts = list(itertools.accumulate(sizes, initial=0))
+    return starts, list(itertools.product(elements, repeat=length // 2))
+
+
 def monic_coeffs_at(field: Field, length: int, index: int) -> tuple[int, ...]:
     """The ``index``-th tuple of :func:`iter_monic_coeffs`: its block, the
     forms with leading coefficient at position L, holds q**(length-1-L)
     tuples, and inside it the tail is a mixed-radix number whose last
-    digit varies fastest, digits in ``field.elements`` order."""
-    q = field.q
-    for lead in range(length):
-        block = q ** (length - 1 - lead)
-        if index < block:
-            break
-        index -= block
-    else:
+    digit varies fastest, digits in ``field.elements`` order: two lookups
+    in a table of tails of half the length."""
+    starts, tails = _monic_tails(field.elements, length)
+    if not 0 <= index < starts[-1]:
         raise IndexError("monic coefficient index out of range")
-    tail = []
-    for _ in range(length - 1 - lead):
-        index, digit = divmod(index, q)
-        tail.append(field.elements[digit])
-    return (0,) * lead + (1,) + tuple(reversed(tail))
+    lead = bisect_right(starts, index) - 1
+    high, low = divmod(index - starts[lead], len(tails))
+    tail = tails[high] + tails[low]
+    return (0,) * lead + (1,) + tail[len(tail) + lead + 1 - length :]
 
 
 # Rows per transposed block of the point index: one numeral table of all
@@ -182,19 +186,17 @@ _TRANSPOSE_ROWS = 4096
 
 
 class Survey:
-    """The forms up to scalar of :func:`survey`, as a point index and class
-    masks over the rows, with the per-row view and the point index ordered
-    by zero count built on first read.
+    """The forms up to scalar of :func:`survey`: class masks over the rows
+    and one point index, ordered by zero count on the first query.
 
-    ``columns[p]`` has bit i set when row i's zero set contains point p;
     ``classes`` maps each (class, rank, zero count) to the mask of its
-    rows, in order of each key's first row.  ``rows`` holds one
-    ``(coeffs, class, rank, zero-set mask)`` per row, in
-    ``iter_monic_coeffs`` order.  Every point-index query (``through``,
-    ``strictly_through``) reads ``point_index``, whose bits follow the
-    rows by zero count, most zeros first, and answers in that order;
-    ``row_numbers`` maps an answer to survey rows.  ``shared_masks`` holds
-    the few zero masks that more than one row has.
+    rows, in order of each key's first row.  ``columns[p]``, held only
+    until ``point_index`` is built from it, has bit i set when row i's zero
+    set contains point p.  The queries (``through``, ``strictly_through``)
+    answer in index order, by zero count, most zeros first; ``row_numbers``
+    maps an answer to survey rows.  ``masks`` reads zero masks back off the
+    index, ``class_ranks`` gives each row's key in ``classes``, and the
+    coefficients decode from the row number (:func:`monic_coeffs_at`).
     """
 
     def __init__(self, q: int, n: int, columns: tuple[int, ...], classes: dict):
@@ -202,30 +204,29 @@ class Survey:
         self.n = n
         self.columns = columns
         self.classes = classes
+        self._block: tuple[int, list[int]] = (-1, [])  # the last one ``masks`` built
 
     def __len__(self) -> int:
         return _row_count(self.q, self.n)
 
+    def _by_count(self) -> dict[int, int]:
+        """{zero count: the mask of its rows}, most zeros first."""
+        exact: dict[int, int] = {}
+        for (_, _, c), rows in self.classes.items():
+            exact[c] = exact.get(c, 0) | rows
+        return dict(sorted(exact.items(), reverse=True))
+
     @cached_property
-    def rows(self) -> tuple[tuple, ...]:
+    def class_ranks(self) -> bytes:
+        """Byte i is the position of row i's key in ``classes`` (two keys at
+        most per rank): each class mask's numeral with that position for the
+        digit 1, summed without carries since the masks are disjoint."""
         width = len(self)
-        masks = []
-        for low in range(0, width, _TRANSPOSE_ROWS):
-            size = min(width - low, _TRANSPOSE_ROWS)
-            part = (1 << size) - 1
-            # One column per `size` characters, highest point first and each
-            # column's highest row first, so every row's mask is a numeral.
-            table = "".join(
-                format(col >> low & part, f"0{size}b") for col in reversed(self.columns)
-            )
-            masks += [int(table[size - 1 - i :: size], 2) for i in range(size)]
-        labels = [None] * width
-        for (cls, rk, _), mask in self.classes.items():
-            label = (cls, rk)
-            for i in bits_to_indices(mask):
-                labels[i] = label
-        coeffs = iter_monic_coeffs(field_from_order(self.q), len(monomials(self.n)))
-        return tuple((c, *label, mask) for c, label, mask in zip(coeffs, labels, masks))
+        digits, total = f"0{width}b", 0
+        for code, rows in enumerate(self.classes.values()):
+            spread = bytes.maketrans(b"01", bytes((0, code)))
+            total += int.from_bytes(format(rows, digits).encode().translate(spread), "big")
+        return total.to_bytes(width, "little")
 
     @cached_property
     def point_index(self) -> tuple[array, tuple[int, ...], list[int]]:
@@ -236,18 +237,17 @@ class Survey:
         from 0 to the point count plus 1, is the prefix mask of the rows
         with at least c zeros.  The rows that can contain a zero set are
         thus a prefix, and ``&`` on two non-negative ints is only as wide as
-        the narrower one.  Built from ``columns`` and the class masks."""
-        exact: dict[int, int] = {}
-        for (_, _, c), rows in self.classes.items():
-            exact[c] = exact.get(c, 0) | rows
+        the narrower one.  Built from the class masks and ``columns``,
+        which it consumes."""
+        exact = self._by_count()
         width = len(self)
         digits, bits = f"0{width}b", bytes.maketrans(b"01", b"\0\1")
         order = array("H" if width <= 1 << 16 else "I")
         at_least = [0] * (len(self.columns) + 2)
         code = 0
-        for g, c in enumerate(sorted(exact, reverse=True)):
+        for g, (c, rows) in enumerate(exact.items()):
             # Byte j of the numeral is 1 when row width-1-j has c zeros.
-            numeral = format(exact[c], digits).encode().translate(bits)
+            numeral = format(rows, digits).encode().translate(bits)
             order.extend(itertools.compress(range(width), numeral[::-1]))
             at_least[c] = (1 << len(order)) - 1
             code += 2 * g * int.from_bytes(numeral, "big")
@@ -263,26 +263,43 @@ class Survey:
             (bytes.maketrans(bytes((b, b + 1)), b"01"), bytes(x for x in lanes if x >> 1 != b >> 1))
             for b in reversed(lanes[::2])
         ]
-        columns = []
-        for col in self.columns:
+        # Each survey-order column is dropped as its reordered copy is made.
+        columns = list(self.columns)
+        del self.columns
+        for p, col in enumerate(columns):
             coded = (int.from_bytes(format(col, digits).encode(), "big") + code).to_bytes(width, "big")
-            columns.append(int(b"".join(coded.translate(*pick) for pick in picks), 2))
+            columns[p] = int(b"".join(coded.translate(*pick) for pick in picks), 2)
         return order, tuple(columns), at_least
 
-    @cached_property
-    def shared_masks(self) -> dict[int, tuple[int, ...]]:
-        """{zero mask: its rows, in survey order} for the zero masks that
-        two or more rows share, found by sorting the masks once: the rows
-        whose zero set equals a given row's are that row alone unless its
-        mask is a key here."""
-        masks = sorted(row[3] for row in self.rows)
-        twice = {a for a, b in zip(masks, masks[1:]) if a == b}
-        shared: dict[int, tuple[int, ...]] = {}
-        if twice:
-            for i, row in enumerate(self.rows):
-                if row[3] in twice:
-                    shared[row[3]] = shared.get(row[3], ()) + (i,)
-        return shared
+    def masks(self, start: int, stop: int) -> list[int]:
+        """The zero masks of rows ``start`` to ``stop - 1``, transposed off
+        ``point_index`` one block of ``_TRANSPOSE_ROWS`` rows at a time; the
+        last block is kept, so ranges read in order transpose each block
+        once.  The index keeps survey order within one zero count, so a
+        block's rows of count c are one run of index bits, after the rows
+        with more zeros and the rows of count c before the block."""
+        _, columns, at_least = self.point_index
+        out: list[int] = []
+        for low in range(start - start % _TRANSPOSE_ROWS, stop, _TRANSPOSE_ROWS):
+            if self._block[0] != low:
+                size = min(len(self) - low, _TRANSPOSE_ROWS)
+                block = [0] * size
+                for c, rows in self._by_count().items():
+                    run = rows >> low & (1 << size) - 1
+                    k = run.bit_count()
+                    if not k:
+                        continue
+                    first = at_least[c + 1].bit_length() + (rows & (1 << low) - 1).bit_count()
+                    # One column per k characters, highest point first and
+                    # each column's last row first, so every mask is a numeral.
+                    table = "".join(
+                        format(col >> first & (1 << k) - 1, f"0{k}b") for col in reversed(columns)
+                    )
+                    for t, i in enumerate(bits_to_indices(run)):
+                        block[i] = int(table[k - 1 - t :: k], 2)
+                self._block = (low, block)
+            out += self._block[1][max(start - low, 0) : stop - low]
+        return out
 
     def _through(self, zeros: int, count: int) -> int:
         """The mask, in index order, of the rows with at least ``count``
@@ -378,10 +395,9 @@ def survey(q: int, n: int) -> Survey:
 
     The cache holds up to eight surveys.  At (5,3), 2,441,406 rows and
     the largest budget a test passes, one survey's columns and class masks
-    take about 53 MB.  Its per-row view, built only when read, adds about
-    236 bytes a row: 82 MB at (4,3), the largest survey a test reads row
-    by row.  Its point index ordered by zero count, built on the first
-    query, adds as much as ``columns`` plus 4 bytes a row for the order.
+    take about 53 MB, and building them peaks at 130 MB.  The point index
+    ordered by zero count replaces the columns on the first query, plus 4
+    bytes a row for the order and 1 for the class-rank byte: 144 MB peak.
     """
     field = field_from_order(q)
     space = projective_space(field, n)

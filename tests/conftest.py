@@ -9,8 +9,9 @@ import random
 import pytest
 
 from prmquadrics import census
-from prmquadrics.gf import Field
+from prmquadrics.gf import Field, field_from_order
 from prmquadrics.linalg import matrix_rank, vec_add, vec_scale
+from prmquadrics.prm import Survey, monic_coeffs_at, survey
 from prmquadrics.projspace import LinearSubspace, normalize
 from prmquadrics.quadric import QuadraticForm, monomials
 
@@ -46,6 +47,20 @@ def random_nonzero_vector(field: Field, size: int, rng: random.Random):
 def brute_dict(table) -> dict[int, int]:
     """{weight: brute-force count} of a census table, zero counts left out."""
     return {w: b for w, _, b in table.rows if b}
+
+
+def survey_rows(q: int, n: int) -> list[tuple]:
+    """``(coeffs, class, rank, zero mask)`` per row of ``survey(q, n)``, in
+    survey order, read through its accessors: the coefficients decoded from
+    the row number, class and rank from the class-rank byte, the mask from
+    the block reader."""
+    index = survey(q, n)
+    field, m, keys = field_from_order(q), len(monomials(n)), tuple(index.classes)
+    masks = index.masks(0, len(index))
+    return [
+        (monic_coeffs_at(field, m, i), *keys[code][:2], mask)
+        for i, (code, mask) in enumerate(zip(index.class_ranks, masks))
+    ]
 
 
 def mat_vec(field: Field, rows, v) -> list[int]:
@@ -89,6 +104,15 @@ def no_elliptic_in_hyperbolic(monkeypatch):
         return None if shape == "elliptic4_in_hyperbolic4" else shape
 
     monkeypatch.setattr(census, "_admissible_shape", patched)
+
+
+@pytest.fixture
+def hidden_strict_witness(monkeypatch):
+    """Drop the last row of every point-index answer, as if the index lost
+    one strict witness of each form; forked scan workers inherit the
+    patch."""
+    row_numbers = Survey.row_numbers
+    monkeypatch.setattr(Survey, "row_numbers", lambda self, mask: row_numbers(self, mask)[:-1])
 
 
 def pytest_collection_modifyitems(config, items):

@@ -9,7 +9,14 @@ throughout.  The exhaustive grid is (q, N) in {(2,2), (2,3), (2,4), (3,2),
 import hashlib
 import random
 
-from conftest import GRID, brute_dict, random_form, random_invertible, random_nonzero_vector
+from conftest import (
+    GRID,
+    brute_dict,
+    random_form,
+    random_invertible,
+    random_nonzero_vector,
+    survey_rows,
+)
 
 from prmquadrics.census import (
     brute_force_census,
@@ -56,7 +63,7 @@ def test_criterion_1_point_count_law():
     """Every nonzero form's zero-set size equals its class/rank closed form."""
     checked = 0
     for q, n in GRID + BEYOND:
-        for coeffs, cls, rk, mask in survey(q, n).rows:
+        for coeffs, cls, rk, mask in survey_rows(q, n):
             assert expected_point_count(cls, rk, n, q) == mask.bit_count(), (
                 q, n, coeffs, cls, rk,
             )
@@ -72,7 +79,7 @@ def test_criterion_2_serre_bound():
         assert only_pairs, (q, n)
         # complement view: the code's minimum nonzero weight
         length = projective_size(q, n)
-        min_weight = min(length - mask.bit_count() for _, _, _, mask in survey(q, n).rows)
+        min_weight = min(length - mask.bit_count() for _, _, _, mask in survey_rows(q, n))
         assert min_weight == q**n - q ** (n - 1)
     _passed(2, "maximum zero-set size attained exactly and only by hyperplane pairs")
 
@@ -102,7 +109,7 @@ def test_criterion_4_tester_agreement():
     for q, n in ((2, 2), (2, 3), (3, 2)):
         field = field_from_order(q)
         code = build_code(field, n)
-        for coeffs, _, _, _ in survey(q, n).rows:
+        for coeffs, _, _, _ in survey_rows(q, n):
             base = QuadraticForm(field, n, coeffs)
             for lam in range(1, q):
                 form = base.scale(lam)
@@ -241,7 +248,7 @@ def test_criterion_8c_canonicalization_identity():
     total = 0
     for q, n in EXHAUSTIVE_CANONICAL:
         field = field_from_order(q)
-        for coeffs, cls, rk, _ in survey(q, n).rows:
+        for coeffs, cls, rk, _ in survey_rows(q, n):
             form = QuadraticForm(field, n, coeffs)
             result = canonicalize(form)
             assert (result.quadric_class, result.rank) == (cls, rk)
@@ -270,7 +277,7 @@ def test_criterion_8d_projective_index_bruteforce():
     checked = 0
     for q, n in GRID:
         field = field_from_order(q)
-        for coeffs, cls, rk, _ in survey(q, n).rows:
+        for coeffs, cls, rk, _ in survey_rows(q, n):
             got = projective_index_bruteforce(QuadraticForm(field, n, coeffs))
             assert got == closed_form_projective_index(cls, rk, n), (
                 q, n, coeffs, cls, rk, got,

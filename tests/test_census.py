@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from conftest import FIELD_ORDERS, GRID, brute_dict
+from conftest import FIELD_ORDERS, GRID, brute_dict, survey_rows
 
 from prmquadrics.census import (
     SHAPES,
@@ -30,6 +30,7 @@ from prmquadrics.prm import (
     interpolation_kernel,
     interpolation_space,
     is_minimal_interpolation,
+    iter_monic_coeffs,
     iter_span_monic,
     monic_coeffs_at,
 )
@@ -198,7 +199,7 @@ def test_census_testers_agree_row_by_row(q, n):
     strict-containment query and the characterization on every row."""
     code = build_code(field_from_order(q), n)
     index = survey(q, n)
-    for _, cls, rk, mask in index.rows:
+    for _, cls, rk, mask in survey_rows(q, n):
         minimal = len(interpolation_kernel(code, mask)) == 1
         assert minimal == (not index.strictly_through(mask)), (q, n, mask)
         assert minimal == characterization_minimal(cls, rk, q), (q, n, cls, rk)
@@ -210,7 +211,7 @@ def test_interpolation_walk_matches_the_census(q, n):
     verdict equals the census's, and each witness's zero set strictly
     contains the form's."""
     code = build_code(field_from_order(q), n)
-    for coeffs, _, _, mask in survey(q, n).rows:
+    for coeffs, _, _, mask in survey_rows(q, n):
         verdict = is_minimal_interpolation(code, QuadraticForm(code.field, n, coeffs))
         assert verdict.minimal == (len(interpolation_kernel(code, mask)) == 1), coeffs
         if verdict.witness is not None:
@@ -332,9 +333,11 @@ def test_containment_pair_lists_are_pinned(q, n, digest, workers):
     """The whole pair list, in order: form row, witness row, scalar and
     shape of each of the 182,280 pairs at (2,4) and 28,080 at (3,3), the
     same from one process and from two workers."""
+    field, m = field_from_order(q), len(monomials(n))
     h = hashlib.md5()
     for v in verify_containment(q, n, workers=workers):
-        h.update(repr((v.row[0], v.witness_row[0], v.scalar, v.shape)).encode())
+        coeffs = (monic_coeffs_at(field, m, v.row), monic_coeffs_at(field, m, v.witness_row))
+        h.update(repr((*coeffs, v.scalar, v.shape)).encode())
     assert h.hexdigest() == digest
 
 
@@ -360,10 +363,8 @@ def test_containment_table_reads_like_a_list(q, n):
             table[bad]
     for part in (slice(None, 5), slice(-3, None), slice(None, None, -7), slice(3, 1)):
         assert table[part] == records[part], part
-    rows = survey(q, n).rows
     for k, v in enumerate(records):
-        assert v.row is rows[table.form_rows[k]]
-        assert v.witness_row is rows[table.witness_rows[k]]
+        assert (v.q, v.n, v.row, v.witness_row) == (q, n, table.form_rows[k], table.witness_rows[k])
         assert (v.scalar, v.shape) == (table.scalars[k], SHAPES[table.shapes[k]])
     shapes = {}
     for v in records:
@@ -390,6 +391,28 @@ def test_inadmissible_pair_fails_the_scan(no_elliptic_in_hyperbolic, workers):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_equal_zero_set_fails_the_scan(hidden_strict_witness, workers):
+    """A form whose strict witnesses and itself do not fill the span of
+    forms through its zero set shares that zero set with another form:
+    with one witness hidden from every answer, the first form with a
+    witness fails the member count."""
+    message = "equal zero sets: another form vanishes exactly where parabolic rank 3 does"
+    with pytest.raises(InadmissibleViolation) as caught:
+        verify_containment(2, 3, workers=workers)
+    assert str(caught.value) == message
+
+
+def test_scans_leave_one_copy_of_each_survey_fact():
+    """After a containment scan the survey holds its class masks, the
+    ordered point index, one class-rank byte per row and the last block of
+    zero masks: no per-row view, no shared masks, no survey-order columns."""
+    verify_containment(3, 3)
+    index = survey(3, 3)
+    assert set(vars(index)) == {"q", "n", "classes", "point_index", "class_ranks", "_block"}
+    assert len(index.class_ranks) == len(index) and len(index._block[1]) <= 4096
+
+
 @pytest.mark.parametrize("q, n", GRID + ((7, 2), (8, 2)))
 def test_class_masks_equal_the_per_row_view(q, n):
     """The class masks partition the rows, each row's (class, rank, zero
@@ -407,10 +430,11 @@ def test_class_masks_equal_the_per_row_view(q, n):
     length = projective_size(q, n)
     bound = 2 * q ** (n - 1) + projective_size(q, n - 2)
     census, tally, counts, at_bound = {}, {}, set(), set()
-    for i, (coeffs, cls, rk, mask) in enumerate(index.rows):
+    rows = survey_rows(q, n)
+    assert [row[0] for row in rows] == list(iter_monic_coeffs(field, m)), (q, n)
+    for i, (coeffs, cls, rk, mask) in enumerate(rows):
         count = mask.bit_count()
         assert key_of[i] == (cls, rk, count), (q, n, i)
-        assert monic_coeffs_at(field, m, i) == coeffs, (q, n, i)
         census[(cls, rk)] = census.get((cls, rk), 0) + 1
         counts.add(count)
         if count == bound:
@@ -447,7 +471,7 @@ SKIP_SMALL_SIDE = (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.CONJUGATE_PAIR)
 def containment_pairs_allpairs(q, n):
     """Every (form, monic witness) with nested zero sets, by comparing all
     pairs of survey rows (quadratic cost)."""
-    rows = survey(q, n).rows
+    rows = survey_rows(q, n)
     return {
         (coeffs_a, coeffs_b)
         for coeffs_a, cls_a, _, mask_a in rows
@@ -469,7 +493,7 @@ def containment_by_interpolation(q, n):
     its scalars."""
     field = field_from_order(q)
     code = build_code(field, n)
-    rows = survey(q, n).rows
+    rows = survey_rows(q, n)
     by_coeffs = {row[0]: row for row in rows}
     out = []
     for coeffs, cls, rk, mask in rows:
@@ -523,7 +547,7 @@ def test_equal_zero_sets_are_conjugate_pairs(q, n, shared):
     pairs through one codimension-2 subspace; every other zero set belongs
     to one form up to scalar."""
     by_mask: dict[int, list] = {}
-    for _, cls, _, mask in survey(q, n).rows:
+    for _, cls, _, mask in survey_rows(q, n):
         by_mask.setdefault(mask, []).append(cls)
     groups = [classes for classes in by_mask.values() if len(classes) > 1]
     assert all(set(classes) == {QuadricClass.CONJUGATE_PAIR} for classes in groups)
@@ -532,10 +556,15 @@ def test_equal_zero_sets_are_conjugate_pairs(q, n, shared):
 
 @pytest.mark.parametrize("q, n", GRID + ((7, 2), (8, 2)))
 def test_shared_masks_group_the_rows_by_zero_set(q, n):
-    """``Survey.shared_masks`` holds every zero mask of two or more rows,
-    with those rows in survey order, and no other mask."""
+    """The rows sharing a row's zero mask, grouped naively from the block
+    reader, are the rows the point index gives through that zero set,
+    less the strict ones."""
+    index = survey(q, n)
+    rows = survey_rows(q, n)
     by_mask: dict[int, list] = {}
-    for i, (*_, mask) in enumerate(survey(q, n).rows):
+    for i, (*_, mask) in enumerate(rows):
         by_mask.setdefault(mask, []).append(i)
-    expected = {mask: tuple(rows) for mask, rows in by_mask.items() if len(rows) > 1}
-    assert survey(q, n).shared_masks == expected
+    for mask, group in by_mask.items():
+        strict = set(index.row_numbers(index.strictly_through(mask)))
+        equal = [i for i in index.row_numbers(index.through(mask)) if i not in strict]
+        assert equal == group, (q, n, mask)

@@ -9,6 +9,9 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import prmquadrics
 from prmquadrics.cli import MAX_BUDGET, main
 from prmquadrics.prm import survey
@@ -125,6 +128,61 @@ def test_verify_containment_theorem_failure_exits_1(no_elliptic_in_hyperbolic):
         "error": "inadmissible containment: elliptic rank 4 inside hyperbolic rank 4",
     }
     assert err == f"verification failed: {json.dumps(payload, sort_keys=True)}\n"
+
+
+def test_verify_containment_equal_zero_set_exits_1(hidden_strict_witness):
+    code, out, err = run_cli(["verify", "containment", "--q", "2", "--N", "3", "--workers", "1"])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    payload = {
+        "target": "containment",
+        "error": "equal zero sets: another form vanishes exactly where parabolic rank 3 does",
+    }
+    assert err == f"verification failed: {json.dumps(payload, sort_keys=True)}\n"
+
+
+# Form tokens are joined by spaces, and no token but "-" itself starts with
+# "-", so argparse always reads the soup as one positional argument.
+_FORM_TOKENS = ("X0", "X1", "X3", "X9", "x2", "^2", "^", "*", "+", "-", "(", ")", "z", "z^3",
+                "2", "0", "\u00b2", "X")
+
+
+@st.composite
+def _argv(draw):
+    """A command line of one subcommand with a field order, N and budget
+    drawn from valid and invalid values, and a form from the token soup."""
+    command = draw(st.sampled_from(["classify", "points", "minimal", "code", "census", "verify"]))
+    q = draw(st.sampled_from([2, 3, 4, 25, 2, 3, 4, 0, 1, -2, 6, 27]))
+    n = draw(st.sampled_from([1, 2, 3, 2, 3, 2, 0, -1, -7, 40, 10**9]))
+    fmt = draw(st.sampled_from(["json", "json", "json", "table", "csv"]))
+    tail = ["--q", str(q), "--N", str(n), "--format", fmt]
+    method = ["--method", draw(st.sampled_from(["char", "interp", "exhaustive"]))]
+    budget = ["--budget", str(draw(st.sampled_from([-1, 0, 10, 400, MAX_BUDGET + 1, 10**30])))]
+    form = draw(
+        st.sampled_from(["X0*X1 + X2^2", "X0^2 + X1*X2", "X0*X1", "z*X0^2 + X1^2 + X0*X1"])
+        | st.lists(st.sampled_from(_FORM_TOKENS), min_size=1, max_size=6).map(" ".join)
+    )
+    if command in ("classify", "points"):
+        return [command, form, *tail]
+    if command == "minimal":
+        return [command, form, *tail, *method]
+    if command == "code":
+        return [command, "info", *tail]
+    if command == "census":
+        return [command, *tail, *method, "--workers", "1", *budget]
+    target = draw(st.sampled_from(["containment", "exception", "serre", "pencil"]))
+    return [command, target, *tail, "--workers", "1", *budget]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(argv=_argv())
+def test_any_command_line_exits_0_1_or_2(argv):
+    """Every command line exits 0, 1 or 2, never with a traceback, and a
+    usage error is one line on stderr."""
+    code, _, err = run_cli(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIELD_ORDERS, GRID, random_form
+from conftest import FIELD_ORDERS, GRID, random_form, survey_rows
 
 from prmquadrics.census import brute_force_census
 from prmquadrics.gf import field_create, field_from_order
@@ -24,6 +24,7 @@ from prmquadrics.prm import (
     is_minimal_interpolation,
     iter_monic_coeffs,
     iter_span_monic,
+    monic_coeffs_at,
     survey,
 )
 from prmquadrics.projspace import bits_to_indices
@@ -123,19 +124,57 @@ def test_injectivity_no_nonzero_form_has_empty_support():
 
 
 def test_point_index_is_the_transpose_of_the_survey():
+    """Bit k of the index's column p is set when the zero set of row
+    ``order[k]``, from its decoded coefficients, contains point p; a new
+    survey after the cache is cleared builds an equal index afresh."""
     for field, n in [(F2, 3), (F3, 2), (F4, 2)]:
-        index = survey(field.q, n)
-        assert len(index.columns) == build_code(field, n).length
-        for p, column in enumerate(index.columns):
-            for i, (*_, mask) in enumerate(index.rows):
-                assert column >> i & 1 == mask >> p & 1, (field.q, n, p, i)
-    before = survey(2, 3)
-    columns = before.columns
+        m = len(monomials(n))
+        order, columns, _ = survey(field.q, n).point_index
+        assert len(columns) == build_code(field, n).length
+        for k, i in enumerate(order):
+            mask = point_set(QuadraticForm(field, n, monic_coeffs_at(field, m, i)))
+            for p, column in enumerate(columns):
+                assert column >> k & 1 == mask >> p & 1, (field.q, n, p, i)
+    before = survey(2, 3).point_index
     survey.cache_clear()
     after = survey(2, 3)
-    assert "rows" not in vars(after)
-    assert after is not before and after.rows == before.rows
-    assert after.columns == columns and after.columns is not columns
+    assert "point_index" not in vars(after)
+    assert after.point_index == before and after.point_index[1] is not before[1]
+
+
+@pytest.mark.parametrize("q, n", GRID)
+def test_block_masks_equal_point_set(q, n):
+    """Each row's zero mask from the block reader is ``point_set`` of its
+    decoded coefficients, over any range of rows, across block edges, and
+    again from a new survey after the cache is cleared."""
+    field = field_from_order(q)
+    m = len(monomials(n))
+    index = survey(q, n)
+    masks = index.masks(0, len(index))
+    assert len(masks) == len(index)
+    for i, mask in enumerate(masks):
+        assert mask == point_set(QuadraticForm(field, n, monic_coeffs_at(field, m, i))), (q, n, i)
+    edge = min(4096, len(index))
+    for start, stop in [(edge - 3, edge + 5), (0, 1), (len(index) - 2, len(index)), (7, 7)]:
+        assert index.masks(start, stop) == masks[start:stop], (q, n, start, stop)
+    survey.cache_clear()
+    after = survey(q, n)
+    assert "point_index" not in vars(after) and after is not index
+    assert after.masks(0, len(after)) == masks
+    assert "columns" not in vars(after)
+
+
+def test_monic_coeffs_at_refuses_both_ends():
+    """Row numbers outside 0 .. rows - 1 raise ``IndexError`` at either
+    end; the two ends themselves decode to the first and last tuple."""
+    for q, m in [(2, 3), (3, 6), (4, 1), (5, 10)]:
+        field = field_from_order(q)
+        rows = (q**m - 1) // (q - 1)
+        assert monic_coeffs_at(field, m, 0) == (1,) + (0,) * (m - 1)
+        assert monic_coeffs_at(field, m, rows - 1) == (0,) * (m - 1) + (1,)
+        for bad in (-1, -rows, rows, rows + 1):
+            with pytest.raises(IndexError):
+                monic_coeffs_at(field, m, bad)
 
 
 @pytest.mark.parametrize("q, n", GRID + tuple((q, 1) for q in (7, 8, 9, 16, 25)))
@@ -144,9 +183,9 @@ def test_survey_equals_the_single_form_path(q, n):
     evaluation at every point, the rank by linear algebra on the radical."""
     field = field_from_order(q)
     m = len(monomials(n))
-    rows = survey(q, n)
+    rows = survey_rows(q, n)
     assert len(rows) == (q**m - 1) // (q - 1)
-    for row, coeffs in zip(rows.rows, iter_monic_coeffs(field, m)):
+    for row, coeffs in zip(rows, iter_monic_coeffs(field, m)):
         form = QuadraticForm(field, n, coeffs)
         zeros = point_set(form)
         rk = n + 1 - len(radical_quadratic(form))
@@ -214,7 +253,7 @@ def test_interpolation_space_equals_the_kernel_basis_path():
     at q in {7, 9, 16, 25}, N in {2, 3}."""
     for q, n in [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)]:
         code = build_code(field_from_order(q), n)
-        for mask in {0} | {row[3] for row in survey(q, n).rows}:
+        for mask in {0} | {row[3] for row in survey_rows(q, n)}:
             got = [b.coeffs for b in interpolation_space(code, mask)]
             assert got == _kernel_basis_path(code, mask), (q, n, mask)
     rng = random.Random(23)
@@ -239,7 +278,7 @@ def test_gf2_interpolation_kernel_equals_the_row_elimination():
     point rows, bit k for monomial k: every zero mask of the (2,4) survey,
     the empty mask, and random forms at N = 6 and 8."""
     rng = random.Random(29)
-    cases = [(4, {0} | {row[3] for row in survey(2, 4).rows})]
+    cases = [(4, {0} | {row[3] for row in survey_rows(2, 4)})]
     for n, count in [(6, 12), (8, 6)]:
         cases.append((n, [0] + [point_set(random_form(F2, n, rng)) for _ in range(count)]))
     for n, masks in cases:
@@ -343,7 +382,7 @@ def test_exhaustive_tester_equals_a_linear_scan(q, n):
     survey row, in order, whose zero set strictly contains the form's."""
     field = field_from_order(q)
     code = build_code(field, n)
-    rows = survey(q, n).rows
+    rows = survey_rows(q, n)
     for coeffs in itertools.product(range(q), repeat=code.dimension):
         if not any(coeffs):
             continue
@@ -384,7 +423,7 @@ def test_point_index_queries_equal_the_naive_filters(at, positions, row):
     code = build_code(field, n)
     full = code.space.full_mask
     index = survey(q, n)
-    rows = index.rows
+    rows = survey_rows(q, n)
     if row is None:
         zeros = sum(1 << p for p in positions) & full
     else:

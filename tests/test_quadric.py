@@ -627,13 +627,11 @@ def test_classify_scalar_invariance():
 
 def test_hyperplane_confinement_full_grid():
     """Zero set inside a hyperplane iff double hyperplane or conjugate pair."""
-    from conftest import GRID
-
-    from prmquadrics.census import survey
+    from conftest import GRID, survey_rows
 
     for q, n in GRID:
         hyperplanes = projective_space(field_from_order(q), n).flats(n - 1)
-        for coeffs, cls, _, mask in survey(q, n).rows:
+        for coeffs, cls, _, mask in survey_rows(q, n):
             confined = any(mask & ~h == 0 for h in hyperplanes)
             expected = cls in (
                 QuadricClass.DOUBLE_HYPERPLANE,
