@@ -37,6 +37,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 
 from .formexpr import render_form
 from .gf import field_from_order
@@ -53,6 +54,7 @@ from .projspace import bits_to_indices, gaussian_binomial, projective_size
 from .quadric import (
     WITT_SIGN,
     ClassificationReport,
+    InternalInconsistency,
     QuadraticForm,
     QuadricClass,
     _check_class_rank,
@@ -348,16 +350,12 @@ def _containment_chunk(args) -> tuple[array, array, bytes, bytes]:
     and with the scalars of ``iter_span_monic(interpolation_space(...))``.
     That kernel basis has vector i equal to 1 at free column f_i, 0 at the
     other free columns and 0 right of f_i, so the free columns are the
-    members' last nonzero positions, a member's span coordinates are its
-    coefficients there, and the span lists each member scaled to monic
-    coordinates, in ``iter_monic_coeffs`` order of those coordinates: by
-    the free column of its first nonzero coordinate, the lead, left to
-    right, then by the order indices of the scaled coordinates after it.
-    Each witness gets one integer per chunk, a byte per coefficient holding
-    its order index, first coefficient on top.  Masked to the free columns,
-    its top byte is the lead and gives the scalar; the masked integer of
-    the scaled coefficients orders the witnesses of one lead.  Shapes are
-    looked up per chunk by the two rows' class-rank bytes.
+    members' last nonzero positions and a member's span coordinates are its
+    coefficients there.  The span lists each member once, scaled so that
+    its first nonzero coordinate is 1: by the number of zero coordinates
+    before that one, the lead, then by the order indices of the scaled
+    coordinates.  Shapes are looked up per chunk by the two rows'
+    class-rank bytes.
 
     The members vanishing at a point off Z are strict witnesses, at least
     (q**(d-1) - 1)/(q - 1) of them, d = dim I(Z); so F is the only form
@@ -372,13 +370,12 @@ def _containment_chunk(args) -> tuple[array, array, bytes, bytes]:
     codes, labels = index.class_ranks, tuple(index.classes)
     typecode = index.point_index[0].typecode
     field = field_from_order(q)
-    inv, mul, rank, elements = field._inv, field._mul, field._order_index, field.elements
+    inv, mul, rank = field._inv, field._mul, field._order_index
     # ranked[s]: the byte translation c -> order index of s*c.
     ranked = [bytes(rank[mul[s][c]] for c in range(q)) + bytes(256 - q) for s in range(q)]
     m = len(monomials(n))
-    width = 8 * m
-    # row -> (order-index digits, last nonzero coefficient's byte, coefficient bytes)
-    keys: dict[int, tuple] = {}
+    # row -> (coefficient bytes, last nonzero position)
+    rows: dict[int, tuple[bytes, int]] = {}
     shapes: dict[int, int] = {}
     form_rows, witness_rows = array(typecode), array(typecode)
     scalars, shape_codes = bytearray(), bytearray()
@@ -390,37 +387,34 @@ def _containment_chunk(args) -> tuple[array, array, bytes, bytes]:
         if not hits:
             continue
         strict = index.row_numbers(hits)
-        free, keyed = 0, []
+        free = set()
         for j in (*strict, i):
-            key = keys.get(j)
-            if key is None:
-                coeffs = bytes(monic_coeffs_at(field, m, j))
-                digits = int.from_bytes(coeffs.translate(ranked[1]), "big")
-                low = digits & -digits
-                key = keys[j] = (digits, 0xFF << ((low.bit_length() - 1) & -8), coeffs)
-            free |= key[1]
-            keyed.append(key)
-        if len(strict) + 1 != (q ** (free.bit_count() // 8) - 1) // (q - 1):
+            row = rows.get(j)
+            if row is None:
+                data = bytes(monic_coeffs_at(field, m, j))
+                row = rows[j] = (data, len(data.rstrip(b"\0")) - 1)
+            free.add(row[1])
+        if len(strict) + 1 != (q ** len(free) - 1) // (q - 1):
             raise InadmissibleViolation(
                 f"equal zero sets: another form vanishes exactly where {cls.value} rank {rk} does"
             )
+        # At least two free columns now, so the getter returns a tuple.
+        at_free = itemgetter(*sorted(free))
         code = codes[i] << 8  # above every witness's code
         found = []
-        for j, (digits, _, coeffs) in zip(strict, keyed):
-            top = digits & free
-            shift = (top.bit_length() - 1) & -8
-            scalar = inv[elements[top >> shift]]
-            if scalar != 1:
-                top = int.from_bytes(coeffs.translate(ranked[scalar]), "big") & free
+        for j in strict:
+            coords = bytes(at_free(rows[j][0]))
+            tail = coords.lstrip(b"\0")
+            scalar = inv[tail[0]]
             pair = code | codes[j]
             shape = shapes.get(pair)
             if shape is None:
                 name = _admissible_shape(q, cls, rk, *labels[codes[j]][:2])
                 shape = shapes[pair] = _INADMISSIBLE if name is None else SHAPES.index(name)
-            # Leads left to right, then the scaled coordinates: one int.
-            found.append(((width - shift) << width | top, j, scalar, shape))
+            lead = len(coords) - len(tail)
+            found.append((lead, tail.translate(ranked[scalar]), j, scalar, shape))
         found.sort()
-        _, found_rows, found_scalars, found_shapes = zip(*found)
+        _, _, found_rows, found_scalars, found_shapes = zip(*found)
         if _INADMISSIBLE in found_shapes:
             wcls, wrk, _ = labels[codes[found_rows[found_shapes.index(_INADMISSIBLE)]]]
             raise InadmissibleViolation(
@@ -531,7 +525,7 @@ def conic_interpolation_profile(q: int, budget: int | None = None) -> PencilProf
     For every smooth conic in P^2 the forms vanishing on its rational
     points are read from the survey's point index; the profile (members,
     reducible pairs of lines, irreducible conics) must be identical across
-    conics.
+    conics, or ``InternalInconsistency``, a failed check, is raised.
     """
     check_budget(q, 2, budget)
     index = survey(q, 2)
@@ -543,10 +537,8 @@ def conic_interpolation_profile(q: int, budget: int | None = None) -> PencilProf
             classes = [labels[codes[j]][0] for j in index.row_numbers(index.through(mask))]
             pairs = classes.count(QuadricClass.HYPERPLANE_PAIR)
             profiles.add(PencilProfile(len(classes), pairs, classes.count(QuadricClass.PARABOLIC)))
-    if not profiles:
-        raise CensusError("no smooth conics found")
-    if len(profiles) > 1:
-        raise CensusError(
+    if len(profiles) != 1:
+        raise InternalInconsistency(
             f"conic interpolation profile is not uniform: {sorted(profiles, key=repr)}"
         )
     return profiles.pop()

@@ -34,7 +34,7 @@ from .prm import (
     is_minimal_interpolation,
 )
 from .projspace import ProjSpaceError, bits_to_indices, projective_space
-from .quadric import QuadricError, classify, point_set
+from .quadric import InternalInconsistency, QuadricError, classify, point_set
 
 METHODS = {
     "char": "characterization",
@@ -56,6 +56,13 @@ class VerificationFailure(Exception):
     def __init__(self, payload):
         super().__init__("verification failed")
         self.payload = payload
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors, and its subparsers', as one-line ``UsageError``s."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _emit(args, payload: dict, table_lines=None, csv_text=None) -> None:
@@ -180,12 +187,7 @@ def cmd_verify(args) -> int:
             "holds": attained,
         }
     else:
-        try:
-            violations = verify_containment(
-                args.q, args.N, workers=args.workers, budget=args.budget
-            )
-        except InadmissibleViolation as exc:
-            raise VerificationFailure({"target": "containment", "error": str(exc)})
+        violations = verify_containment(args.q, args.N, workers=args.workers, budget=args.budget)
         payload = {
             "target": "containment",
             "q": args.q,
@@ -204,7 +206,7 @@ def cmd_verify(args) -> int:
 
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prmquadrics",
         description="Quadric classification and order-2 projective Reed-Muller "
         "minimal-codeword verification over small finite fields.",
@@ -276,12 +278,8 @@ def _exceeds_max_points(q: int, n: int) -> bool:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         if args.q > MAX_Q:
             raise UsageError(f"field order {args.q} exceeds the supported bound {MAX_Q}")
         if _exceeds_max_points(args.q, args.N):
@@ -299,9 +297,13 @@ def main(argv=None) -> int:
         if args.format == "csv" and args.command != "census":
             raise UsageError(f"subcommand {args.command!r} has no CSV output")
         return args.func(args)
+    except SystemExit as exc:  # --help: errors raise UsageError instead
+        return exc.code
     except VerificationFailure as exc:
-        sys.stderr.write(f"verification failed: {json.dumps(exc.payload, sort_keys=True)}\n")
-        return 1
+        payload = exc.payload
+    except (InadmissibleViolation, InternalInconsistency) as exc:
+        # A check inside the library failed: the theorem, or a counting identity.
+        payload = {"target": getattr(args, "target", args.command), "error": str(exc)}
     except (
         UsageError,
         FormParseError,
@@ -314,6 +316,8 @@ def main(argv=None) -> int:
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    sys.stderr.write(f"verification failed: {json.dumps(payload, sort_keys=True)}\n")
+    return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

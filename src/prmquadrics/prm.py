@@ -52,6 +52,7 @@ from .projspace import bits_to_indices, projective_space
 from .quadric import (
     WITT_SIGN,
     DimensionMismatch,
+    InternalInconsistency,
     QuadraticForm,
     QuadricClass,
     ZeroForm,
@@ -601,7 +602,7 @@ def is_minimal_interpolation(code: PrmCode, form: QuadraticForm) -> MinimalityVe
     for candidate in iter_span_monic(code.field, basis):
         if point_set(candidate).bit_count() > count:
             return MinimalityVerdict(minimal=False, method="interpolation", witness=candidate)
-    raise RuntimeError(f"a span of dimension {len(basis)} holds no larger zero set")
+    raise InternalInconsistency(f"a span of dimension {len(basis)} holds no larger zero set")
 
 
 def is_minimal_exhaustive(code: PrmCode, codeword: Codeword) -> MinimalityVerdict:

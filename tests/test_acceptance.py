@@ -35,7 +35,7 @@ from prmquadrics.prm import (
     is_minimal_exhaustive,
     is_minimal_interpolation,
 )
-from prmquadrics.projspace import projective_size
+from prmquadrics.projspace import gaussian_binomial, projective_size
 from prmquadrics.quadric import (
     QuadraticForm,
     QuadricClass,
@@ -134,17 +134,21 @@ def _containment_digest(violations) -> str:
     return hashlib.md5(repr(found).encode()).hexdigest()
 
 
+# The small side of each admissible shape, (class, rank).
+_SHAPE_FORMS = {
+    "rank3_in_hyperplane_pair": (QuadricClass.PARABOLIC, 3),
+    "elliptic4_in_hyperbolic4": (QuadricClass.ELLIPTIC, 4),
+    "elliptic4_in_hyperplane_pair": (QuadricClass.ELLIPTIC, 4),
+}
+
+
 def test_criterion_5_containment_theorem():
-    shapes_23 = {v.shape for v in verify_containment(2, 3)}
-    assert shapes_23 == {
-        "elliptic4_in_hyperbolic4",
-        "rank3_in_hyperplane_pair",
-        "elliptic4_in_hyperplane_pair",
-    }
-    found_33 = verify_containment(3, 3)
+    found = {(q, n): verify_containment(q, n) for q, n in GRID + BEYOND}
+    assert {v.shape for v in found[2, 3]} == set(_SHAPE_FORMS)
+    found_33 = found[3, 3]
     assert _shape_counts(found_33) == {"rank3_in_hyperplane_pair": 28_080}
     assert _containment_digest(found_33) == "888b5fd0822ddaa54b02d85aa5927bd6"
-    found_24 = verify_containment(2, 4)
+    found_24 = found[2, 4]
     assert _shape_counts(found_24) == {
         "elliptic4_in_hyperbolic4": 78_120,
         "elliptic4_in_hyperplane_pair": 78_120,
@@ -152,11 +156,32 @@ def test_criterion_5_containment_theorem():
     }
     assert _containment_digest(found_24) == "e3dddc8f4a8ed1e4706f0afce08b3526"
     for q in (4, 5, 7, 8):
-        assert verify_containment(q, 2) == [], q
+        assert found[q, 2] == [], q
+    # Witnesses per form of each shape, read where the shape first occurs:
+    # the reducible members through a smooth conic's points, and the (2,3)
+    # count over that space's 168 elliptic quadrics.  A cone's witnesses lie
+    # in the span through its zero set, whose dimension does not depend on
+    # N, so one count per form fixes every grid point's pair count.
+    per_form = {
+        (q, "rank3_in_hyperplane_pair"): conic_interpolation_profile(q).reducible for q in (2, 3)
+    }
+    elliptic = orbit_count(QuadricClass.ELLIPTIC, 4, 2)
+    for shape in ("elliptic4_in_hyperbolic4", "elliptic4_in_hyperplane_pair"):
+        per_form[2, shape], rest = divmod(found[2, 3].shape_counts()[shape], elliptic)
+        assert rest == 0, shape
+    assert sorted(per_form.values()) == [3, 6, 15, 15]
+    for (q, n), table in found.items():
+        closed = {
+            shape: gaussian_binomial(n + 1, r, q) * orbit_count(cls, r, q) * per_form[q, shape]
+            for shape, (cls, r) in _SHAPE_FORMS.items()
+            if r <= n + 1 and (q, shape) in per_form
+        }
+        assert table.shape_counts() == closed, (q, n)
     assert verify_exception_example()
     _passed(
         5,
-        "only admissible nestings on (2,3), (2,4), (3,3), pinned exactly at (2,4) and (3,3); "
+        "only admissible nestings on (2,2), (2,3), (2,4), (3,2), (3,3), pinned exactly at "
+        "(2,4) and (3,3) and equal to cones times orbits times witnesses per form; "
         "none on (4,2), (5,2), (7,2), (8,2); 5-in-9 pair confirmed",
     )
 

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prmquadrics
+from prmquadrics import prm, quadric
 from prmquadrics.cli import MAX_BUDGET, main
-from prmquadrics.prm import survey
+from prmquadrics.prm import Survey, survey
 
 
 def run_cli(argv):
@@ -140,10 +141,8 @@ def test_verify_containment_equal_zero_set_exits_1(hidden_strict_witness):
     assert err == f"verification failed: {json.dumps(payload, sort_keys=True)}\n"
 
 
-# Form tokens are joined by spaces, and no token but "-" itself starts with
-# "-", so argparse always reads the soup as one positional argument.
 _FORM_TOKENS = ("X0", "X1", "X3", "X9", "x2", "^2", "^", "*", "+", "-", "(", ")", "z", "z^3",
-                "2", "0", "\u00b2", "X")
+                "2", "0", "\u00b2", "X", " ")
 
 
 @st.composite
@@ -159,7 +158,7 @@ def _argv(draw):
     budget = ["--budget", str(draw(st.sampled_from([-1, 0, 10, 400, MAX_BUDGET + 1, 10**30])))]
     form = draw(
         st.sampled_from(["X0*X1 + X2^2", "X0^2 + X1*X2", "X0*X1", "z*X0^2 + X1^2 + X0*X1"])
-        | st.lists(st.sampled_from(_FORM_TOKENS), min_size=1, max_size=6).map(" ".join)
+        | st.lists(st.sampled_from(_FORM_TOKENS), min_size=1, max_size=6).map("".join)
     )
     if command in ("classify", "points"):
         return [command, form, *tail]
@@ -177,12 +176,13 @@ def _argv(draw):
 @given(argv=_argv())
 def test_any_command_line_exits_0_1_or_2(argv):
     """Every command line exits 0, 1 or 2, never with a traceback, and a
-    usage error is one line on stderr."""
+    usage error or a failed check is one line on stderr."""
     code, _, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
-    if code == 2:
-        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    if code:
+        prefix = "error: " if code == 2 else "verification failed: "
+        assert err.startswith(prefix) and err.count("\n") == 1, (argv, err)
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -193,7 +193,6 @@ def test_usage_errors_exit_2(tmp_path):
         ["classify", "X0^2", "--q", "27", "--N", "2"],        # beyond max order
         ["classify", "0", "--q", "2", "--N", "2"],            # zero form
         ["census", "--q", "2", "--N", "5"],                   # budget exceeded
-        ["code", "info"],                                     # missing --q/--N
         ["minimal", "X0^2", "--q", "4", "--N", "2", "--format", "csv"],  # no csv here
     ]
     one_line = [
@@ -222,6 +221,11 @@ def test_usage_errors_exit_2(tmp_path):
         ["verify", "serre", "--q", "1", "--N", "2"],
         ["verify", "containment", "--q", "1", "--N", "2"],
         ["verify", "pencil", "--q", "1"],
+        # argparse's own errors, a form read as an option among them
+        ["classify", "-X0^2", "--q", "3", "--N", "2"],
+        ["census", "--q", "2", "--N", "2", "--method", "bogus"],
+        ["verify", "containment", "--q", "x"],
+        ["code", "info"],                                     # missing --q/--N
     ]
     for argv in cases + one_line:
         code, _, err = run_cli(argv)
@@ -234,6 +238,55 @@ def test_usage_errors_exit_2(tmp_path):
     for command, form in (("classify", "X0^2"), ("points", "0")):
         _, _, err = run_cli([command, form, "--q", "2", "--N", "-1"])
         assert err == "error: --N must be at least 0, got -1\n", err
+
+
+def test_help_exits_0():
+    for argv in (["--help"], ["classify", "--help"], ["verify", "--help"]):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "") and out.startswith("usage: prmquadrics"), argv
+
+
+def _failed_check(argv) -> dict:
+    """The payload of the one ``verification failed:`` line that ``argv``
+    prints, having exited 1 with nothing on stdout."""
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "") and err.count("\n") == 1, (argv, code, err)
+    assert err.startswith("verification failed: "), err
+    return json.loads(err.removeprefix("verification failed: "))
+
+
+def test_unequal_conic_profiles_exit_1(monkeypatch):
+    """Hide one member through the first conic only: the profiles differ."""
+    row_numbers, calls = Survey.row_numbers, []
+
+    def first_conic_short(self, mask):
+        calls.append(mask)
+        rows = row_numbers(self, mask)
+        return rows[:-1] if len(calls) == 1 else rows
+
+    monkeypatch.setattr(Survey, "row_numbers", first_conic_short)
+    payload = _failed_check(["verify", "pencil", "--q", "3"])
+    assert payload["target"] == "pencil"
+    assert payload["error"].startswith("conic interpolation profile is not uniform: ")
+
+
+def test_failed_counting_identity_exits_1(monkeypatch):
+    """A point count off by one matches no class formula in ``discriminate``."""
+    discriminate = quadric.discriminate
+    monkeypatch.setattr(
+        quadric, "discriminate", lambda rk, count, n, q: discriminate(rk, count + 1, n, q)
+    )
+    payload = _failed_check(["classify", "X0^2+X1*X2", "--q", "3", "--N", "2"])
+    assert payload == {"target": "classify", "error": "rank-3 form with 5 points"}
+
+
+def test_span_without_a_larger_zero_set_exits_1(monkeypatch):
+    monkeypatch.setattr(prm, "iter_span_monic", lambda field, basis: iter(()))
+    payload = _failed_check(["minimal", "X0^2+X1*X2", "--q", "3", "--N", "2", "--method", "interp"])
+    assert payload == {
+        "target": "minimal",
+        "error": "a span of dimension 2 holds no larger zero set",
+    }
 
 
 def test_csv_refused_before_any_scan():

@@ -1,12 +1,19 @@
 """Packaging promises that no single module test can see."""
 
 import ast
+import io
+import json
 import pathlib
 import re
+import shlex
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
 
 import prmquadrics
+from prmquadrics.cli import main
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_package_imports_only_the_standard_library():
@@ -89,3 +96,26 @@ def test_every_definition_is_reached_by_the_package():
             if not hit and node.name not in words | TEST_ONLY:
                 unreached.append(f"{module}:{node.name}")
     assert not unreached, unreached
+
+
+def _readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under README's ``## heading``."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run():
+    """Each ``prmquadrics`` line of README's CLI block exits 0 with JSON on
+    stdout, run in process, and its library example runs: the docs cannot
+    drift from the code."""
+    lines = [line for line in _readme_block("CLI", "sh").splitlines() if line.strip()]
+    assert lines and all(line.startswith("prmquadrics ") for line in lines), lines
+    for line in lines:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(shlex.split(line)[1:])
+        assert code == 0, line
+        json.loads(out.getvalue())
+    namespace: dict = {}
+    exec(_readme_block("Library example", "python"), namespace)
+    assert namespace["report"].rank == 4 and namespace["report"].point_count == 5
