@@ -53,7 +53,6 @@ from .prm import (
 from .projspace import bits_to_indices, gaussian_binomial, projective_size
 from .quadric import (
     WITT_SIGN,
-    ClassificationReport,
     InternalInconsistency,
     QuadraticForm,
     QuadricClass,
@@ -278,8 +277,8 @@ class ContainmentViolation:
     """One strict nesting: the zero set of ``form`` lies strictly inside
     that of ``witness``.  Two survey rows at (q, n), ``row`` the form's
     and ``witness_row`` the witness's, with the witness ``scalar`` times
-    its row; the forms are decoded from the row numbers and the reports
-    classified on each read."""
+    its row; the forms are decoded from the row numbers on each read,
+    and classified only in ``to_json``."""
 
     q: int
     n: int
@@ -300,20 +299,13 @@ class ContainmentViolation:
     def witness(self) -> QuadraticForm:
         return self._decode(self.witness_row).scale(self.scalar)
 
-    @property
-    def form_report(self) -> ClassificationReport:
-        return classify(self.form)
-
-    @property
-    def witness_report(self) -> ClassificationReport:
-        return classify(self.witness)
-
     def to_json(self) -> dict:
+        form, witness = self.form, self.witness
         return {
-            "form": render_form(self.form),
-            "form_report": self.form_report.to_json(),
-            "witness": render_form(self.witness),
-            "witness_report": self.witness_report.to_json(),
+            "form": render_form(form),
+            "form_report": classify(form).to_json(),
+            "witness": render_form(witness),
+            "witness_report": classify(witness).to_json(),
             "shape": self.shape,
         }
 
@@ -451,9 +443,6 @@ class ContainmentTable(Sequence):
             return [self[i] for i in range(*k.indices(len(self)))]
         row, witness, scalar = self.form_rows[k], self.witness_rows[k], self.scalars[k]
         return ContainmentViolation(self.q, self.n, row, witness, scalar, SHAPES[self.shapes[k]])
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):

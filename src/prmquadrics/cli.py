@@ -2,7 +2,7 @@
 
 Subcommands analyze a single form (classify, points, minimal), describe the
 code (code info), or drive the exhaustive verifications (census, verify).
-Output is JSON by default; censuses also emit CSV or an aligned table.
+Output is JSON by default or an aligned table; censuses also emit CSV.
 Exit status: 0 success / verification passed, 1 verification failed,
 2 usage error.
 """
@@ -62,6 +62,8 @@ class _Parser(argparse.ArgumentParser):
     """Raises its errors, and its subparsers', as one-line ``UsageError``s."""
 
     def error(self, message):
+        if message.startswith("the following arguments are required: form"):
+            message += " (a form starting with '-' goes after '--')"
         raise UsageError(message)
 
 
@@ -213,10 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=("json", "table")):
         p.add_argument("--q", type=int, required=True, help="field order (prime power <= 25)")
         p.add_argument("--N", type=int, required=True, help="ambient projective dimension")
-        p.add_argument("--format", choices=("json", "csv", "table"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", metavar="FILE", default=None, help="write output to FILE")
 
     p = sub.add_parser("classify", help="classify a quadratic form")
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=None,
         help="max survey rows: (q**dim - 1)/(q - 1) forms up to scalar",
     )
-    common(p)
+    common(p, ("json", "csv", "table"))
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify", help="run an exhaustive verification")
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--limit", type=int, default=10, help="violations to include in the dump")
-    p.add_argument("--format", choices=("json", "csv", "table"), default="json")
+    p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out", metavar="FILE", default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -294,8 +296,6 @@ def main(argv=None) -> int:
             raise UsageError(
                 f"--budget {args.budget} exceeds the supported bound {MAX_BUDGET}"
             )
-        if args.format == "csv" and args.command != "census":
-            raise UsageError(f"subcommand {args.command!r} has no CSV output")
         return args.func(args)
     except SystemExit as exc:  # --help: errors raise UsageError instead
         return exc.code

@@ -31,6 +31,7 @@ from prmquadrics.census import (
 from prmquadrics.gf import field_from_order
 from prmquadrics.prm import (
     build_code,
+    interpolation_kernel,
     is_minimal_characterization,
     is_minimal_exhaustive,
     is_minimal_interpolation,
@@ -44,6 +45,7 @@ from prmquadrics.quadric import (
     classify,
     closed_form_projective_index,
     expected_point_count,
+    point_set,
     projective_index_bruteforce,
     restrict_to_hyperplane,
     substitute,
@@ -170,13 +172,35 @@ def test_criterion_5_containment_theorem():
         per_form[2, shape], rest = divmod(found[2, 3].shape_counts()[shape], elliptic)
         assert rest == 0, shape
     assert sorted(per_form.values()) == [3, 6, 15, 15]
-    for (q, n), table in found.items():
-        closed = {
+    # The same counts derived: the forms through such a zero set span
+    # d = 5 - q dimensions (rank 3, q <= 3) or 5 (elliptic rank 4, q = 2)
+    # at every N, and the span's other monic members are the witnesses.
+    dims = {(q, QuadricClass.PARABOLIC, 3): 5 - q for q in (2, 3)}
+    dims[2, QuadricClass.ELLIPTIC, 4] = 5
+    for (q, cls, r), d in dims.items():
+        field = field_from_order(q)
+        for n in range(r - 1, 7):
+            zeros = point_set(canonical_form(field, n, cls, r))
+            assert len(interpolation_kernel(build_code(field, n), zeros)) == d, (q, n, cls)
+        shapes = [shape for shape, form in _SHAPE_FORMS.items() if form == (cls, r)]
+        witnesses = sum(per_form[q, shape] for shape in shapes)
+        assert (q**d - 1) // (q - 1) - 1 == witnesses, (q, cls)
+
+    def closed(q, n):
+        return {
             shape: gaussian_binomial(n + 1, r, q) * orbit_count(cls, r, q) * per_form[q, shape]
             for shape, (cls, r) in _SHAPE_FORMS.items()
             if r <= n + 1 and (q, shape) in per_form
         }
-        assert table.shape_counts() == closed, (q, n)
+
+    for (q, n), table in found.items():
+        assert table.shape_counts() == closed(q, n), (q, n)
+    # At (2,5), past every scan here, the counts an exhaustive run found.
+    assert closed(2, 5) == {
+        "rank3_in_hyperplane_pair": 234_360,
+        "elliptic4_in_hyperbolic4": 1_640_520,
+        "elliptic4_in_hyperplane_pair": 1_640_520,
+    }
     assert verify_exception_example()
     _passed(
         5,

@@ -40,6 +40,7 @@ from prmquadrics.quadric import (
     InconsistentClassRank,
     QuadraticForm,
     QuadricClass,
+    classify,
     expected_point_count,
     monomials,
     point_set,
@@ -288,8 +289,8 @@ def test_containment_shapes_p2():
     assert {v.shape for v in v32} == {"rank3_in_hyperplane_pair"}
     assert len(v32) == 234 * 3
     for v in violations:
-        assert v.form_report.rank == 3
-        assert v.witness_report.quadric_class is QuadricClass.HYPERPLANE_PAIR
+        assert classify(v.form).rank == 3
+        assert classify(v.witness).quadric_class is QuadricClass.HYPERPLANE_PAIR
     payload = violations[0].to_json()
     assert set(payload) == {"form", "form_report", "witness", "witness_report", "shape"}
 

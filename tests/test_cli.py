@@ -193,7 +193,6 @@ def test_usage_errors_exit_2(tmp_path):
         ["classify", "X0^2", "--q", "27", "--N", "2"],        # beyond max order
         ["classify", "0", "--q", "2", "--N", "2"],            # zero form
         ["census", "--q", "2", "--N", "5"],                   # budget exceeded
-        ["minimal", "X0^2", "--q", "4", "--N", "2", "--format", "csv"],  # no csv here
     ]
     one_line = [
         ["census", "--q", "2", "--N", "2", "--workers", "0"],
@@ -226,6 +225,8 @@ def test_usage_errors_exit_2(tmp_path):
         ["census", "--q", "2", "--N", "2", "--method", "bogus"],
         ["verify", "containment", "--q", "x"],
         ["code", "info"],                                     # missing --q/--N
+        ["minimal", "X0^2", "--q", "4", "--N", "2", "--format", "csv"],  # census only
+        ["classify", "X0^2", "--q", "3", "--N", "2", "--format", "csv"],
     ]
     for argv in cases + one_line:
         code, _, err = run_cli(argv)
@@ -235,6 +236,8 @@ def test_usage_errors_exit_2(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     _, _, err = run_cli(["verify", "serre", "--q", "2", "--N", "0"])
     assert "N >= 1" in err, err
+    _, _, err = run_cli(["classify", "-X0^2", "--q", "3", "--N", "2"])
+    assert "'--'" in err, err
     for command, form in (("classify", "X0^2"), ("points", "0")):
         _, _, err = run_cli([command, form, "--q", "2", "--N", "-1"])
         assert err == "error: --N must be at least 0, got -1\n", err
@@ -294,7 +297,8 @@ def test_csv_refused_before_any_scan():
     code, out, err = run_cli(
         ["verify", "containment", "--q", "2", "--N", "4", "--format", "csv", "--workers", "1"]
     )
-    assert (code, out, err) == (2, "", "error: subcommand 'verify' has no CSV output\n")
+    assert (code, out) == (2, "")
+    assert err == "error: argument --format: invalid choice: 'csv' (choose from 'json', 'table')\n"
     assert survey.cache_info() == before
 
 

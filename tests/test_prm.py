@@ -2,12 +2,20 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIELD_ORDERS, GRID, random_form, survey_rows
+from conftest import (
+    FIELD_ORDERS,
+    GRID,
+    mat_vec,
+    random_form,
+    random_invertible,
+    survey_rows,
+)
 
 from prmquadrics.census import brute_force_census
 from prmquadrics.gf import field_create, field_from_order
@@ -17,6 +25,7 @@ from prmquadrics.prm import (
     Codeword,
     ZeroCodeword,
     build_code,
+    check_budget,
     interpolation_kernel,
     interpolation_space,
     is_minimal_characterization,
@@ -27,7 +36,13 @@ from prmquadrics.prm import (
     monic_coeffs_at,
     survey,
 )
-from prmquadrics.projspace import bits_to_indices
+from prmquadrics.projspace import (
+    bits_to_indices,
+    normalize,
+    projective_size,
+    projective_space,
+    subspace_from_vectors,
+)
 from prmquadrics.quadric import (
     InconsistentClassRank,
     QuadraticForm,
@@ -40,6 +55,7 @@ from prmquadrics.quadric import (
     monomials,
     point_set,
     radical_quadratic,
+    substitute,
 )
 
 F2 = field_create(2, 1)
@@ -461,3 +477,122 @@ def test_verdict_scalar_invariance():
             assert is_minimal_characterization(g).minimal == base_char
             assert is_minimal_interpolation(code, g).minimal == base_interp
             assert is_minimal_exhaustive(code, code.encode(g)).minimal == base_exh
+
+
+# The classes up to rank 5: every non-minimal shape among them.
+_LOW_SHAPES = (
+    (QuadricClass.DOUBLE_HYPERPLANE, 1),
+    (QuadricClass.HYPERPLANE_PAIR, 2),
+    (QuadricClass.CONJUGATE_PAIR, 2),
+    (QuadricClass.PARABOLIC, 3),
+    (QuadricClass.HYPERBOLIC, 4),
+    (QuadricClass.ELLIPTIC, 4),
+    (QuadricClass.PARABOLIC, 5),
+)
+
+
+def _moved_case(q, n, shape, seed):
+    """(F, T) on P^n over GF(q): F a random form when ``shape`` is None,
+    else the canonical form of that (class, rank) under a random change of
+    variables, and T a random invertible matrix."""
+    field, rng = field_from_order(q), random.Random(seed)
+    if shape is None:
+        form = random_form(field, n, rng)
+    else:
+        form = substitute(canonical_form(field, n, *shape), random_invertible(field, n + 1, rng))
+    return form, random_invertible(field, n + 1, rng)
+
+
+@st.composite
+def _form_and_substitution(draw):
+    """A ``_moved_case`` on a P^N of at most 2,000 points over any
+    supported field."""
+    q = draw(st.sampled_from(FIELD_ORDERS))
+    top = max(k for k in range(1, 11) if projective_size(q, k) <= 2_000)
+    n = min(draw(st.integers(1, 10)), top)
+    shapes = [shape for shape in _LOW_SHAPES if shape[1] <= n + 1]
+    shape = draw(st.none() | st.sampled_from(shapes))
+    return _moved_case(q, n, shape, draw(st.integers(0, 2**32)))
+
+
+# Non-minimal forms with a non-degenerate small side, and the largest spaces.
+_MOVED_EXAMPLES = (
+    _moved_case(2, 3, (QuadricClass.ELLIPTIC, 4), 1),
+    _moved_case(3, 2, (QuadricClass.PARABOLIC, 3), 2),
+    _moved_case(2, 10, (QuadricClass.PARABOLIC, 3), 3),
+    _moved_case(25, 2, None, 4),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(case=_form_and_substitution())
+@example(case=_MOVED_EXAMPLES[0])
+@example(case=_MOVED_EXAMPLES[1])
+@example(case=_MOVED_EXAMPLES[2])
+@example(case=_MOVED_EXAMPLES[3])
+def test_substitution_moves_the_point_set_and_keeps_the_report(case):
+    """G = F(T y): y is a zero of G iff T y is one of F, the two reports
+    agree but for the singular locus, and T maps G's onto F's."""
+    form, t = case
+    field, n = form.field, form.ambient
+    moved = substitute(form, t)
+    space = projective_space(field, n)
+    where = {pt: i for i, pt in enumerate(space.points)}
+    zeros = point_set(form)
+    pulled = sum(
+        1 << i
+        for i, y in enumerate(space.points)
+        if zeros >> where[normalize(field, mat_vec(field, t, y))] & 1
+    )
+    assert point_set(moved) == pulled
+    a, b = classify(form), classify(moved)
+    assert (a.quadric_class, a.rank, a.point_count, a.projective_index) == (
+        b.quadric_class, b.rank, b.point_count, b.projective_index,
+    )
+    image = [mat_vec(field, t, p) for p in b.singular_locus.spanning]
+    assert a.singular_locus == subspace_from_vectors(field, n, image)
+
+
+def _larger_members(code, form) -> Counter:
+    """(class, rank) per monic member of I(Z) with more zeros than Z."""
+    zeros = point_set(form)
+    reports = (
+        classify(member)
+        for member in iter_span_monic(code.field, interpolation_space(code, zeros))
+        if point_set(member).bit_count() > zeros.bit_count()
+    )
+    return Counter((r.quadric_class, r.rank) for r in reports)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(case=_form_and_substitution())
+@example(case=_MOVED_EXAMPLES[0])
+@example(case=_MOVED_EXAMPLES[1])
+@example(case=_MOVED_EXAMPLES[2])
+@example(case=_MOVED_EXAMPLES[3])
+def test_substitution_keeps_minimality(case):
+    """F and G = F(T y) have interpolation spans of equal dimension, the same
+    verdict from each tester (the exhaustive one within the default
+    budget) and, for a non-minimal F with a non-degenerate small side, the
+    same (class, rank) multiset of strictly larger span members."""
+    form, t = case
+    field, n = form.field, form.ambient
+    moved = substitute(form, t)
+    code = build_code(field, n)
+    dims = [len(interpolation_kernel(code, point_set(f))) for f in (form, moved)]
+    assert dims[0] == dims[1]
+    verdicts = [
+        (is_minimal_characterization(f).minimal, is_minimal_interpolation(code, f).minimal)
+        for f in (form, moved)
+    ]
+    assert verdicts[0] == verdicts[1]
+    try:
+        check_budget(field.q, n)
+    except BudgetExceeded:
+        pass
+    else:
+        exhaustive = [is_minimal_exhaustive(code, code.encode(f)).minimal for f in (form, moved)]
+        assert exhaustive[0] == exhaustive[1] == verdicts[0][0]
+    degenerate = (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.CONJUGATE_PAIR)
+    if dims[0] > 1 and classify(form).quadric_class not in degenerate:
+        assert _larger_members(code, form) == _larger_members(code, moved)
