@@ -34,6 +34,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from array import array
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -50,7 +51,7 @@ from .prm import (
     monic_coeffs_at,
     survey,
 )
-from .projspace import bits_to_indices, gaussian_binomial, projective_size
+from .projspace import gaussian_binomial, projective_size
 from .quadric import (
     WITT_SIGN,
     InternalInconsistency,
@@ -192,7 +193,10 @@ def _scan(chunk_fn, args, q: int, n: int, workers: int):
     parts = -(-total // _RANGE_FORMS)
     bounds = [total * k // parts for k in range(parts + 1)]
     ranges = [(*args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    if workers <= 1:
+    # A pool of one worker only adds its start-up: such a scan runs in process.
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    size = min(workers, parts, len(cpus) or os.cpu_count() or 1)
+    if size <= 1:
         yield from map(chunk_fn, ranges)
         return
     # Forked workers inherit the survey computed above; under other start
@@ -200,8 +204,6 @@ def _scan(chunk_fn, args, q: int, n: int, workers: int):
     # the OS allows it, each worker keeps a CPU of its own: left alone, the
     # scheduler may start two forked workers on one CPU and leave the other
     # idle for a second, which at (3,3) is most of the scan.
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    size = min(workers, parts, len(cpus) or os.cpu_count() or 1)
     slots = multiprocessing.SimpleQueue()
     for cpu in cpus[:size]:
         slots.put(cpu)
@@ -511,21 +513,18 @@ class PencilProfile:
 def conic_interpolation_profile(q: int, budget: int | None = None) -> PencilProfile:
     """Common profile of the linear system through a smooth conic's points.
 
-    For every smooth conic in P^2 the forms vanishing on its rational
-    points are read from the survey's point index; the profile (members,
-    reducible pairs of lines, irreducible conics) must be identical across
-    conics, or ``InternalInconsistency``, a failed check, is raised.
+    Every other member of the system has more points than the conic or the
+    same ones.  The containment scan at N = 2 admits the first kind only as
+    pairs of lines, and its member count rules out the second; so a conic
+    with w pairs in ``verify_containment(q, 2)`` (w = 0 for a conic with
+    none) has the profile (members w + 1, reducible pairs of lines w,
+    irreducible conics 1).  The profile must be identical across conics,
+    or ``InternalInconsistency``, a failed check, is raised.
     """
-    check_budget(q, 2, budget)
-    index = survey(q, 2)
-    codes, labels = index.class_ranks, tuple(index.classes)
-    profiles = set()
-    for (_, rk, _), conics in index.classes.items():
-        for i in bits_to_indices(conics) if rk == 3 else ():
-            (mask,) = index.masks(i, i + 1)
-            classes = [labels[codes[j]][0] for j in index.row_numbers(index.through(mask))]
-            pairs = classes.count(QuadricClass.HYPERPLANE_PAIR)
-            profiles.add(PencilProfile(len(classes), pairs, classes.count(QuadricClass.PARABOLIC)))
+    pairs = Counter(verify_containment(q, 2, budget=budget).form_rows)
+    conics = class_rank_census(q, 2)[QuadricClass.PARABOLIC, 3]
+    counts = set(pairs.values()) | ({0} if len(pairs) < conics else set())
+    profiles = {PencilProfile(w + 1, w, 1) for w in counts}
     if len(profiles) != 1:
         raise InternalInconsistency(
             f"conic interpolation profile is not uniform: {sorted(profiles, key=repr)}"

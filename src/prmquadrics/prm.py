@@ -16,9 +16,10 @@ bit i stands for row i give the rows where the form takes each value
 there, and the zero buckets are the point index.  Polarization gives the
 singular points, and bit-sliced counters the zero and singular counts, so
 each (class, rank, zero count) is one row mask and the census reductions
-are popcounts.  The first query reorders the index by zero count, most
-zeros first, so the rows that can contain a zero set of size c are a
-prefix, and the ANDs over a point set run only over it, stopping once 0.
+are popcounts.  The one query, ``Survey.strictly_through``, first
+reorders the index by zero count, most zeros first, so the rows that can
+strictly contain a zero set of size c are a prefix, and the ANDs over a
+point set run only over it, stopping once 0.
 A row's zero mask is read back off that index, its class and rank from
 one byte, its coefficients from its row number.  The scans the CLI runs
 and the exhaustive tester pass ``check_budget`` before they build a
@@ -193,9 +194,9 @@ class Survey:
     ``classes`` maps each (class, rank, zero count) to the mask of its
     rows, in order of each key's first row.  ``columns[p]``, held only
     until ``point_index`` is built from it, has bit i set when row i's zero
-    set contains point p.  The queries (``through``, ``strictly_through``)
-    answer in index order, by zero count, most zeros first; ``row_numbers``
-    maps an answer to survey rows.  ``masks`` reads zero masks back off the
+    set contains point p.  The one query, ``strictly_through``, answers in
+    index order, by zero count, most zeros first; ``row_numbers`` maps an
+    answer to survey rows.  ``masks`` reads zero masks back off the
     index, ``class_ranks`` gives each row's key in ``classes``, and the
     coefficients decode from the row number (:func:`monic_coeffs_at`).
     """
@@ -302,27 +303,18 @@ class Survey:
             out += self._block[1][max(start - low, 0) : stop - low]
         return out
 
-    def _through(self, zeros: int, count: int) -> int:
-        """The mask, in index order, of the rows with at least ``count``
-        zeros whose zero set contains ``zeros``.  The points are peeled off
-        the top, so the ANDs stop as soon as the running AND is 0."""
+    def strictly_through(self, zeros: int) -> int:
+        """The mask, in index order, of the rows whose zero set strictly
+        contains ``zeros``: those with more zeros whose zero set contains
+        it.  The points are peeled off the top, so the ANDs stop as soon
+        as the running AND is 0."""
         _, columns, at_least = self.point_index
-        through = at_least[count]
+        through = at_least[zeros.bit_count() + 1]
         while zeros and through:
             p = zeros.bit_length() - 1
             through &= columns[p]
             zeros ^= 1 << p
         return through
-
-    def through(self, zeros: int) -> int:
-        """The mask, in index order, of the rows whose zero set contains
-        ``zeros``."""
-        return self._through(zeros, zeros.bit_count())
-
-    def strictly_through(self, zeros: int) -> int:
-        """The mask, in index order, of the rows whose zero set strictly
-        contains ``zeros``: those of ``through`` with more zeros."""
-        return self._through(zeros, zeros.bit_count() + 1)
 
     def row_numbers(self, mask: int) -> list[int]:
         """The survey rows of a mask in index order."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +14,7 @@ from prmquadrics.gf import Field, field_from_order
 from prmquadrics.linalg import matrix_rank, vec_add, vec_scale
 from prmquadrics.prm import Survey, monic_coeffs_at, survey
 from prmquadrics.projspace import LinearSubspace, normalize
-from prmquadrics.quadric import QuadraticForm, monomials
+from prmquadrics.quadric import QuadraticForm, QuadricClass, expected_point_count, monomials
 
 # Every exhaustively checkable (q, N) this artifact is required to cover.
 GRID = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2))
@@ -113,6 +114,20 @@ def hidden_strict_witness(monkeypatch):
     patch."""
     row_numbers = Survey.row_numbers
     monkeypatch.setattr(Survey, "row_numbers", lambda self, mask: row_numbers(self, mask)[:-1])
+
+
+@pytest.fixture
+def no_form_at_the_serre_bound(monkeypatch):
+    """Give ``serre_scan`` a survey whose class keys at the Serre bound are
+    gone, as if no form attained it."""
+    real = census.survey
+
+    def patched(q, n):
+        bound = expected_point_count(QuadricClass.HYPERPLANE_PAIR, 2, n, q)
+        classes = {key: rows for key, rows in real(q, n).classes.items() if key[2] != bound}
+        return SimpleNamespace(classes=classes)
+
+    monkeypatch.setattr(census, "survey", patched)
 
 
 def pytest_collection_modifyitems(config, items):

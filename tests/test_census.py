@@ -1,6 +1,7 @@
 """Counting formulas against exhaustive enumeration."""
 
 import hashlib
+import multiprocessing
 import os
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import FIELD_ORDERS, GRID, brute_dict, survey_rows
 from prmquadrics.census import (
     SHAPES,
     InadmissibleViolation,
+    PencilProfile,
     _admissible_shape,
     _scan,
     brute_force_census,
@@ -250,6 +252,25 @@ def test_scan_workers_keep_a_cpu_each():
     assert os.sched_getaffinity(0) == before
     assert all(len(cpus) == 1 and cpus <= before for cpus in seen.values())
     assert len(set(seen.values())) == len(seen)
+
+
+def test_a_pool_of_one_is_no_pool(monkeypatch):
+    """A scan of one range, or on one usable CPU, runs in process whatever
+    ``workers`` is, with the serial result."""
+    serial = (
+        verify_containment(2, 2),
+        brute_force_census(2, 2, "interpolation"),
+        verify_containment(2, 3),
+    )
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert verify_containment(2, 2, workers=2) == serial[0]
+    assert brute_force_census(2, 2, "interpolation", workers=2) == serial[1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert verify_containment(2, 3, workers=2) == serial[2]
 
 
 def test_budget_guard():
@@ -524,6 +545,18 @@ def test_serre_scan_small():
     assert bound3 == 2 * 3 + 1 and max3 == bound3 and att3
 
 
+def test_unmet_serre_bound_is_not_attained(no_form_at_the_serre_bound):
+    bound, max_seen, attained = serre_scan(2, 2)
+    assert (bound, attained) == (5, False) and max_seen < bound
+
+
+def test_no_cone_in_a_hyperplane_pair_past_q_3():
+    """The rank-3 shape needs q <= 3: from q = 4 on it is no shape."""
+    for q in FIELD_ORDERS:
+        shape = _admissible_shape(q, P, 3, QuadricClass.HYPERPLANE_PAIR, 2)
+        assert shape == ("rank3_in_hyperplane_pair" if q <= 3 else None), q
+
+
 def test_pencil_profiles():
     p3 = conic_interpolation_profile(3)
     assert (p3.members, p3.reducible, p3.irreducible) == (4, 3, 1)
@@ -531,6 +564,27 @@ def test_pencil_profiles():
     assert (p2.members, p2.reducible, p2.irreducible) == (7, 6, 1)
     p4 = conic_interpolation_profile(4)
     assert (p4.members, p4.reducible, p4.irreducible) == (1, 0, 1)
+
+
+def test_pencil_profiles_equal_the_naive_count():
+    """Criterion 7 by a route that shares no code with the containment
+    scan: for every smooth conic, the rows whose zero mask contains its
+    mask, counted in all, as line pairs and as smooth conics."""
+    for q in (2, 3, 4, 5):
+        rows = survey_rows(q, 2)
+        profiles = set()
+        for _, _, rk, mask in rows:
+            if rk != 3:
+                continue
+            classes = [cls for _, cls, _, other in rows if other & mask == mask]
+            profiles.add(
+                PencilProfile(
+                    len(classes),
+                    classes.count(QuadricClass.HYPERPLANE_PAIR),
+                    classes.count(QuadricClass.PARABOLIC),
+                )
+            )
+        assert profiles == {conic_interpolation_profile(q)}, q
 
 
 def test_survey_counts_forms_up_to_scalar():
@@ -556,16 +610,25 @@ def test_equal_zero_sets_are_conjugate_pairs(q, n, shared):
 
 
 @pytest.mark.parametrize("q, n", GRID + ((7, 2), (8, 2)))
-def test_shared_masks_group_the_rows_by_zero_set(q, n):
-    """The rows sharing a row's zero mask, grouped naively from the block
-    reader, are the rows the point index gives through that zero set,
-    less the strict ones."""
+def test_strict_query_on_every_zero_mask(q, n):
+    """For every distinct zero mask, the strict query mapped to survey rows
+    is the naive strict filter over the rows read by the block reader, in
+    index order: most zeros first, then survey order.  The filter ANDs, in
+    survey order, one bitset per point of the mask with the rows of more
+    zeros, none of it read off the point index."""
     index = survey(q, n)
-    rows = survey_rows(q, n)
-    by_mask: dict[int, list] = {}
-    for i, (*_, mask) in enumerate(rows):
-        by_mask.setdefault(mask, []).append(i)
-    for mask, group in by_mask.items():
-        strict = set(index.row_numbers(index.strictly_through(mask)))
-        equal = [i for i in index.row_numbers(index.through(mask)) if i not in strict]
-        assert equal == group, (q, n, mask)
+    masks = [mask for *_, mask in survey_rows(q, n)]
+    counts = [mask.bit_count() for mask in masks]
+
+    def bitset(flags) -> int:
+        """The int whose bit i is flag i, read as a binary numeral."""
+        return int(bytes(0x30 + flag for flag in reversed(flags)), 2)
+
+    by_point = [bitset([mask >> p & 1 for mask in masks]) for p in range(projective_size(q, n))]
+    more = {c: bitset([k > c for k in counts]) for c in set(counts)}
+    for mask in set(masks):
+        strict = more[mask.bit_count()]
+        for p in bits_to_indices(mask):
+            strict &= by_point[p]
+        naive = sorted(bits_to_indices(strict), key=lambda i: (-counts[i], i))
+        assert index.row_numbers(index.strictly_through(mask)) == naive, (q, n, mask)

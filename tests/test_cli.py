@@ -7,15 +7,16 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prmquadrics
-from prmquadrics import prm, quadric
+from prmquadrics import census, prm, quadric
 from prmquadrics.cli import MAX_BUDGET, main
-from prmquadrics.prm import Survey, survey
+from prmquadrics.prm import survey
 
 
 def run_cli(argv):
@@ -259,18 +260,29 @@ def _failed_check(argv) -> dict:
 
 
 def test_unequal_conic_profiles_exit_1(monkeypatch):
-    """Hide one member through the first conic only: the profiles differ."""
-    row_numbers, calls = Survey.row_numbers, []
+    """Drop the first conic's pairs from the containment table: that conic
+    counts no line pair, the others 3, so the profiles differ."""
+    verify_containment = census.verify_containment
 
-    def first_conic_short(self, mask):
-        calls.append(mask)
-        rows = row_numbers(self, mask)
-        return rows[:-1] if len(calls) == 1 else rows
+    def first_conic_dropped(q, n, **kwargs):
+        table = verify_containment(q, n, **kwargs)
+        k = table.form_rows.count(table.form_rows[0])
+        columns = ("form_rows", "witness_rows", "scalars", "shapes")
+        return replace(table, **{name: getattr(table, name)[k:] for name in columns})
 
-    monkeypatch.setattr(Survey, "row_numbers", first_conic_short)
+    monkeypatch.setattr(census, "verify_containment", first_conic_dropped)
     payload = _failed_check(["verify", "pencil", "--q", "3"])
     assert payload["target"] == "pencil"
     assert payload["error"].startswith("conic interpolation profile is not uniform: ")
+
+
+def test_unmet_serre_bound_exits_1(no_form_at_the_serre_bound):
+    """The verdict goes to stdout as usual, then one failure line."""
+    code, out, err = run_cli(["verify", "serre", "--q", "2", "--N", "2"])
+    assert code == 1 and err.count("\n") == 1 and err.startswith("verification failed: "), err
+    payload = json.loads(out)
+    assert payload == json.loads(err.removeprefix("verification failed: "))
+    assert (payload["holds"], payload["bound"]) == (False, 5) and payload["max_observed"] < 5
 
 
 def test_failed_counting_identity_exits_1(monkeypatch):

@@ -1,0 +1,84 @@
+"""Mutants the suite must kill, each run in a copy of the project.
+
+Each case is (file, old text, new text, test node ids): the copy gets the
+edit, and pytest run on those ids in the copy must report a failed test.
+The copy holds ``src/``, ``tests/`` and ``pyproject.toml``, so pyproject's
+``pythonpath = ["src"]`` imports the mutated package, not this one.  The
+cases are marked ``slow``: run them with PRMQUADRICS_SLOW=1.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = {
+    "witness_unscaled": (
+        "src/prmquadrics/census.py",
+        "return self._decode(self.witness_row).scale(self.scalar)",
+        "return self._decode(self.witness_row)",
+        ["tests/test_acceptance.py::test_criterion_5_containment_theorem"],
+    ),
+    "exhaustive_witness_last": (
+        "src/prmquadrics/prm.py",
+        "min(index.row_numbers(hits))",
+        "max(index.row_numbers(hits))",
+        ["tests/test_cli.py::test_stdout_bytes_are_pinned"],
+    ),
+    "projective_index_sign_dropped": (
+        "src/prmquadrics/quadric.py",
+        "return n - (rk + 1) // 2 - (WITT_SIGN[cls] < 0)",
+        "return n - (rk + 1) // 2",
+        ["tests/test_acceptance.py::test_criterion_8d_projective_index_bruteforce"],
+    ),
+    "serre_bound_unmet": (
+        "src/prmquadrics/census.py",
+        "return bound, max_seen, only_pairs and max_seen == bound",
+        "return bound, max_seen, only_pairs",
+        [
+            "tests/test_census.py::test_unmet_serre_bound_is_not_attained",
+            "tests/test_cli.py::test_unmet_serre_bound_exits_1",
+        ],
+    ),
+    "cone_shape_past_q_3": (
+        "src/prmquadrics/census.py",
+        "if rk == 3 and q <= 3 and wcls is QuadricClass.HYPERPLANE_PAIR:",
+        "if rk == 3 and wcls is QuadricClass.HYPERPLANE_PAIR:",
+        ["tests/test_census.py::test_no_cone_in_a_hyperplane_pair_past_q_3"],
+    ),
+    "unequal_conic_profiles_accepted": (
+        "src/prmquadrics/census.py",
+        "if len(profiles) != 1:",
+        "if not profiles:",
+        ["tests/test_cli.py::test_unequal_conic_profiles_exit_1"],
+    ),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_is_killed(name, tmp_path):
+    path, old, new, tests = MUTANTS[name]
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    target = tmp_path / path
+    text = target.read_text()
+    assert text.count(old) == 1, f"{name}: the old text must occur once in {path}"
+    target.write_text(text.replace(old, new))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    # Exit 1: tests ran and one failed; a node id that is not found exits 4.
+    assert run.returncode == 1, f"{name} survived (exit {run.returncode}):\n{run.stdout[-2000:]}"
