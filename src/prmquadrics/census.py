@@ -357,6 +357,17 @@ def _containment_chunk(args) -> tuple[array, array, bytes, bytes]:
     give the d free columns, are all (q**d - 1)/(q - 1) monic members.  A
     form failing that count, and a pair of no admissible shape, raise
     ``InadmissibleViolation``, at the first such form or pair.
+
+    Over GF(2) no row is decoded: row j is read as the m-bit integer v with
+    coefficient k at bit m - 1 - k.  The rows of lead L are the 2**(m-1-L)
+    tails after the rows of smaller lead, so they start at 2**m - 2**(m-L),
+    and v is the lead bit 2**(m-1-L) plus the tail j - 2**m + 2**(m-L):
+    v = j - 2**m + 3 * 2**(m-1-L), where m - L is the bit length of
+    2**m - 1 - j.  A row's last nonzero position is then v's lowest set bit,
+    the free columns are the OR of those bits, every scalar is 1, and the
+    span coordinates are x = v & free, the first coordinate in x's highest
+    bit.  A smaller lead is a longer x, and within a lead the tails compare
+    as integers, so x - (x.bit_length() << m) ascending is the span order.
     """
     q, n, start, stop = args
     index = survey(q, n)
@@ -368,7 +379,8 @@ def _containment_chunk(args) -> tuple[array, array, bytes, bytes]:
     # ranked[s]: the byte translation c -> order index of s*c.
     ranked = [bytes(rank[mul[s][c]] for c in range(q)) + bytes(256 - q) for s in range(q)]
     m = len(monomials(n))
-    # row -> (coefficient bytes, last nonzero position)
+    top = 1 << m
+    # row -> (coefficient bytes, last nonzero position), for q >= 3
     rows: dict[int, tuple[bytes, int]] = {}
     shapes: dict[int, int] = {}
     form_rows, witness_rows = array(typecode), array(typecode)
@@ -381,34 +393,51 @@ def _containment_chunk(args) -> tuple[array, array, bytes, bytes]:
         if not hits:
             continue
         strict = index.row_numbers(hits)
-        free = set()
-        for j in (*strict, i):
-            row = rows.get(j)
-            if row is None:
-                data = bytes(monic_coeffs_at(field, m, j))
-                row = rows[j] = (data, len(data.rstrip(b"\0")) - 1)
-            free.add(row[1])
-        if len(strict) + 1 != (q ** len(free) - 1) // (q - 1):
+        if q == 2:
+            bits = [j - top + (3 << ((top - 1 - j).bit_length() - 1)) for j in (*strict, i)]
+            free = 0
+            for v in bits:
+                free |= v & -v
+            d = free.bit_count()
+        else:
+            free = set()
+            for j in (*strict, i):
+                row = rows.get(j)
+                if row is None:
+                    data = bytes(monic_coeffs_at(field, m, j))
+                    row = rows[j] = (data, len(data.rstrip(b"\0")) - 1)
+                free.add(row[1])
+            d = len(free)
+        if len(strict) + 1 != (q**d - 1) // (q - 1):
             raise InadmissibleViolation(
                 f"equal zero sets: another form vanishes exactly where {cls.value} rank {rk} does"
             )
-        # At least two free columns now, so the getter returns a tuple.
-        at_free = itemgetter(*sorted(free))
+        # found: (span order key, witness row, scalar), sorted by the key
+        if q == 2:
+            found = [
+                ((x := v & free) - (x.bit_length() << m), j, 1) for v, j in zip(bits, strict)
+            ]
+        else:
+            # At least two free columns now, so the getter returns a tuple.
+            at_free = itemgetter(*sorted(free))
+            found = []
+            for j in strict:
+                coords = bytes(at_free(rows[j][0]))
+                tail = coords.lstrip(b"\0")
+                scalar = inv[tail[0]]
+                lead = len(coords) - len(tail)
+                found.append(((lead, tail.translate(ranked[scalar])), j, scalar))
+        found.sort()
+        _, found_rows, found_scalars = zip(*found)
         code = codes[i] << 8  # above every witness's code
-        found = []
-        for j in strict:
-            coords = bytes(at_free(rows[j][0]))
-            tail = coords.lstrip(b"\0")
-            scalar = inv[tail[0]]
+        found_shapes = bytearray()
+        for j in found_rows:
             pair = code | codes[j]
             shape = shapes.get(pair)
             if shape is None:
                 name = _admissible_shape(q, cls, rk, *labels[codes[j]][:2])
                 shape = shapes[pair] = _INADMISSIBLE if name is None else SHAPES.index(name)
-            lead = len(coords) - len(tail)
-            found.append((lead, tail.translate(ranked[scalar]), j, scalar, shape))
-        found.sort()
-        _, _, found_rows, found_scalars, found_shapes = zip(*found)
+            found_shapes.append(shape)
         if _INADMISSIBLE in found_shapes:
             wcls, wrk, _ = labels[codes[found_rows[found_shapes.index(_INADMISSIBLE)]]]
             raise InadmissibleViolation(

@@ -254,11 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exhaustive verification")
     p.add_argument("target", choices=("containment", "exception", "serre", "pencil"))
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--N", type=int, default=3)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--limit", type=int, default=10, help="violations to include in the dump")
+    # None marks a flag not given: _verify_flags rejects one the target
+    # does not read and fills in the defaults.
+    p.add_argument("--q", type=int)
+    p.add_argument("--N", type=int)
+    p.add_argument("--workers", type=int)
+    p.add_argument("--budget", type=int)
+    p.add_argument("--limit", type=int, help="violations to include in the dump")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out", metavar="FILE", default=None)
     p.set_defaults(func=cmd_verify)
@@ -279,9 +281,28 @@ def _exceeds_max_points(q: int, n: int) -> bool:
     return False
 
 
+def _verify_flags(args) -> None:
+    """Reject a flag given to a ``verify`` target that does not read it,
+    then fill in the defaults of the flags not given."""
+    reads = {
+        "exception": (),
+        "pencil": ("q", "budget"),
+        "serre": ("q", "N", "budget"),
+        "containment": ("q", "N", "workers", "budget", "limit"),
+    }[args.target]
+    defaults = {"q": 2, "N": 3, "workers": os.cpu_count() or 1, "budget": None, "limit": 10}
+    for flag, default in defaults.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif flag not in reads:
+            raise UsageError(f"verify {args.target} does not read --{flag}")
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.command == "verify":
+            _verify_flags(args)
         if args.q > MAX_Q:
             raise UsageError(f"field order {args.q} exceeds the supported bound {MAX_Q}")
         if _exceeds_max_points(args.q, args.N):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import FIELD_ORDERS, GRID, brute_dict, survey_rows
 
+from prmquadrics import census
 from prmquadrics.census import (
     SHAPES,
     InadmissibleViolation,
@@ -273,6 +274,24 @@ def test_a_pool_of_one_is_no_pool(monkeypatch):
     assert verify_containment(2, 3, workers=2) == serial[2]
 
 
+def test_gf2_scan_decodes_no_row(monkeypatch):
+    """Over GF(2) the containment scan reads each row's coefficients off its
+    row number: with the decoder gone it returns the same 7,560 pairs at
+    (2,3), in process and from two workers."""
+    serial = verify_containment(2, 3)
+    assert len(serial) == 7560
+
+    def no_decode(*args):
+        raise AssertionError("a row was decoded")
+
+    monkeypatch.setattr(census, "monic_coeffs_at", no_decode)
+    columns = ("form_rows", "witness_rows", "scalars", "shapes")
+    for workers in (1, 2):
+        table = verify_containment(2, 3, workers=workers)
+        for name in columns:
+            assert getattr(table, name) == getattr(serial, name), (workers, name)
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         brute_force_census(2, 5)
@@ -418,11 +437,12 @@ def test_equal_zero_set_fails_the_scan(hidden_strict_witness, workers):
     """A form whose strict witnesses and itself do not fill the span of
     forms through its zero set shares that zero set with another form:
     with one witness hidden from every answer, the first form with a
-    witness fails the member count."""
+    witness fails the member count, over GF(2) and over GF(3)."""
     message = "equal zero sets: another form vanishes exactly where parabolic rank 3 does"
-    with pytest.raises(InadmissibleViolation) as caught:
-        verify_containment(2, 3, workers=workers)
-    assert str(caught.value) == message
+    for q, n in ((2, 3), (3, 2)):
+        with pytest.raises(InadmissibleViolation) as caught:
+            verify_containment(q, n, workers=workers)
+        assert str(caught.value) == message, (q, n)
 
 
 def test_scans_leave_one_copy_of_each_survey_fact():

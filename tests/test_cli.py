@@ -221,6 +221,17 @@ def test_usage_errors_exit_2(tmp_path):
         ["verify", "serre", "--q", "1", "--N", "2"],
         ["verify", "containment", "--q", "1", "--N", "2"],
         ["verify", "pencil", "--q", "1"],
+        # a flag the target does not read
+        ["verify", "exception", "--q", "5", "--N", "7"],
+        ["verify", "exception", "--N", "3"],
+        ["verify", "exception", "--workers", "1"],
+        ["verify", "exception", "--budget", "100"],
+        ["verify", "exception", "--limit", "10"],
+        ["verify", "pencil", "--q", "3", "--N", "40"],
+        ["verify", "pencil", "--workers", "2"],
+        ["verify", "pencil", "--limit", "3"],
+        ["verify", "serre", "--q", "2", "--N", "2", "--workers", "1"],
+        ["verify", "serre", "--limit", "0"],
         # argparse's own errors, a form read as an option among them
         ["classify", "-X0^2", "--q", "3", "--N", "2"],
         ["census", "--q", "2", "--N", "2", "--method", "bogus"],
@@ -239,6 +250,10 @@ def test_usage_errors_exit_2(tmp_path):
     assert "N >= 1" in err, err
     _, _, err = run_cli(["classify", "-X0^2", "--q", "3", "--N", "2"])
     assert "'--'" in err, err
+    _, _, err = run_cli(["verify", "exception", "--q", "5", "--N", "7"])
+    assert err == "error: verify exception does not read --q\n", err
+    _, _, err = run_cli(["verify", "pencil", "--q", "3", "--N", "40"])
+    assert err == "error: verify pencil does not read --N\n", err
     for command, form in (("classify", "X0^2"), ("points", "0")):
         _, _, err = run_cli([command, form, "--q", "2", "--N", "-1"])
         assert err == "error: --N must be at least 0, got -1\n", err

@@ -17,6 +17,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# The GF(2) containment scan, in its span order: against the naive pair
+# lists, and the whole (2,4) pair list against its digest.
+_GF2_SCAN_TESTS = [
+    "tests/test_census.py::test_containment_allpairs_crosscheck_matches",
+    "tests/test_census.py::test_containment_pair_lists_are_pinned[2-4-dade2b70ac7797313ad577da36e6a473]",
+]
+
 MUTANTS = {
     "witness_unscaled": (
         "src/prmquadrics/census.py",
@@ -56,6 +63,24 @@ MUTANTS = {
         "if len(profiles) != 1:",
         "if not profiles:",
         ["tests/test_cli.py::test_unequal_conic_profiles_exit_1"],
+    ),
+    "gf2_key_without_lead": (
+        "src/prmquadrics/census.py",
+        "((x := v & free) - (x.bit_length() << m), j, 1)",
+        "((x := v & free), j, 1)",
+        _GF2_SCAN_TESTS,
+    ),
+    "gf2_free_column_from_lead": (
+        "src/prmquadrics/census.py",
+        "free |= v & -v",
+        "free |= 1 << (v.bit_length() - 1)",
+        _GF2_SCAN_TESTS,
+    ),
+    "gf2_row_without_lead_bit": (
+        "src/prmquadrics/census.py",
+        "j - top + (3 << ((top - 1 - j).bit_length() - 1))",
+        "j - top + (1 << ((top - 1 - j).bit_length() - 1))",
+        _GF2_SCAN_TESTS,
     ),
 }
 
