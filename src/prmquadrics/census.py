@@ -23,10 +23,13 @@ in process.  The scans the CLI runs pass ``prm.check_budget`` first.  The
 interpolation and exhaustive censuses and the containment search are
 reductions over one chunk function each, run by ``_scan`` over balanced
 ranges of survey rows, in-process or in a worker pool, with the same
-result either way.  A containment chunk returns its pairs as four flat
-columns (form rows, witness rows, scalars, shape codes), and
-``verify_containment`` concatenates them into a ``ContainmentTable``,
-which builds a pair's ``ContainmentViolation`` only when it is read.
+result either way.  Over GF(2) and GF(3) an interpolation chunk is
+bit-sliced over its range's rows (``prm.minimal_rows``); from q = 4 on it
+computes one interpolation kernel per row.  A containment chunk returns
+its pairs as four flat columns (form rows, witness rows, scalars, shape
+codes), and ``verify_containment`` concatenates them into a
+``ContainmentTable``, which builds a pair's ``ContainmentViolation`` only
+when it is read.
 """
 
 from __future__ import annotations
@@ -43,11 +46,13 @@ from operator import itemgetter
 from .formexpr import render_form
 from .gf import field_from_order
 from .prm import (
+    _split_by_count,
     build_code,
     characterization_minimal,
     check_budget,
     interpolation_kernel,
     least_minimal_rank,
+    minimal_rows,
     monic_coeffs_at,
     survey,
 )
@@ -218,11 +223,27 @@ def _own_cpu(slots) -> None:
 
 def _census_chunk(args) -> dict[int, int]:
     """Minimal codewords per weight among the chunk's forms: by the
-    interpolation kernel's dimension or the strict-containment query."""
+    interpolation kernel's dimension or the strict-containment query.
+
+    Over GF(2) and GF(3) the interpolation tester takes the whole range at
+    once.  One table of the zero masks' numerals, read down its columns,
+    gives each point's mask of the range's rows vanishing there;
+    ``minimal_rows`` eliminates every row's evaluation matrix from those,
+    and ``_split_by_count`` over the same masks gives each row's zero
+    count.  Past q = 3 it runs per row."""
     q, n, tester, start, stop = args
     code = build_code(field_from_order(q), n)
     index = survey(q, n)
     tally: dict[int, int] = {}
+    if tester == "interpolation" and q <= 3:
+        width = code.length
+        table = "".join(format(mask, f"0{width}b") for mask in reversed(index.masks(start, stop)))
+        points = [int(table[width - 1 - p :: width], 2) for p in range(width)]
+        minimal = minimal_rows(code, points)
+        for count, rows in _split_by_count(points, (1 << stop - start) - 1).items():
+            if rows & minimal:
+                tally[code.length - count] = (q - 1) * (rows & minimal).bit_count()
+        return tally
     for mask in index.masks(start, stop):
         if tester == "interpolation":
             minimal = len(interpolation_kernel(code, mask)) == 1
@@ -246,8 +267,9 @@ def brute_force_census(
     Each minimal monic form accounts for q-1 codewords (its scalar orbit).
     The result carries both the brute-force and the closed-form columns.
     The characterization census is read off the survey's class masks, in
-    process whatever ``workers`` is; the other testers run per form
-    through ``_scan``.
+    process whatever ``workers`` is; the other testers run through
+    ``_scan``: the exhaustive one per form, the interpolation one per
+    range over GF(2) and GF(3) and per form past q = 3.
     """
     if tester not in TESTERS:
         raise CensusError(f"unknown tester {tester!r}; expected one of {TESTERS}")

@@ -34,7 +34,11 @@ through the linear system of forms vanishing on the zero set, and an
 exhaustive search of the survey's point index for a strictly larger zero
 set.  The interpolation kernel (``interpolation_kernel``) is one column
 elimination: monomial lanes gathered at the points, or over GF(2) each
-monomial's mask of value-1 points ANDed with the zero set.
+monomial's mask of value-1 points ANDed with the zero set.  The census asks
+only whether that kernel has dimension 1: over GF(2) and GF(3),
+``minimal_rows`` answers it for a range of rows at once, eliminating their
+evaluation matrices bit-sliced over the rows; past q = 3 the census takes
+one kernel per row.
 """
 
 from __future__ import annotations
@@ -517,6 +521,96 @@ def interpolation_kernel(code: PrmCode, zero_mask: int) -> list[tuple[int, ...]]
         else:
             pivots.append((s, neg[inv(decode[x[s]])], x))
     return basis
+
+
+def _add_gf2(a, b):
+    return (a[0] ^ b[0],)
+
+
+def _scale_gf2(a, f):
+    return (a[0] & f[0],)
+
+
+def _add_gf3(a, b):
+    # Where both entries are nonzero, flipping the planes' ORs gives
+    # 1 + 2 = 0, 1 + 1 = 2 and 2 + 2 = 1.
+    (a1, a2), (b1, b2) = a, b
+    both = (a1 | a2) & (b1 | b2)
+    return (a1 | b1) ^ both, (a2 | b2) ^ both
+
+
+def _scale_gf3(a, f):
+    (a1, a2), (f1, f2) = a, f
+    return a1 & f1 | a2 & f2, a2 & f1 | a1 & f2
+
+
+# q -> (add, scale) on bit-sliced vectors: plane s, one integer, has the
+# bits where an entry is the element s + 1.  Over GF(2) and GF(3) an element
+# is its own inverse, and -x is x's planes reversed.
+_SLICED = {2: (_add_gf2, _scale_gf2), 3: (_add_gf3, _scale_gf3)}
+
+
+def minimal_rows(code: PrmCode, points: list[int]) -> int:
+    """The mask of the rows whose interpolation kernel has dimension 1,
+    over GF(2) or GF(3), for rows given by their point masks: bit i of
+    ``points[p]`` is set when row i vanishes at point p.
+
+    Row i's evaluation matrix at its zero set has a line per point p,
+    holding monomial k's value at p in column k if row i vanishes at p and
+    0 otherwise; its kernel has one vector per column without a pivot.
+    All rows are eliminated at once.  A line holds one integer per plane
+    (``_SLICED``), column k in bits k*w to k*w + w - 1, w the row count,
+    bit i of a column standing for row i.  The columns are taken lowest
+    first and shifted off.  A row's pivot in a column is its first line
+    with a nonzero entry e there, scaled by e, which is 1/e, so the pivot
+    has entry 1 there.  Every line with entry e then adds -e times the
+    pivot, which clears the pivot line on the rows it serves, so a row's
+    unused lines are those still nonzero on it; the lines before a row's
+    pivot have entry 0 on it and need nothing.  A two-bit saturating
+    counter counts the columns where a row found no pivot, and a row is
+    minimal when its count is 1."""
+    q, m = code.field.q, code.dimension
+    add, scale = _SLICED[q]
+    width = max(map(int.bit_length, points), default=0)
+    full = (1 << width) - 1
+    # ones[c]: bit 0 of each of c columns, to spread a per-row element.
+    ones = [0]
+    for _ in range(m):
+        ones.append(ones[-1] << width | 1)
+    decode = code.field.lane_code.decode
+    at_points = zip(*(row.translate(decode) for row in code.space.monomial_rows()))
+    lines = []
+    for zeros, values in zip(points, at_points):
+        if zeros:
+            lines.append(
+                [zeros * sum(1 << k * width for k, v in enumerate(values) if v == a) for a in range(1, q)]
+            )
+    free = twice = 0
+    for left in range(m - 1, -1, -1):
+        found = 0
+        pivot = [0] * (q - 1)
+        kept = []
+        for line in lines:
+            head = [x & full for x in line]
+            line = [x >> width for x in line]
+            nonzero = 0
+            for e in head:
+                nonzero |= e
+            if not nonzero:
+                kept.append(line)
+                continue
+            hit = nonzero & ~found
+            if hit:
+                found |= hit
+                pivot = add(pivot, scale(line, [(e & hit) * ones[left] for e in head]))
+            line = add(line, scale(pivot, [e * ones[left] for e in reversed(head)]))
+            if any(line):
+                kept.append(line)
+        lines = kept
+        missed = full & ~found
+        twice |= free & missed
+        free |= missed
+    return free & ~twice
 
 
 def interpolation_space(code: PrmCode, zero_mask: int) -> list[QuadraticForm]:

@@ -35,6 +35,7 @@ from prmquadrics.prm import (
     is_minimal_interpolation,
     iter_monic_coeffs,
     iter_span_monic,
+    minimal_rows,
     monic_coeffs_at,
 )
 from prmquadrics.projspace import bits_to_indices, gaussian_binomial, projective_size
@@ -197,16 +198,28 @@ def test_census_tester_independence_small():
         assert tables[0] == tables[1] == tables[2] == expected
 
 
-@pytest.mark.parametrize("q,n", GRID + ((7, 2), (8, 2)))
+@pytest.mark.parametrize("q,n", GRID + ((7, 2), (8, 2), (2, 1), (3, 1)))
 def test_census_testers_agree_row_by_row(q, n):
-    """The census's interpolation verdict, dim I(Z) = 1, equals the
-    strict-containment query and the characterization on every row."""
+    """The interpolation verdict, dim I(Z) = 1, equals the strict-containment
+    query and the characterization on every row; for q <= 3 the bit-sliced
+    ``minimal_rows`` over every row's point masks equals it row by row."""
     code = build_code(field_from_order(q), n)
     index = survey(q, n)
-    for _, cls, rk, mask in survey_rows(q, n):
+    rows = survey_rows(q, n)
+    verdicts = []
+    for _, cls, rk, mask in rows:
         minimal = len(interpolation_kernel(code, mask)) == 1
         assert minimal == (not index.strictly_through(mask)), (q, n, mask)
         assert minimal == characterization_minimal(cls, rk, q), (q, n, cls, rk)
+        verdicts.append(minimal)
+    if q <= 3:
+        points = [0] * code.length
+        for i, (*_, mask) in enumerate(rows):
+            for p in bits_to_indices(mask):
+                points[p] |= 1 << i
+        sliced = minimal_rows(code, points)
+        for i, minimal in enumerate(verdicts):
+            assert (sliced >> i & 1) == minimal, (q, n, i)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
@@ -229,7 +242,10 @@ def test_census_workers_deterministic():
     assert a == b
     c = brute_force_census(2, 2, "interpolation", workers=2)
     assert brute_dict(c) == brute_dict(a)
+    # (2,3) is 4 ranges and (3,2) 2, so workers=2 starts a pool.
     for q, n in [(2, 3), (3, 2)]:
+        table = brute_force_census(q, n, "interpolation", workers=1)
+        assert brute_force_census(q, n, "interpolation", workers=2) == table
         serial, parallel = (
             [(v.form.coeffs, v.witness.coeffs, v.shape) for v in verify_containment(q, n, workers=w)]
             for w in (1, 2)

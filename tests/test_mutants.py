@@ -24,6 +24,12 @@ _GF2_SCAN_TESTS = [
     "tests/test_census.py::test_containment_pair_lists_are_pinned[2-4-dade2b70ac7797313ad577da36e6a473]",
 ]
 
+# The bit-sliced interpolation census, against the per-row kernel.
+_SLICED_TESTS = [
+    "tests/test_census.py::test_census_testers_agree_row_by_row[2-3]",
+    "tests/test_census.py::test_census_testers_agree_row_by_row[3-2]",
+]
+
 MUTANTS = {
     "witness_unscaled": (
         "src/prmquadrics/census.py",
@@ -81,6 +87,24 @@ MUTANTS = {
         "j - top + (3 << ((top - 1 - j).bit_length() - 1))",
         "j - top + (1 << ((top - 1 - j).bit_length() - 1))",
         _GF2_SCAN_TESTS,
+    ),
+    "sliced_pivot_line_kept": (
+        "src/prmquadrics/prm.py",
+        "scale(pivot, [e * ones[left] for e in reversed(head)])",
+        "scale(pivot, [(e & ~hit) * ones[left] for e in reversed(head)])",
+        _SLICED_TESTS,
+    ),
+    "gf3_sum_without_equal_terms": (
+        "src/prmquadrics/prm.py",
+        "both = (a1 | a2) & (b1 | b2)",
+        "both = a1 & b2 | a2 & b1",
+        _SLICED_TESTS[1:],
+    ),
+    "free_counter_without_carry": (
+        "src/prmquadrics/prm.py",
+        "        twice |= free & missed\n",
+        "",
+        _SLICED_TESTS,
     ),
 }
 
