@@ -13,13 +13,15 @@ the same one ``point_set`` reads the zero set from.
 ``survey(q, n)`` classifies every form up to scalar once, bit-sliced over
 its rows in ``iter_monic_coeffs`` order: for each point, integers whose
 bit i stands for row i give the rows where the form takes each value
-there, and the zero buckets are the point index.  Polarization gives the
-singular points, and bit-sliced counters the zero and singular counts, so
-each (class, rank, zero count) is one row mask and the census reductions
-are popcounts.  The one query, ``Survey.strictly_through``, first
-reorders the index by zero count, most zeros first, so the rows that can
-strictly contain a zero set of size c are a prefix, and the ANDs over a
-point set run only over it, stopping once 0.
+there (over GF(2) and GF(3) sums of fixed coefficient planes, past that a
+recursion over the coefficients), and the zero buckets are the point
+index.  Polarization gives the singular points, and bit-sliced counters
+the zero and singular counts, so each (class, rank, zero count) is one
+row mask and the census reductions are popcounts.  The one query,
+``Survey.strictly_through``, first reorders the index by zero count, most
+zeros first, so the rows that can strictly contain a zero set of size c
+are a prefix, and the ANDs over a point set run only over it, stopping
+once 0.
 A row's zero mask is read back off that index, its class and rank from
 one byte, its coefficients from its row number.  The scans the CLI runs
 and the exhaustive tester pass ``check_budget`` before they build a
@@ -371,14 +373,43 @@ def _split_by_count(columns, full: int) -> dict[int, int]:
     return groups
 
 
+def _coefficient_planes(field: Field, m: int):
+    """(k, planes) for each coefficient k, from m - 1 down: its ``_SLICED``
+    planes over the rows of :func:`iter_monic_coeffs`, the rows where it
+    is each nonzero element.  It is 1 on block k, 0 past it, and before it
+    a digit of period q**(m-k) rows, which every earlier block starts at a
+    multiple of: one pattern, doubled and cut at block k.  The widest
+    planes come first, so sums of them are allocated at full width once
+    and not regrown (which left 2 MB of freed heap at (2,5))."""
+    q = field.q
+    for k in range(m - 1, -1, -1):
+        size = q ** (m - 1 - k)
+        ones, start = (1 << size) - 1, (q**m - q * size) // (q - 1)
+        planes = []
+        for e in range(1, q):
+            pattern, period = ones << field.elements.index(e) * size, q * size
+            while period < start:
+                pattern |= pattern << period
+                period *= 2
+            pattern &= (1 << start) - 1
+            planes.append(pattern | ones << start if e == 1 else pattern)
+        yield k, planes
+
+
 @lru_cache(maxsize=8)
 def survey(q: int, n: int) -> Survey:
     """Classify every form up to scalar: its zero set and (class, rank).
 
     Rows follow ``iter_monic_coeffs`` order, so each row index is a block
     offset plus a mixed-radix tail.  For each point p the rows where
-    F(p) = a, for every a, come from a suffix recursion over the
-    coefficients: S_m = [1, 0, ..., 0], S_k[a] is the OR over the digits
+    F(p) = a, for every a, are the buckets at p.  Over GF(2) and GF(3),
+    F(p) is the ``_SLICED`` sum over k of coefficient k's planes
+    (:func:`_coefficient_planes`) times v_k, the planes reversed when
+    v_k = 2, and bucket 0 is the rows in no plane; the sums are built one
+    coefficient at a time, so two coefficients' planes at most are held.
+    Past q = 3 an add would take (q-1)**2 plane ANDs, and a suffix
+    recursion over the coefficients, its widths growing geometrically, is
+    cheaper: S_m = [1, 0, ..., 0], S_k[a] is the OR over the digits
     (idx, c) of S_(k+1)[a - c*v_k] shifted to digit idx, and block L
     takes S_(L+1)[a - v_L].  Bucket 0 is ``columns[p]``.  The singular
     points, where F and every polar partial B(e_t, .) vanish, follow by
@@ -392,9 +423,10 @@ def survey(q: int, n: int) -> Survey:
 
     The cache holds up to eight surveys.  At (5,3), 2,441,406 rows and
     the largest budget a test passes, one survey's columns and class masks
-    take about 53 MB, and building them peaks at 130 MB.  The point index
-    ordered by zero count replaces the columns on the first query, plus 4
-    bytes a row for the order and 1 for the class-rank byte: 144 MB peak.
+    take about 53 MB, and building them peaks at 130 MB ((2,5): 60 MB,
+    as with the recursion).  The point index ordered by zero count
+    replaces the columns on the first query, plus 4 bytes a row for the
+    order and 1 for the class-rank byte: 144 MB peak.
     """
     field = field_from_order(q)
     space = projective_space(field, n)
@@ -402,36 +434,51 @@ def survey(q: int, n: int) -> Survey:
     add, mul, neg, inv, elems = field._add, field._mul, field._neg, field._inv, field.elements
     decode = field.lane_code.decode
     values = list(zip(*(lane.translate(decode) for lane in space.monomial_rows())))
+    full = (1 << _row_count(q, n)) - 1
+    if q <= 3:
+        # columns[r]: F's value planes at r until the loop below reads them.
+        sliced_add = _SLICED[q][0]
+        columns = [(0,) * (q - 1)] * len(values)
+        for k, planes in _coefficient_planes(field, m):
+            for r, v in enumerate(values):
+                if v[k]:
+                    columns[r] = sliced_add(columns[r], planes if v[k] == 1 else planes[::-1])
 
-    def buckets(v) -> list[int]:
-        """``out[a]``: the rows whose form takes the value a where the
-        monomials take the values v."""
-        suffix = [1] + [0] * (q - 1)
-        out = [0] * q
-        width = 1
-        for k in range(m - 1, -1, -1):
-            minus = [add[a][neg[v[k]]] for a in range(q)]
-            out = [out[a] << width | suffix[minus[a]] for a in range(q)]
-            if not k:
-                break
-            grown = [0] * q
-            for idx, c in enumerate(elems):
-                d = neg[mul[c][v[k]]]
-                at = idx * width
-                for a in range(q):
-                    part = suffix[add[a][d]]
-                    if part:
-                        grown[a] |= part << at
-            suffix = grown
-            width *= q
-        return out
+        def buckets(r: int) -> list[int]:
+            nonzero = 0
+            for plane in columns[r]:
+                nonzero |= plane
+            return [full ^ nonzero, *columns[r]]
+
+    else:
+        columns = [0] * len(values)
+
+        def buckets(r: int) -> list[int]:
+            """``out[a]``: the rows whose form takes the value a at point r."""
+            v = values[r]
+            suffix = [1] + [0] * (q - 1)
+            out = [0] * q
+            width = 1
+            for k in range(m - 1, -1, -1):
+                minus = [add[a][neg[v[k]]] for a in range(q)]
+                out = [out[a] << width | suffix[minus[a]] for a in range(q)]
+                if not k:
+                    break
+                grown = [0] * q
+                for idx, c in enumerate(elems):
+                    d = neg[mul[c][v[k]]]
+                    at = idx * width
+                    for a in range(q):
+                        part = suffix[add[a][d]]
+                        if part:
+                            grown[a] |= part << at
+                suffix = grown
+                width *= q
+            return out
 
     index = space._index
     # units[t]: the buckets at e_t.
-    units = [
-        buckets(values[index[tuple(int(s == t) for s in range(n + 1))]]) for t in range(n + 1)
-    ]
-    full = (1 << _row_count(q, n)) - 1
+    units = [buckets(index[tuple(int(s == t) for s in range(n + 1))]) for t in range(n + 1)]
     singular = [full] * len(values)
     # serves[r]: (p, t, l**2) for each p + e_t = l*r.
     serves: list[list[tuple[int, int, int]]] = [[] for _ in values]
@@ -445,10 +492,9 @@ def survey(q: int, n: int) -> Survey:
                 serves[r].append((p, t, mul[last][last]))
             else:
                 singular[p] &= units[t][0]
-    columns = []
-    for r, v in enumerate(values):
-        at_r = buckets(v)
-        columns.append(at_r[0])
+    for r in range(len(values)):
+        at_r = buckets(r)
+        columns[r] = at_r[0]
         singular[r] &= at_r[0]
         for p, t, scale in serves[r]:
             at_e, times = units[t], mul[scale]
@@ -545,8 +591,10 @@ def _scale_gf3(a, f):
 
 
 # q -> (add, scale) on bit-sliced vectors: plane s, one integer, has the
-# bits where an entry is the element s + 1.  Over GF(2) and GF(3) an element
-# is its own inverse, and -x is x's planes reversed.
+# bits where an entry is the element s + 1.  `survey` adds coefficient
+# planes with them and `minimal_rows` eliminates.  Over GF(2) and GF(3) an
+# element is its own inverse, and -x (over GF(3) also 2x) is x's planes
+# reversed.
 _SLICED = {2: (_add_gf2, _scale_gf2), 3: (_add_gf3, _scale_gf3)}
 
 

@@ -24,6 +24,12 @@ _GF2_SCAN_TESTS = [
     "tests/test_census.py::test_containment_pair_lists_are_pinned[2-4-dade2b70ac7797313ad577da36e6a473]",
 ]
 
+# The bit-sliced survey, against the single-form path.
+_SURVEY_TESTS = [
+    "tests/test_prm.py::test_survey_equals_the_single_form_path[2-3]",
+    "tests/test_prm.py::test_survey_equals_the_single_form_path[3-2]",
+]
+
 # The bit-sliced interpolation census, against the per-row kernel.
 _SLICED_TESTS = [
     "tests/test_census.py::test_census_testers_agree_row_by_row[2-3]",
@@ -105,6 +111,24 @@ MUTANTS = {
         "        twice |= free & missed\n",
         "",
         _SLICED_TESTS,
+    ),
+    "planes_without_lead_block": (
+        "src/prmquadrics/prm.py",
+        "planes.append(pattern | ones << start if e == 1 else pattern)",
+        "planes.append(pattern)",
+        _SURVEY_TESTS,
+    ),
+    "planes_not_reversed_for_2": (
+        "src/prmquadrics/prm.py",
+        "planes if v[k] == 1 else planes[::-1]",
+        "planes",
+        _SURVEY_TESTS,
+    ),
+    "pattern_not_cut_at_block": (
+        "src/prmquadrics/prm.py",
+        "            pattern &= (1 << start) - 1\n",
+        "",
+        _SURVEY_TESTS,
     ),
 }
 

@@ -24,6 +24,7 @@ from prmquadrics.prm import (
     BudgetExceeded,
     Codeword,
     ZeroCodeword,
+    _coefficient_planes,
     build_code,
     check_budget,
     interpolation_kernel,
@@ -193,7 +194,22 @@ def test_monic_coeffs_at_refuses_both_ends():
                 monic_coeffs_at(field, m, bad)
 
 
-@pytest.mark.parametrize("q, n", GRID + tuple((q, 1) for q in (7, 8, 9, 16, 25)))
+@pytest.mark.parametrize("q, m", [(q, m) for q in (2, 3) for m in range(1, 7)])
+def test_coefficient_planes_hold_the_decoded_coefficients(q, m):
+    """Plane s of coefficient k has bit i set exactly when row i's
+    coefficient k is the element s + 1, for every k, s and row."""
+    field = field_from_order(q)
+    rows = (q**m - 1) // (q - 1)
+    planes = dict(_coefficient_planes(field, m))
+    assert sorted(planes) == list(range(m))
+    for i in range(rows):
+        coeffs = monic_coeffs_at(field, m, i)
+        for k, by_value in planes.items():
+            assert [plane >> i & 1 for plane in by_value] == [int(coeffs[k] == e) for e in range(1, q)]
+    assert all(plane >> rows == 0 for by_value in planes.values() for plane in by_value)
+
+
+@pytest.mark.parametrize("q, n", GRID + tuple((q, 1) for q in (2, 3, 7, 8, 9, 16, 25)))
 def test_survey_equals_the_single_form_path(q, n):
     """Each row as the single-form path computes it: the zero set by
     evaluation at every point, the rank by linear algebra on the radical."""
