@@ -21,11 +21,10 @@ range, and the class-rank bytes.  The class-rank census, the Serre scan
 and the characterization census are popcounts of the class masks and run
 in process.  The scans the CLI runs pass ``prm.check_budget`` first.  The
 interpolation and exhaustive censuses and the containment search are
-reductions over one chunk function each, run by ``_scan`` over balanced
-ranges of survey rows, in-process or in a worker pool, with the same
-result either way.  Over GF(2) and GF(3) an interpolation chunk is
-bit-sliced over its range's rows (``prm.minimal_rows``); from q = 4 on it
-computes one interpolation kernel per row.  A containment chunk returns
+reductions over one chunk function each, run by ``_scan`` over blocks of
+4,096 survey rows, in-process or in a worker pool, with the same result
+either way.  An interpolation chunk is bit-sliced over its block's rows
+(``prm.minimal_rows``).  A containment chunk returns
 its pairs as four flat columns (form rows, witness rows, scalars, shape
 codes), and ``verify_containment`` concatenates them into a
 ``ContainmentTable``, which builds a pair's ``ContainmentViolation`` only
@@ -46,11 +45,10 @@ from operator import itemgetter
 from .formexpr import render_form
 from .gf import field_from_order
 from .prm import (
-    _split_by_count,
+    _TRANSPOSE_ROWS,
     build_code,
     characterization_minimal,
     check_budget,
-    interpolation_kernel,
     least_minimal_rank,
     minimal_rows,
     monic_coeffs_at,
@@ -81,7 +79,6 @@ class InadmissibleViolation(CensusError):
 
 
 TESTERS = ("characterization", "interpolation", "exhaustive")
-_RANGE_FORMS = 256
 
 
 def orbit_count(cls: QuadricClass, r: int, q: int) -> int:
@@ -183,24 +180,25 @@ def serre_scan(q: int, n: int, budget: int | None = None) -> tuple[int, int, boo
 
 
 def _scan(chunk_fn, args, q: int, n: int, workers: int):
-    """Yield ``chunk_fn((*args, start, stop))`` over balanced index ranges of
-    ``survey(q, n)`` of at most ``_RANGE_FORMS`` forms each, in index order.
+    """Yield ``chunk_fn((*args, start, stop))`` over the blocks of
+    ``_TRANSPOSE_ROWS`` rows of ``survey(q, n)``, in order, the last one
+    shorter.
 
-    Small ranges keep one range's results, not the whole scan's, in memory
-    at a time (containments cluster among the low-lead forms), and keep the
-    workers evenly loaded; the split is the same serial or parallel.
+    A chunk transposes only its own block of zero masks, once, and one
+    block's results, not the whole scan's, are in memory at a time
+    (containments cluster among the low-lead forms); a bit-sliced
+    interpolation chunk gets wide enough to pay for its plane operations.
+    The split is the same serial or parallel.
     """
     index = survey(q, n)
     # Every chunk reads the point index, and the containment chunks the
     # class-rank bytes: built before any fork, so workers share them.
     index.point_index, index.class_ranks
-    total = len(index)
-    parts = -(-total // _RANGE_FORMS)
-    bounds = [total * k // parts for k in range(parts + 1)]
-    ranges = [(*args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    starts = range(0, len(index), _TRANSPOSE_ROWS)
+    ranges = [(*args, lo, min(lo + _TRANSPOSE_ROWS, len(index))) for lo in starts]
     # A pool of one worker only adds its start-up: such a scan runs in process.
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    size = min(workers, parts, len(cpus) or os.cpu_count() or 1)
+    size = min(workers, len(ranges), len(cpus) or os.cpu_count() or 1)
     if size <= 1:
         yield from map(chunk_fn, ranges)
         return
@@ -225,31 +223,24 @@ def _census_chunk(args) -> dict[int, int]:
     """Minimal codewords per weight among the chunk's forms: by the
     interpolation kernel's dimension or the strict-containment query.
 
-    Over GF(2) and GF(3) the interpolation tester takes the whole range at
-    once.  One table of the zero masks' numerals, read down its columns,
-    gives each point's mask of the range's rows vanishing there;
-    ``minimal_rows`` eliminates every row's evaluation matrix from those,
-    and ``_split_by_count`` over the same masks gives each row's zero
-    count.  Past q = 3 it runs per row."""
+    The interpolation tester takes its range in point-index order: bits
+    ``start`` to ``stop - 1`` of each point's index column are that point's
+    mask of the range's rows, ``minimal_rows`` eliminates every row's
+    evaluation matrix from those at once, and ``at_least``, the prefix
+    masks of the rows with at least c zeros, gives each row's weight."""
     q, n, tester, start, stop = args
     code = build_code(field_from_order(q), n)
     index = survey(q, n)
+    if tester == "interpolation":
+        _, columns, at_least = index.point_index
+        full = (1 << stop - start) - 1
+        minimal = minimal_rows(code, [col >> start & full for col in columns]) << start
+        at = [(minimal & rows).bit_count() for rows in at_least]
+        weights = zip(range(code.length, -2, -1), at, at[1:])
+        return {w: (q - 1) * (k - fewer) for w, k, fewer in weights if k > fewer}
     tally: dict[int, int] = {}
-    if tester == "interpolation" and q <= 3:
-        width = code.length
-        table = "".join(format(mask, f"0{width}b") for mask in reversed(index.masks(start, stop)))
-        points = [int(table[width - 1 - p :: width], 2) for p in range(width)]
-        minimal = minimal_rows(code, points)
-        for count, rows in _split_by_count(points, (1 << stop - start) - 1).items():
-            if rows & minimal:
-                tally[code.length - count] = (q - 1) * (rows & minimal).bit_count()
-        return tally
     for mask in index.masks(start, stop):
-        if tester == "interpolation":
-            minimal = len(interpolation_kernel(code, mask)) == 1
-        else:
-            minimal = not index.strictly_through(mask)
-        if minimal:
+        if not index.strictly_through(mask):
             weight = code.length - mask.bit_count()
             tally[weight] = tally.get(weight, 0) + (q - 1)
     return tally
@@ -269,7 +260,7 @@ def brute_force_census(
     The characterization census is read off the survey's class masks, in
     process whatever ``workers`` is; the other testers run through
     ``_scan``: the exhaustive one per form, the interpolation one per
-    range over GF(2) and GF(3) and per form past q = 3.
+    block of rows.
     """
     if tester not in TESTERS:
         raise CensusError(f"unknown tester {tester!r}; expected one of {TESTERS}")

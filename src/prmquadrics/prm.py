@@ -37,10 +37,9 @@ exhaustive search of the survey's point index for a strictly larger zero
 set.  The interpolation kernel (``interpolation_kernel``) is one column
 elimination: monomial lanes gathered at the points, or over GF(2) each
 monomial's mask of value-1 points ANDed with the zero set.  The census asks
-only whether that kernel has dimension 1: over GF(2) and GF(3),
-``minimal_rows`` answers it for a range of rows at once, eliminating their
-evaluation matrices bit-sliced over the rows; past q = 3 the census takes
-one kernel per row.
+only whether that kernel has dimension 1, and ``minimal_rows`` answers it
+for a range of rows at once, eliminating their evaluation matrices
+bit-sliced over the rows, over any field.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ import itertools
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import itemgetter
+from functools import cached_property, lru_cache, reduce
+from operator import itemgetter, or_
 
 from .formexpr import render_form
 from .gf import Field, field_from_order
@@ -188,8 +187,8 @@ def monic_coeffs_at(field: Field, length: int, index: int) -> tuple[int, ...]:
     return (0,) * lead + (1,) + tail[len(tail) + lead + 1 - length :]
 
 
-# Rows per transposed block of the point index: one numeral table of all
-# rows would take points * rows characters at once, 1 MB at (2,4).
+# Rows per transposed block of the point index, and per scan chunk: one
+# numeral table of all rows would take points * rows characters, 1 MB at (2,4).
 _TRANSPOSE_ROWS = 4096
 
 
@@ -212,7 +211,6 @@ class Survey:
         self.n = n
         self.columns = columns
         self.classes = classes
-        self._block: tuple[int, list[int]] = (-1, [])  # the last one ``masks`` built
 
     def __len__(self) -> int:
         return _row_count(self.q, self.n)
@@ -281,32 +279,30 @@ class Survey:
 
     def masks(self, start: int, stop: int) -> list[int]:
         """The zero masks of rows ``start`` to ``stop - 1``, transposed off
-        ``point_index`` one block of ``_TRANSPOSE_ROWS`` rows at a time; the
-        last block is kept, so ranges read in order transpose each block
-        once.  The index keeps survey order within one zero count, so a
-        block's rows of count c are one run of index bits, after the rows
-        with more zeros and the rows of count c before the block."""
+        ``point_index`` at most ``_TRANSPOSE_ROWS`` rows at a time.  The
+        index keeps survey order within one zero count, so a range's rows
+        of count c are one run of index bits, after the rows with more
+        zeros and the rows of count c before the range."""
         _, columns, at_least = self.point_index
+        stop = min(stop, len(self))
         out: list[int] = []
-        for low in range(start - start % _TRANSPOSE_ROWS, stop, _TRANSPOSE_ROWS):
-            if self._block[0] != low:
-                size = min(len(self) - low, _TRANSPOSE_ROWS)
-                block = [0] * size
-                for c, rows in self._by_count().items():
-                    run = rows >> low & (1 << size) - 1
-                    k = run.bit_count()
-                    if not k:
-                        continue
-                    first = at_least[c + 1].bit_length() + (rows & (1 << low) - 1).bit_count()
-                    # One column per k characters, highest point first and
-                    # each column's last row first, so every mask is a numeral.
-                    table = "".join(
-                        format(col >> first & (1 << k) - 1, f"0{k}b") for col in reversed(columns)
-                    )
-                    for t, i in enumerate(bits_to_indices(run)):
-                        block[i] = int(table[k - 1 - t :: k], 2)
-                self._block = (low, block)
-            out += self._block[1][max(start - low, 0) : stop - low]
+        for low in range(start, stop, _TRANSPOSE_ROWS):
+            size = min(stop - low, _TRANSPOSE_ROWS)
+            block = [0] * size
+            for c, rows in self._by_count().items():
+                run = rows >> low & (1 << size) - 1
+                k = run.bit_count()
+                if not k:
+                    continue
+                first = at_least[c + 1].bit_length() + (rows & (1 << low) - 1).bit_count()
+                # One column per k characters, highest point first and
+                # each column's last row first, so every mask is a numeral.
+                table = "".join(
+                    format(col >> first & (1 << k) - 1, f"0{k}b") for col in reversed(columns)
+                )
+                for t, i in enumerate(bits_to_indices(run)):
+                    block[i] = int(table[k - 1 - t :: k], 2)
+            out += block
         return out
 
     def strictly_through(self, zeros: int) -> int:
@@ -374,11 +370,11 @@ def _split_by_count(columns, full: int) -> dict[int, int]:
 
 
 def _coefficient_planes(field: Field, m: int):
-    """(k, planes) for each coefficient k, from m - 1 down: its ``_SLICED``
-    planes over the rows of :func:`iter_monic_coeffs`, the rows where it
-    is each nonzero element.  It is 1 on block k, 0 past it, and before it
-    a digit of period q**(m-k) rows, which every earlier block starts at a
-    multiple of: one pattern, doubled and cut at block k.  The widest
+    """(k, planes) for each coefficient k, from m - 1 down: its bit-sliced
+    planes (:func:`_sliced`) over the rows of :func:`iter_monic_coeffs`.
+    It is 1 on block k, 0 past it, and before it a digit of period
+    q**(m-k) rows, which every earlier block starts at a multiple of: one
+    pattern, doubled and cut at block k.  The widest
     planes come first, so sums of them are allocated at full width once
     and not regrown (which left 2 MB of freed heap at (2,5))."""
     q = field.q
@@ -403,9 +399,9 @@ def survey(q: int, n: int) -> Survey:
     Rows follow ``iter_monic_coeffs`` order, so each row index is a block
     offset plus a mixed-radix tail.  For each point p the rows where
     F(p) = a, for every a, are the buckets at p.  Over GF(2) and GF(3),
-    F(p) is the ``_SLICED`` sum over k of coefficient k's planes
-    (:func:`_coefficient_planes`) times v_k, the planes reversed when
-    v_k = 2, and bucket 0 is the rows in no plane; the sums are built one
+    F(p) is the bit-sliced sum (``_add_gf2``, ``_add_gf3``) over k of
+    coefficient k's planes (:func:`_coefficient_planes`) times v_k, the
+    planes reversed when v_k = 2, and bucket 0 is the rows in no plane; the sums are built one
     coefficient at a time, so two coefficients' planes at most are held.
     Past q = 3 an add would take (q-1)**2 plane ANDs, and a suffix
     recursion over the coefficients, its widths growing geometrically, is
@@ -437,7 +433,7 @@ def survey(q: int, n: int) -> Survey:
     full = (1 << _row_count(q, n)) - 1
     if q <= 3:
         # columns[r]: F's value planes at r until the loop below reads them.
-        sliced_add = _SLICED[q][0]
+        sliced_add = _add_gf2 if q == 2 else _add_gf3
         columns = [(0,) * (q - 1)] * len(values)
         for k, planes in _coefficient_planes(field, m):
             for r, v in enumerate(values):
@@ -573,10 +569,6 @@ def _add_gf2(a, b):
     return (a[0] ^ b[0],)
 
 
-def _scale_gf2(a, f):
-    return (a[0] & f[0],)
-
-
 def _add_gf3(a, b):
     # Where both entries are nonzero, flipping the planes' ORs gives
     # 1 + 2 = 0, 1 + 1 = 2 and 2 + 2 = 1.
@@ -585,73 +577,90 @@ def _add_gf3(a, b):
     return (a1 | b1) ^ both, (a2 | b2) ^ both
 
 
-def _scale_gf3(a, f):
-    (a1, a2), (f1, f2) = a, f
-    return a1 & f1 | a2 & f2, a2 & f1 | a1 & f2
+@lru_cache(maxsize=None)
+def _sliced(field: Field):
+    """(add, scale) on bit-sliced vectors over ``field``: plane s, one
+    integer, has the bits where an entry is the element s + 1.  Plane c of
+    a sum is the OR of ``a[x] & b[y]`` over x + y = c, plus a's plane c
+    where b is 0 and b's where a is 0; plane c of a product the OR of
+    ``a[x] & f[y]`` over x * y = c.  Each takes (q-1)**2 plane ANDs at
+    most, so ``survey`` keeps ``_add_gf2`` and ``_add_gf3``, which take
+    one and seven plane operations."""
+    nonzero = range(1, field.q)
+    sums, products = (
+        [[(x - 1, y - 1) for x in nonzero for y in nonzero if table[x][y] == c] for c in nonzero]
+        for table in (field._add, field._mul)
+    )
 
+    def add(a, b):
+        zero_a, zero_b = ~reduce(or_, a), ~reduce(or_, b)
+        return [
+            reduce(or_, (a[x] & b[y] for x, y in pairs), a[c] & zero_b | b[c] & zero_a)
+            for c, pairs in enumerate(sums)
+        ]
 
-# q -> (add, scale) on bit-sliced vectors: plane s, one integer, has the
-# bits where an entry is the element s + 1.  `survey` adds coefficient
-# planes with them and `minimal_rows` eliminates.  Over GF(2) and GF(3) an
-# element is its own inverse, and -x (over GF(3) also 2x) is x's planes
-# reversed.
-_SLICED = {2: (_add_gf2, _scale_gf2), 3: (_add_gf3, _scale_gf3)}
+    def scale(a, f):
+        return [reduce(or_, (a[x] & f[y] for x, y in pairs), 0) for pairs in products]
+
+    return add, scale
 
 
 def minimal_rows(code: PrmCode, points: list[int]) -> int:
-    """The mask of the rows whose interpolation kernel has dimension 1,
-    over GF(2) or GF(3), for rows given by their point masks: bit i of
-    ``points[p]`` is set when row i vanishes at point p.
+    """The mask of the rows whose interpolation kernel has dimension 1, for
+    rows given by their point masks: bit i of ``points[p]`` is set when row
+    i vanishes at point p.
 
     Row i's evaluation matrix at its zero set has a line per point p,
     holding monomial k's value at p in column k if row i vanishes at p and
     0 otherwise; its kernel has one vector per column without a pivot.
     All rows are eliminated at once.  A line holds one integer per plane
-    (``_SLICED``), column k in bits k*w to k*w + w - 1, w the row count,
-    bit i of a column standing for row i.  The columns are taken lowest
-    first and shifted off.  A row's pivot in a column is its first line
-    with a nonzero entry e there, scaled by e, which is 1/e, so the pivot
-    has entry 1 there.  Every line with entry e then adds -e times the
-    pivot, which clears the pivot line on the rows it serves, so a row's
-    unused lines are those still nonzero on it; the lines before a row's
-    pivot have entry 0 on it and need nothing.  A two-bit saturating
-    counter counts the columns where a row found no pivot, and a row is
-    minimal when its count is 1."""
-    q, m = code.field.q, code.dimension
-    add, scale = _SLICED[q]
+    (:func:`_sliced`), column k in bits k*w to k*w + w - 1, w the row
+    count, bit i of a column standing for row i.  The columns are taken
+    lowest first and shifted off.  A row's pivot in a column is its first
+    line with a nonzero entry e there, scaled by 1/e, e's planes permuted
+    through the field's inverses, so the pivot has entry 1 there.  Every
+    line with entry e then adds -e times the pivot, e's planes permuted
+    through negation, which clears the pivot line on the rows it serves,
+    so a row's unused lines are those still nonzero on it; the lines
+    before a row's pivot have entry 0 on it and need nothing.  A two-bit
+    saturating counter counts the columns where a row found no pivot, and
+    a row is minimal when its count is 1."""
+    field, m = code.field, code.dimension
+    add, scale = _sliced(field)
+    nonzero = range(1, field.q)
+    invert = [field._inv[e] - 1 for e in nonzero]
+    negate = [field._neg[e] - 1 for e in nonzero]
     width = max(map(int.bit_length, points), default=0)
     full = (1 << width) - 1
     # ones[c]: bit 0 of each of c columns, to spread a per-row element.
     ones = [0]
     for _ in range(m):
         ones.append(ones[-1] << width | 1)
-    decode = code.field.lane_code.decode
+    decode = field.lane_code.decode
     at_points = zip(*(row.translate(decode) for row in code.space.monomial_rows()))
     lines = []
     for zeros, values in zip(points, at_points):
         if zeros:
             lines.append(
-                [zeros * sum(1 << k * width for k, v in enumerate(values) if v == a) for a in range(1, q)]
+                [zeros * sum(1 << k * width for k, v in enumerate(values) if v == a) for a in nonzero]
             )
     free = twice = 0
     for left in range(m - 1, -1, -1):
         found = 0
-        pivot = [0] * (q - 1)
+        pivot = [0] * len(nonzero)
         kept = []
         for line in lines:
             head = [x & full for x in line]
             line = [x >> width for x in line]
-            nonzero = 0
-            for e in head:
-                nonzero |= e
-            if not nonzero:
+            nonzero_rows = reduce(or_, head)
+            if not nonzero_rows:
                 kept.append(line)
                 continue
-            hit = nonzero & ~found
+            hit = nonzero_rows & ~found
             if hit:
                 found |= hit
-                pivot = add(pivot, scale(line, [(e & hit) * ones[left] for e in head]))
-            line = add(line, scale(pivot, [e * ones[left] for e in reversed(head)]))
+                pivot = add(pivot, scale(line, [(head[s] & hit) * ones[left] for s in invert]))
+            line = add(line, scale(pivot, [head[s] * ones[left] for s in negate]))
             if any(line):
                 kept.append(line)
         lines = kept

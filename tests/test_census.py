@@ -190,18 +190,25 @@ def test_brute_census_remaining_grid_points():
 
 
 def test_census_tester_independence_small():
-    for q, n, expected in ((2, 2, {2: 21}), (3, 2, {6: 156})):
+    for q, n, expected in (
+        (2, 2, {2: 21}),
+        (3, 2, {6: 156}),
+        (4, 2, {12: 630, 16: 3024}),
+        (5, 2, {20: 1860, 25: 12400}),
+        (7, 2, {42: 9576, 49: 100548}),
+        (8, 2, {56: 18396, 64: 228928}),
+    ):
         tables = [
             brute_dict(brute_force_census(q, n, tester))
             for tester in ("characterization", "interpolation", "exhaustive")
         ]
-        assert tables[0] == tables[1] == tables[2] == expected
+        assert tables[0] == tables[1] == tables[2] == expected, (q, n)
 
 
 @pytest.mark.parametrize("q,n", GRID + ((7, 2), (8, 2), (2, 1), (3, 1)))
 def test_census_testers_agree_row_by_row(q, n):
     """The interpolation verdict, dim I(Z) = 1, equals the strict-containment
-    query and the characterization on every row; for q <= 3 the bit-sliced
+    query and the characterization on every row, and the bit-sliced
     ``minimal_rows`` over every row's point masks equals it row by row."""
     code = build_code(field_from_order(q), n)
     index = survey(q, n)
@@ -212,14 +219,13 @@ def test_census_testers_agree_row_by_row(q, n):
         assert minimal == (not index.strictly_through(mask)), (q, n, mask)
         assert minimal == characterization_minimal(cls, rk, q), (q, n, cls, rk)
         verdicts.append(minimal)
-    if q <= 3:
-        points = [0] * code.length
-        for i, (*_, mask) in enumerate(rows):
-            for p in bits_to_indices(mask):
-                points[p] |= 1 << i
-        sliced = minimal_rows(code, points)
-        for i, minimal in enumerate(verdicts):
-            assert (sliced >> i & 1) == minimal, (q, n, i)
+    points = [0] * code.length
+    for i, (*_, mask) in enumerate(rows):
+        for p in bits_to_indices(mask):
+            points[p] |= 1 << i
+    sliced = minimal_rows(code, points)
+    for i, minimal in enumerate(verdicts):
+        assert (sliced >> i & 1) == minimal, (q, n, i)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
@@ -236,21 +242,43 @@ def test_interpolation_walk_matches_the_census(q, n):
             assert witness & mask == mask and witness != mask, coeffs
 
 
-def test_census_workers_deterministic():
+# Whether a scan of more than one block with workers=2 starts a pool: it
+# does wherever two CPUs are usable.
+if hasattr(os, "sched_getaffinity"):
+    TWO_CPUS = len(os.sched_getaffinity(0)) > 1
+else:
+    TWO_CPUS = (os.cpu_count() or 1) > 1
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The list of the worker pools a test starts, one entry per
+    ``multiprocessing.Pool`` call."""
+    started = []
+    pool = multiprocessing.Pool
+
+    def counted(*args, **kwargs):
+        started.append(args)
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counted)
+    return started
+
+
+def test_census_workers_deterministic(pools):
     a = brute_force_census(2, 2, "characterization", workers=1)
     b = brute_force_census(2, 2, "characterization", workers=2)
     assert a == b
     c = brute_force_census(2, 2, "interpolation", workers=2)
     assert brute_dict(c) == brute_dict(a)
-    # (2,3) is 4 ranges and (3,2) 2, so workers=2 starts a pool.
-    for q, n in [(2, 3), (3, 2)]:
+    assert not pools
+    # (2,4) and (3,3) are 8 blocks each, so workers=2 starts a pool.
+    for q, n in [(2, 4), (3, 3)]:
         table = brute_force_census(q, n, "interpolation", workers=1)
         assert brute_force_census(q, n, "interpolation", workers=2) == table
-        serial, parallel = (
-            [(v.form.coeffs, v.witness.coeffs, v.shape) for v in verify_containment(q, n, workers=w)]
-            for w in (1, 2)
-        )
-        assert serial and parallel == serial
+    serial, parallel = (verify_containment(3, 3, workers=w) for w in (1, 2))
+    assert serial and parallel == serial
+    assert len(pools) == 3 * TWO_CPUS
 
 
 def _worker_cpus(args):
@@ -261,11 +289,12 @@ def _worker_cpus(args):
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs CPU affinity and two CPUs",
 )
-def test_scan_workers_keep_a_cpu_each():
+def test_scan_workers_keep_a_cpu_each(pools):
     """Every pool worker runs on one CPU of the parent's, no two workers on
     the same one, and the parent's own affinity is left as it was."""
     before = os.sched_getaffinity(0)
-    seen = dict(_scan(_worker_cpus, (), 2, 3, workers=2))
+    seen = dict(_scan(_worker_cpus, (), 3, 3, workers=2))
+    assert len(pools) == 1
     assert os.sched_getaffinity(0) == before
     assert all(len(cpus) == 1 and cpus <= before for cpus in seen.values())
     assert len(set(seen.values())) == len(seen)
@@ -290,12 +319,12 @@ def test_a_pool_of_one_is_no_pool(monkeypatch):
     assert verify_containment(2, 3, workers=2) == serial[2]
 
 
-def test_gf2_scan_decodes_no_row(monkeypatch):
+def test_gf2_scan_decodes_no_row(monkeypatch, pools):
     """Over GF(2) the containment scan reads each row's coefficients off its
-    row number: with the decoder gone it returns the same 7,560 pairs at
-    (2,3), in process and from two workers."""
-    serial = verify_containment(2, 3)
-    assert len(serial) == 7560
+    row number: with the decoder gone it returns the same 182,280 pairs at
+    (2,4), in process and from two workers."""
+    serial = verify_containment(2, 4)
+    assert len(serial) == 182280
 
     def no_decode(*args):
         raise AssertionError("a row was decoded")
@@ -303,9 +332,10 @@ def test_gf2_scan_decodes_no_row(monkeypatch):
     monkeypatch.setattr(census, "monic_coeffs_at", no_decode)
     columns = ("form_rows", "witness_rows", "scalars", "shapes")
     for workers in (1, 2):
-        table = verify_containment(2, 3, workers=workers)
+        table = verify_containment(2, 4, workers=workers)
         for name in columns:
             assert getattr(table, name) == getattr(serial, name), (workers, name)
+    assert len(pools) == TWO_CPUS
 
 
 def test_budget_guard():
@@ -441,34 +471,38 @@ def test_containment_table_reads_like_a_list(q, n):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_inadmissible_pair_fails_the_scan(no_elliptic_in_hyperbolic, workers):
+def test_inadmissible_pair_fails_the_scan(no_elliptic_in_hyperbolic, pools, workers):
+    """In process at (2,3), and from a pool at (2,4), whose 8 blocks start one."""
     message = "inadmissible containment: elliptic rank 4 inside hyperbolic rank 4"
     with pytest.raises(InadmissibleViolation) as caught:
-        verify_containment(2, 3, workers=workers)
+        verify_containment(2, {1: 3, 2: 4}[workers], workers=workers)
     assert str(caught.value) == message
+    assert len(pools) == (workers > 1 and TWO_CPUS)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_equal_zero_set_fails_the_scan(hidden_strict_witness, workers):
+def test_equal_zero_set_fails_the_scan(hidden_strict_witness, pools, workers):
     """A form whose strict witnesses and itself do not fill the span of
     forms through its zero set shares that zero set with another form:
     with one witness hidden from every answer, the first form with a
-    witness fails the member count, over GF(2) and over GF(3)."""
+    witness fails the member count, over GF(2) and over GF(3), in process
+    at N = 3 and 2 and from a pool at N = 4 and 3, 8 blocks each."""
     message = "equal zero sets: another form vanishes exactly where parabolic rank 3 does"
-    for q, n in ((2, 3), (3, 2)):
+    for q, n in {1: ((2, 3), (3, 2)), 2: ((2, 4), (3, 3))}[workers]:
         with pytest.raises(InadmissibleViolation) as caught:
             verify_containment(q, n, workers=workers)
         assert str(caught.value) == message, (q, n)
+    assert len(pools) == (workers > 1 and 2 * TWO_CPUS)
 
 
 def test_scans_leave_one_copy_of_each_survey_fact():
     """After a containment scan the survey holds its class masks, the
-    ordered point index, one class-rank byte per row and the last block of
-    zero masks: no per-row view, no shared masks, no survey-order columns."""
+    ordered point index and one class-rank byte per row: no per-row view,
+    no zero masks, no survey-order columns."""
     verify_containment(3, 3)
     index = survey(3, 3)
-    assert set(vars(index)) == {"q", "n", "classes", "point_index", "class_ranks", "_block"}
-    assert len(index.class_ranks) == len(index) and len(index._block[1]) <= 4096
+    assert set(vars(index)) == {"q", "n", "classes", "point_index", "class_ranks"}
+    assert len(index.class_ranks) == len(index)
 
 
 @pytest.mark.parametrize("q, n", GRID + ((7, 2), (8, 2)))
@@ -515,6 +549,13 @@ def test_census_beyond_the_grid(q, n):
     assert brute_force_census(q, n, budget=budget).matches()
     bound, max_seen, attained = serre_scan(q, n, budget=budget)
     assert max_seen == bound and attained
+
+
+@pytest.mark.slow
+def test_interpolation_census_at_q4_in_p3():
+    """The bit-sliced interpolation census of all 349,525 survey rows at
+    (4,3) equals the closed form."""
+    assert brute_force_census(4, 3, "interpolation", budget=349_525).matches()
 
 
 @pytest.mark.slow

@@ -89,7 +89,7 @@ def test_census_csv_and_out_file(tmp_path):
 def test_census_worker_output_identical():
     for argv in (
         ["census", "--q", "2", "--N", "2", "--method", "char"],
-        ["verify", "containment", "--q", "3", "--N", "2", "--limit", "50"],
+        ["verify", "containment", "--q", "3", "--N", "3", "--limit", "50"],
     ):
         _, out1, _ = run_cli(argv + ["--workers", "1"])
         _, out2, _ = run_cli(argv + ["--workers", "2"])

@@ -30,10 +30,16 @@ _SURVEY_TESTS = [
     "tests/test_prm.py::test_survey_equals_the_single_form_path[3-2]",
 ]
 
-# The bit-sliced interpolation census, against the per-row kernel.
+# The bit-sliced interpolation census, against the per-row kernel; past
+# q = 3, where an element need not be its own inverse and -x need not be
+# x's planes reversed.
 _SLICED_TESTS = [
     "tests/test_census.py::test_census_testers_agree_row_by_row[2-3]",
     "tests/test_census.py::test_census_testers_agree_row_by_row[3-2]",
+]
+_SLICED_Q4_TESTS = [
+    "tests/test_census.py::test_census_testers_agree_row_by_row[4-2]",
+    "tests/test_census.py::test_census_testers_agree_row_by_row[8-2]",
 ]
 
 MUTANTS = {
@@ -96,15 +102,39 @@ MUTANTS = {
     ),
     "sliced_pivot_line_kept": (
         "src/prmquadrics/prm.py",
-        "scale(pivot, [e * ones[left] for e in reversed(head)])",
-        "scale(pivot, [(e & ~hit) * ones[left] for e in reversed(head)])",
+        "scale(pivot, [head[s] * ones[left] for s in negate])",
+        "scale(pivot, [(head[s] & ~hit) * ones[left] for s in negate])",
         _SLICED_TESTS,
     ),
     "gf3_sum_without_equal_terms": (
         "src/prmquadrics/prm.py",
         "both = (a1 | a2) & (b1 | b2)",
         "both = a1 & b2 | a2 & b1",
-        _SLICED_TESTS[1:],
+        _SURVEY_TESTS[1:],
+    ),
+    "inverse_taken_as_identity": (
+        "src/prmquadrics/prm.py",
+        "invert = [field._inv[e] - 1 for e in nonzero]",
+        "invert = [e - 1 for e in nonzero]",
+        _SLICED_Q4_TESTS,
+    ),
+    "negation_taken_as_reversal": (
+        "src/prmquadrics/prm.py",
+        "negate = [field._neg[e] - 1 for e in nonzero]",
+        "negate = [field.q - 1 - e for e in nonzero]",
+        _SLICED_Q4_TESTS,
+    ),
+    "sum_without_lone_terms": (
+        "src/prmquadrics/prm.py",
+        "a[c] & zero_b | b[c] & zero_a)",
+        "0)",
+        _SLICED_TESTS,
+    ),
+    "budget_refuses_its_own_size": (
+        "src/prmquadrics/prm.py",
+        "if rows > budget:",
+        "if rows >= budget:",
+        ["tests/test_prm.py::test_budget_admits_exactly_the_row_count[2-3]"],
     ),
     "free_counter_without_carry": (
         "src/prmquadrics/prm.py",

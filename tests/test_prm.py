@@ -408,6 +408,15 @@ def test_exhaustive_budget_guard():
     assert brute_force_census(2, 3, "exhaustive", budget=2**10).matches()
 
 
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (7, 2)])
+def test_budget_admits_exactly_the_row_count(q, n):
+    """A survey may have as many rows as the budget, and not one more."""
+    rows = len(survey(q, n))
+    check_budget(q, n, budget=rows)
+    with pytest.raises(BudgetExceeded):
+        check_budget(q, n, budget=rows - 1)
+
+
 @pytest.mark.parametrize("q, n", [(2, 2), (2, 3), (3, 2), (4, 2)])
 def test_exhaustive_tester_equals_a_linear_scan(q, n):
     """The point-index tester against the scan it replaced: the first
