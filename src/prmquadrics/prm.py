@@ -13,11 +13,11 @@ the same one ``point_set`` reads the zero set from.
 ``survey(q, n)`` classifies every form up to scalar once, bit-sliced over
 its rows in ``iter_monic_coeffs`` order: for each point, integers whose
 bit i stands for row i give the rows where the form takes each value
-there (over GF(2) and GF(3) sums of fixed coefficient planes, past that a
-recursion over the coefficients), and the zero buckets are the point
-index.  Polarization gives the singular points, and bit-sliced counters
-the zero and singular counts, so each (class, rank, zero count) is one
-row mask and the census reductions are popcounts.  The one query,
+there (sums of fixed coefficient planes, in the bit-sliced arithmetic of
+``_sliced`` that ``minimal_rows`` shares), and the zero buckets are the
+point index.  Polarization gives the singular points, and bit-sliced
+counters the zero and singular counts, so each (class, rank, zero count)
+is one row mask and the census reductions are popcounts.  The one query,
 ``Survey.strictly_through``, first reorders the index by zero count, most
 zeros first, so the rows that can strictly contain a zero set of size c
 are a prefix, and the ANDs over a point set run only over it, stopping
@@ -396,82 +396,55 @@ def _coefficient_planes(field: Field, m: int):
 def survey(q: int, n: int) -> Survey:
     """Classify every form up to scalar: its zero set and (class, rank).
 
-    Rows follow ``iter_monic_coeffs`` order, so each row index is a block
-    offset plus a mixed-radix tail.  For each point p the rows where
-    F(p) = a, for every a, are the buckets at p.  Over GF(2) and GF(3),
-    F(p) is the bit-sliced sum (``_add_gf2``, ``_add_gf3``) over k of
-    coefficient k's planes (:func:`_coefficient_planes`) times v_k, the
-    planes reversed when v_k = 2, and bucket 0 is the rows in no plane; the sums are built one
-    coefficient at a time, so two coefficients' planes at most are held.
-    Past q = 3 an add would take (q-1)**2 plane ANDs, and a suffix
-    recursion over the coefficients, its widths growing geometrically, is
-    cheaper: S_m = [1, 0, ..., 0], S_k[a] is the OR over the digits
-    (idx, c) of S_(k+1)[a - c*v_k] shifted to digit idx, and block L
-    takes S_(L+1)[a - v_L].  Bucket 0 is ``columns[p]``.  The singular
-    points, where F and every polar partial B(e_t, .) vanish, follow by
-    polarization: with p + e_t = l*r, B(e_t, p) = l**2 F(r) - F(p) - F(e_t),
-    so p is singular on the rows of Z[p] that, for every t, take some
-    value a at r and l**2 a at e_t (F(e_t) = 0 when p + e_t = 0).  The
-    buckets at r are dropped once every (p, t) it serves has read them.
-    Zero and singular counts are bit-sliced over the rows; the singular
-    points are the quadratic radical's, so their count gives the rank,
-    and the zero count then the class.
+    Rows follow ``iter_monic_coeffs`` order.  For each point p the rows
+    where F(p) = a, for every a, are the buckets at p.  F(p) is the
+    bit-sliced sum, with the add of :func:`_sliced`, over k of coefficient
+    k's planes (:func:`_coefficient_planes`) times v_k, the value of
+    monomial k at p: a permutation of the planes, plane c taken from
+    plane c/v_k.  Bucket 0 is the rows in no plane of the sum,
+    ``columns[p]``.  All m*(q-1) coefficient planes are built once, before
+    the first point.  Past GF(3) an add costs (q-1)**2 plane ANDs, so from
+    (7,2) and (4,3) on a recursion over the coefficients would be faster
+    (README gives the crossover).  The singular points, where F and every
+    polar partial B(e_t, .) vanish, follow by polarization: with
+    p + e_t = l*r, B(e_t, p) = l**2 F(r) - F(p) - F(e_t), so p is singular
+    on the rows of Z[p] that, for every t, take some value a at r and
+    l**2 a at e_t (F(e_t) = 0 when p + e_t = 0).  The buckets at r are
+    dropped once every (p, t) it serves has read them.  Zero and singular
+    counts are bit-sliced over the rows; the singular points are the
+    quadratic radical's, so their count gives the rank, and the zero count
+    then the class.
 
     The cache holds up to eight surveys.  At (5,3), 2,441,406 rows and
     the largest budget a test passes, one survey's columns and class masks
-    take about 53 MB, and building them peaks at 130 MB ((2,5): 60 MB,
-    as with the recursion).  The point index ordered by zero count
-    replaces the columns on the first query, plus 4 bytes a row for the
-    order and 1 for the class-rank byte: 144 MB peak.
+    take about 53 MB, its 40 coefficient planes 12 MB more while it is
+    built, and building it peaks at 139 MB ((2,5): 63 MB).  The point
+    index ordered by zero count replaces the columns on the first query,
+    plus 4 bytes a row for the order and 1 for the class-rank byte: 147 MB
+    peak.
     """
     field = field_from_order(q)
     space = projective_space(field, n)
     m = len(monomials(n))
-    add, mul, neg, inv, elems = field._add, field._mul, field._neg, field._inv, field.elements
+    add, mul, inv = field._add, field._mul, field._inv
     decode = field.lane_code.decode
     values = list(zip(*(lane.translate(decode) for lane in space.monomial_rows())))
     full = (1 << _row_count(q, n)) - 1
-    if q <= 3:
-        # columns[r]: F's value planes at r until the loop below reads them.
-        sliced_add = _add_gf2 if q == 2 else _add_gf3
-        columns = [(0,) * (q - 1)] * len(values)
-        for k, planes in _coefficient_planes(field, m):
-            for r, v in enumerate(values):
-                if v[k]:
-                    columns[r] = sliced_add(columns[r], planes if v[k] == 1 else planes[::-1])
+    add_planes = _sliced(field)[0]
+    nonzero = range(1, q)
+    # terms[k][v]: coefficient k's planes times v, plane c taken from plane c/v.
+    terms = {
+        k: {v: [planes[mul[inv[v]][c] - 1] for c in nonzero] for v in nonzero}
+        for k, planes in _coefficient_planes(field, m)
+    }
 
-        def buckets(r: int) -> list[int]:
-            nonzero = 0
-            for plane in columns[r]:
-                nonzero |= plane
-            return [full ^ nonzero, *columns[r]]
+    def buckets(r: int) -> list[int]:
+        """``out[a]``: the rows whose form takes the value a at point r."""
+        v = values[r]
+        total = reduce(add_planes, [times[v[k]] for k, times in terms.items() if v[k]])
+        return [full ^ reduce(or_, total), *total]
 
-    else:
-        columns = [0] * len(values)
-
-        def buckets(r: int) -> list[int]:
-            """``out[a]``: the rows whose form takes the value a at point r."""
-            v = values[r]
-            suffix = [1] + [0] * (q - 1)
-            out = [0] * q
-            width = 1
-            for k in range(m - 1, -1, -1):
-                minus = [add[a][neg[v[k]]] for a in range(q)]
-                out = [out[a] << width | suffix[minus[a]] for a in range(q)]
-                if not k:
-                    break
-                grown = [0] * q
-                for idx, c in enumerate(elems):
-                    d = neg[mul[c][v[k]]]
-                    at = idx * width
-                    for a in range(q):
-                        part = suffix[add[a][d]]
-                        if part:
-                            grown[a] |= part << at
-                suffix = grown
-                width *= q
-            return out
-
+    columns = [0] * len(values)
     index = space._index
     # units[t]: the buckets at e_t.
     units = [buckets(index[tuple(int(s == t) for s in range(n + 1))]) for t in range(n + 1)]
@@ -584,8 +557,9 @@ def _sliced(field: Field):
     a sum is the OR of ``a[x] & b[y]`` over x + y = c, plus a's plane c
     where b is 0 and b's where a is 0; plane c of a product the OR of
     ``a[x] & f[y]`` over x * y = c.  Each takes (q-1)**2 plane ANDs at
-    most, so ``survey`` keeps ``_add_gf2`` and ``_add_gf3``, which take
-    one and seven plane operations."""
+    most, so over GF(2) and GF(3) the add is ``_add_gf2`` or ``_add_gf3``,
+    one and seven plane operations; ``survey`` and :func:`minimal_rows`
+    both take it from here."""
     nonzero = range(1, field.q)
     sums, products = (
         [[(x - 1, y - 1) for x in nonzero for y in nonzero if table[x][y] == c] for c in nonzero]
@@ -602,7 +576,7 @@ def _sliced(field: Field):
     def scale(a, f):
         return [reduce(or_, (a[x] & f[y] for x, y in pairs), 0) for pairs in products]
 
-    return add, scale
+    return {2: _add_gf2, 3: _add_gf3}.get(field.q, add), scale
 
 
 def minimal_rows(code: PrmCode, points: list[int]) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 import random
 from types import SimpleNamespace
@@ -92,6 +93,29 @@ def points(subspace: LinearSubspace) -> list[tuple[int, ...]]:
         out.add(normalize(field, vec))
     key = field.order_index
     return sorted(out, key=lambda pt: tuple(key(c) for c in pt))
+
+
+# Whether a scan of more than one block with workers=2 starts a pool: it
+# does wherever two CPUs are usable.
+if hasattr(os, "sched_getaffinity"):
+    TWO_CPUS = len(os.sched_getaffinity(0)) > 1
+else:
+    TWO_CPUS = (os.cpu_count() or 1) > 1
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The list of the worker pools a test starts, one entry per
+    ``multiprocessing.Pool`` call."""
+    started = []
+    pool = multiprocessing.Pool
+
+    def counted(*args, **kwargs):
+        started.append(args)
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counted)
+    return started
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from conftest import FIELD_ORDERS, GRID, brute_dict, survey_rows
+from conftest import FIELD_ORDERS, GRID, TWO_CPUS, brute_dict, survey_rows
 
 from prmquadrics import census
 from prmquadrics.census import (
@@ -242,29 +242,6 @@ def test_interpolation_walk_matches_the_census(q, n):
             assert witness & mask == mask and witness != mask, coeffs
 
 
-# Whether a scan of more than one block with workers=2 starts a pool: it
-# does wherever two CPUs are usable.
-if hasattr(os, "sched_getaffinity"):
-    TWO_CPUS = len(os.sched_getaffinity(0)) > 1
-else:
-    TWO_CPUS = (os.cpu_count() or 1) > 1
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """The list of the worker pools a test starts, one entry per
-    ``multiprocessing.Pool`` call."""
-    started = []
-    pool = multiprocessing.Pool
-
-    def counted(*args, **kwargs):
-        started.append(args)
-        return pool(*args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing, "Pool", counted)
-    return started
-
-
 def test_census_workers_deterministic(pools):
     a = brute_force_census(2, 2, "characterization", workers=1)
     b = brute_force_census(2, 2, "characterization", workers=2)
@@ -434,10 +411,11 @@ def test_containment_empty_for_large_q():
 
 
 @pytest.mark.parametrize("q, n", [(2, 3), (3, 2)])
-def test_containment_table_reads_like_a_list(q, n):
+def test_containment_table_reads_like_a_list(pools, q, n):
     """The pair table indexes, slices, iterates and compares like the list
     of its records, and its columns are flat: row numbers of at most 4
-    bytes, scalars and shape codes as bytes, the same serial or parallel."""
+    bytes, scalars and shape codes as bytes, the same serial or parallel
+    at N + 1, whose 8 blocks start a pool."""
     table = verify_containment(q, n)
     records = list(table)
     size = len(table)
@@ -460,12 +438,13 @@ def test_containment_table_reads_like_a_list(q, n):
     for column in (table.form_rows, table.witness_rows):
         assert column.itemsize <= 4 and len(column) == size
     assert type(table.scalars) is bytes and type(table.shapes) is bytes
-    parallel = verify_containment(q, n, workers=2)
+    serial, parallel = (verify_containment(q, n + 1, workers=w) for w in (1, 2))
+    assert len(pools) == TWO_CPUS
     columns = ("form_rows", "witness_rows", "scalars", "shapes")
     for name in columns:
-        a, b = getattr(table, name), getattr(parallel, name)
+        a, b = getattr(serial, name), getattr(parallel, name)
         assert type(a) is type(b) and a == b, name
-    assert table.form_rows.typecode == parallel.form_rows.typecode
+    assert serial.form_rows.typecode == parallel.form_rows.typecode
     empty = verify_containment(4, 2)
     assert not empty and len(empty) == 0 and list(empty) == [] and empty[:3] == []
 

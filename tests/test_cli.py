@@ -13,6 +13,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TWO_CPUS
+
 import prmquadrics
 from prmquadrics import census, prm, quadric
 from prmquadrics.cli import MAX_BUDGET, main
@@ -64,16 +66,24 @@ def test_minimal_methods_agree():
     assert verdicts["interp"]["witness"] is not None
 
 
-def test_census_exhaustive_2_3():
-    code, out, _ = run_cli(
-        ["census", "--q", "2", "--N", "3", "--method", "exhaustive", "--workers", "2"]
-    )
+def test_census_exhaustive_2_3(pools):
+    """In process at (2,3), and from a pool at (2,4), whose 8 blocks start one."""
+    argv = ["census", "--q", "2", "--method", "exhaustive"]
+    code, out, _ = run_cli(argv + ["--N", "3", "--workers", "1"])
     assert code == 0
     payload = json.loads(out)
     assert payload["rows"] == [
         {"weight": 4, "closed": 105, "brute": 105},
         {"weight": 6, "closed": 280, "brute": 280},
     ]
+    code, out, _ = run_cli(argv + ["--N", "4", "--workers", "2"])
+    assert code == 0
+    assert json.loads(out)["rows"] == [
+        {"weight": 8, "closed": 465, "brute": 465},
+        {"weight": 12, "closed": 8680, "brute": 8680},
+        {"weight": 16, "closed": 13888, "brute": 13888},
+    ]
+    assert len(pools) == TWO_CPUS
 
 
 def test_census_csv_and_out_file(tmp_path):
@@ -298,6 +308,24 @@ def test_unmet_serre_bound_exits_1(no_form_at_the_serre_bound):
     payload = json.loads(out)
     assert payload == json.loads(err.removeprefix("verification failed: "))
     assert (payload["holds"], payload["bound"]) == (False, 5) and payload["max_observed"] < 5
+
+
+def test_unmatched_census_exits_1(monkeypatch):
+    """A closed-form count off by one: the table goes to stdout as usual,
+    then one failure line with the same table."""
+    closed_form = census.minimal_count_closed_form
+
+    def off_by_one(q, n):
+        table = closed_form(q, n)
+        (w, c, b), *rest = table.rows
+        return replace(table, rows=((w, c + 1, b), *rest))
+
+    monkeypatch.setattr(census, "minimal_count_closed_form", off_by_one)
+    code, out, err = run_cli(["census", "--q", "2", "--N", "2", "--method", "char"])
+    assert code == 1 and err.count("\n") == 1 and err.startswith("verification failed: "), err
+    payload = json.loads(out)
+    assert payload == json.loads(err.removeprefix("verification failed: "))
+    assert payload["rows"] == [{"weight": 2, "closed": 22, "brute": 21}]
 
 
 def test_failed_counting_identity_exits_1(monkeypatch):

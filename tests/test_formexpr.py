@@ -116,11 +116,14 @@ def test_parse_errors_and_positions():
         ("(z^)*X0^2", 4, FieldLiteralInvalid, 3, "expected an exponent after '^'"),
         ("(z X0^2", 4, FieldLiteralInvalid, 3, "expected '+', '-' or ')' in field literal"),
         ("X0^2 X1^2", 2, FormSyntaxError, 5, "expected '+', '-' or end of input"),
+        ("(z)X0^2", 4, FormSyntaxError, 3, "expected '*' after a coefficient"),
+        ("X0^y", 2, FormSyntaxError, 3, "expected an exponent"),
     ],
 )
 def test_parse_error_after_each_kind_of_item(text, q, error, position, message):
     """The signed-sum rule and the field-literal terms, each failing past
-    its first item: class, position and message."""
+    its first item, and a term missing its '*' or its exponent: class,
+    position and message."""
     with pytest.raises(error) as exc:
         parse_form(text, field_from_order(q), 2)
     assert type(exc.value) is error

@@ -31,8 +31,8 @@ _SURVEY_TESTS = [
 ]
 
 # The bit-sliced interpolation census, against the per-row kernel; past
-# q = 3, where an element need not be its own inverse and -x need not be
-# x's planes reversed.
+# q = 3, where an element need not be its own inverse, -x need not be x's
+# planes reversed, and the add is built from the field's tables.
 _SLICED_TESTS = [
     "tests/test_census.py::test_census_testers_agree_row_by_row[2-3]",
     "tests/test_census.py::test_census_testers_agree_row_by_row[3-2]",
@@ -128,7 +128,7 @@ MUTANTS = {
         "src/prmquadrics/prm.py",
         "a[c] & zero_b | b[c] & zero_a)",
         "0)",
-        _SLICED_TESTS,
+        _SLICED_Q4_TESTS,
     ),
     "budget_refuses_its_own_size": (
         "src/prmquadrics/prm.py",
@@ -150,9 +150,18 @@ MUTANTS = {
     ),
     "planes_not_reversed_for_2": (
         "src/prmquadrics/prm.py",
-        "planes if v[k] == 1 else planes[::-1]",
+        "[planes[mul[inv[v]][c] - 1] for c in nonzero]",
         "planes",
         _SURVEY_TESTS,
+    ),
+    "scaled_planes_not_inverted": (
+        "src/prmquadrics/prm.py",
+        "planes[mul[inv[v]][c] - 1]",
+        "planes[mul[v][c] - 1]",
+        [
+            "tests/test_prm.py::test_survey_equals_the_single_form_path[4-2]",
+            "tests/test_prm.py::test_survey_equals_the_single_form_path[5-2]",
+        ],
     ),
     "pattern_not_cut_at_block": (
         "src/prmquadrics/prm.py",

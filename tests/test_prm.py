@@ -194,7 +194,10 @@ def test_monic_coeffs_at_refuses_both_ends():
                 monic_coeffs_at(field, m, bad)
 
 
-@pytest.mark.parametrize("q, m", [(q, m) for q in (2, 3) for m in range(1, 7)])
+@pytest.mark.parametrize(
+    "q, m",
+    [(q, m) for q in (2, 3) for m in range(1, 7)] + [(q, m) for q in (4, 5, 7, 8, 9) for m in range(1, 5)],
+)
 def test_coefficient_planes_hold_the_decoded_coefficients(q, m):
     """Plane s of coefficient k has bit i set exactly when row i's
     coefficient k is the element s + 1, for every k, s and row."""
