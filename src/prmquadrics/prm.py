@@ -393,6 +393,31 @@ def _coefficient_planes(field: Field, m: int):
 
 
 @lru_cache(maxsize=8)
+def _polarization(q: int, n: int):
+    """The point pairs ``survey(q, n)`` reads its polarization from, read off
+    the point sequence once per (q, n): the positions of the unit points e_t;
+    ``serves[r]``, the (p, t, l**2) with p + e_t = l*r; and the (p, t) with
+    p + e_t = 0."""
+    field = field_from_order(q)
+    points = projective_space(field, n).points
+    add, mul, inv = field._add, field._mul, field._inv
+    units = [points.index(tuple(int(s == t) for s in range(n + 1))) for t in range(n + 1)]
+    serves: list[list[tuple[int, int, int]]] = [[] for _ in points]
+    vanish = []
+    for p, point in enumerate(points):
+        for t in range(n + 1):
+            v = list(point)
+            v[t] = add[v[t]][1]
+            last = next((c for c in reversed(v) if c), 0)
+            if last:
+                r = points.index(tuple(mul[inv[last]][c] for c in v))
+                serves[r].append((p, t, mul[last][last]))
+            else:
+                vanish.append((p, t))
+    return units, serves, vanish
+
+
+@lru_cache(maxsize=8)
 def survey(q: int, n: int) -> Survey:
     """Classify every form up to scalar: its zero set and (class, rank).
 
@@ -409,11 +434,12 @@ def survey(q: int, n: int) -> Survey:
     polar partial B(e_t, .) vanish, follow by polarization: with
     p + e_t = l*r, B(e_t, p) = l**2 F(r) - F(p) - F(e_t), so p is singular
     on the rows of Z[p] that, for every t, take some value a at r and
-    l**2 a at e_t (F(e_t) = 0 when p + e_t = 0).  The buckets at r are
-    dropped once every (p, t) it serves has read them.  Zero and singular
-    counts are bit-sliced over the rows; the singular points are the
-    quadratic radical's, so their count gives the rank, and the zero count
-    then the class.
+    l**2 a at e_t (F(e_t) = 0 when p + e_t = 0).  Which (p, t) each r
+    serves depends on (q, N) only, so :func:`_polarization` finds it once.
+    The buckets at r are dropped once every (p, t) it serves has read
+    them.  Zero and singular counts are bit-sliced over the rows; the
+    singular points are the quadratic radical's, so their count gives the
+    rank, and the zero count then the class.
 
     The cache holds up to eight surveys.  At (5,3), 2,441,406 rows and
     the largest budget a test passes, one survey's columns and class masks
@@ -426,7 +452,7 @@ def survey(q: int, n: int) -> Survey:
     field = field_from_order(q)
     space = projective_space(field, n)
     m = len(monomials(n))
-    add, mul, inv = field._add, field._mul, field._inv
+    mul, inv = field._mul, field._inv
     decode = field.lane_code.decode
     values = list(zip(*(lane.translate(decode) for lane in space.monomial_rows())))
     full = (1 << _row_count(q, n)) - 1
@@ -445,22 +471,12 @@ def survey(q: int, n: int) -> Survey:
         return [full ^ reduce(or_, total), *total]
 
     columns = [0] * len(values)
-    index = space._index
+    unit_points, serves, vanish = _polarization(q, n)
     # units[t]: the buckets at e_t.
-    units = [buckets(index[tuple(int(s == t) for s in range(n + 1))]) for t in range(n + 1)]
+    units = [buckets(r) for r in unit_points]
     singular = [full] * len(values)
-    # serves[r]: (p, t, l**2) for each p + e_t = l*r.
-    serves: list[list[tuple[int, int, int]]] = [[] for _ in values]
-    for p, point in enumerate(space.points):
-        for t in range(n + 1):
-            v = list(point)
-            v[t] = add[v[t]][1]
-            last = next((c for c in reversed(v) if c), 0)
-            if last:
-                r = index[tuple(mul[inv[last]][c] for c in v)]
-                serves[r].append((p, t, mul[last][last]))
-            else:
-                singular[p] &= units[t][0]
+    for p, t in vanish:
+        singular[p] &= units[t][0]
     for r in range(len(values)):
         at_r = buckets(r)
         columns[r] = at_r[0]

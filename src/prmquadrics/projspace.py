@@ -1,16 +1,19 @@
 """Rational points of P^N(F_q), linear subspaces, and q-binomial counts.
 
 Point representatives follow the usual normalization: the last nonzero
-coordinate equals 1.  The canonical point list is sorted lexicographically
-on coordinate vectors under the field's element order, and every bit-indexed
-point set in the package is keyed by position in that list.
+coordinate equals 1.  The canonical point order is lexicographic on
+coordinate vectors under the field's element order, and every bit-indexed
+point set in the package is keyed by position in that order.  P^N splits
+into q blocks, one per first coordinate, each a copy of P^(N-1), so
+positions are ranked by arithmetic and lanes built by concatenation; no
+per-point tuple is stored.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add
+from functools import cached_property, lru_cache
 
 from .gf import Field
 from .linalg import rref, vec_add, vec_scale
@@ -59,27 +62,82 @@ def normalize(field: Field, vec) -> tuple[int, ...]:
     return tuple(vec)
 
 
+class PointList(Sequence):
+    """The points of P^N in canonical order, none of them stored.
+
+    P^k lists, for each a in element order, first (1, 0, ..., 0) when a = 1
+    and then (a,) + p for every p of P^(k-1) (Hirschfeld & Thas, *General
+    Galois Geometries*).  So ``[i]`` unranks and ``index`` ranks by
+    arithmetic on the block sizes p_(k-1), and iteration reads ``columns``.
+    """
+
+    def __init__(self, field: Field, n: int):
+        self.field, self.n, self._one = field, n, field.order_index(1)
+        # p_(k-1) for k = N, ..., 0; P^0 is (1,) before q empty blocks.
+        self._blocks = [projective_size(field.q, k) for k in range(n - 1, -2, -1)]
+        self._len = projective_size(field.q, n)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        i, out = range(self._len)[i], []
+        for size in self._blocks:
+            special = self._one * size
+            if i == special:
+                return (*out, 1) + (0,) * (self.n - len(out))
+            a, i = divmod(i - (i > special), size)
+            out.append(self.field.elements[a])
+
+    def index(self, point) -> int:
+        """The position of a normalized point; ValueError for anything else."""
+        head = bytes(point).rstrip(b"\0")
+        if len(point) != self.n + 1 or not head or head[-1] != 1 or max(head) >= self.field.q:
+            raise ValueError(f"{tuple(point)!r} is not a normalized point of P^{self.n}")
+        i, rank, one = 0, self.field._order_index, self._one
+        for size, c in zip(self._blocks, head[:-1]):
+            a = rank[c]
+            i += a * size + (a >= one)
+        return i + one * self._blocks[len(head) - 1]
+
+    def __contains__(self, point) -> bool:
+        try:
+            self.index(point)
+        except (TypeError, ValueError):
+            return False
+        return True
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+    @cached_property
+    def columns(self) -> list[bytes]:
+        """Per coordinate, its element at every point, one byte each."""
+        if not self.n:
+            return [b"\1"]
+        field, lower = self.field, projective_space(self.field, self.n - 1).points
+        first = _stack(field, [bytes((a,)) * len(lower) for a in field.elements], b"\1")
+        return [first] + [_stack(field, [column] * field.q, b"\0") for column in lower.columns]
+
+
+def _stack(field: Field, blocks: list[bytes], special: bytes) -> bytes:
+    """A lane of P^k from its q blocks, block a read at (a,) + P^(k-1), with
+    the byte ``special`` of (1, 0, ..., 0) before the block of a = 1."""
+    blocks.insert(field.order_index(1), special)
+    return b"".join(blocks)
+
+
 class ProjectiveSpace:
-    """P^N(F_q) with its canonical ordered point list and its flats."""
+    """P^N(F_q): its points as a :class:`PointList`, its monomial lanes
+    and its flats, with no per-point object."""
 
     def __init__(self, field: Field, n: int):
         if n < 0:
             raise OutOfRange(f"ambient dimension must be >= 0, got {n}")
         self.field = field
         self.n = n
-        # P^k in canonical order is, for each a in element order, (1, 0..0)
-        # when a == 1 (the zero tail sorts first) and then (a,) + p for
-        # every p of P^(k-1) in its canonical order.
-        pts = [(1,)]
-        for k in range(1, n + 1):
-            lower, pts = pts, []
-            for a in field.elements:
-                if a == 1:
-                    pts.append((1,) + (0,) * k)
-                pts += [(a,) + p for p in lower]
-        self.points: tuple[tuple[int, ...], ...] = tuple(pts)
-        self._index = {pt: i for i, pt in enumerate(pts)}
-        self.full_mask = (1 << len(pts)) - 1
+        self.points = PointList(field, n)
+        self.full_mask = (1 << len(self.points)) - 1
         self._monomial_rows: tuple[bytes, ...] | None = None
         self._flats: list[tuple[int, ...]] = []
 
@@ -92,21 +150,25 @@ class ProjectiveSpace:
     def monomial_rows(self) -> tuple[bytes, ...]:
         """The generator's rows: one lane per monomial X_i X_j of
         ``quadric.monomials(N)``, byte p holding its value at point p in the
-        field's lane code.  Built on first use from the coordinate columns,
-        with products taken through the multiplication table."""
+        field's lane code.  Built on first use from P^(N-1)'s columns and
+        lanes, block a being P^(N-1) prefixed by a: X_0^2 is a run of a^2,
+        X_0 X_j is P^(N-1)'s column j-1 times a, and X_i X_j with i >= 1 is
+        P^(N-1)'s lane of X_(i-1) X_(j-1).  At (1, 0, ..., 0) only X_0^2 is
+        nonzero.  The monomials with i = 0 come first, then P^(N-1)'s in
+        its order, which is the order of ``monomials(N)``."""
         if self._monomial_rows is None:
-            field = self.field
-            q, mul, encode = field.q, field._mul, field.lane_code.encode
-            # products[a*q + b]: the lane byte of a*b.
-            products = bytes(encode[mul[a][b]] for a in range(q) for b in range(q))
-            squares = bytes(products[a * q + a] for a in range(q)) + bytes(256 - q)
-            columns = [bytes(col) for col in zip(*self.points)]
-            rows = []
-            for i, col in enumerate(columns):
-                rows.append(col.translate(squares))
-                scaled = [a * q for a in col]
-                for other in columns[i + 1 :]:
-                    rows.append(bytes(map(products.__getitem__, map(add, scaled, other))))
+            field, code = self.field, self.field.lane_code
+            if not self.n:
+                rows = [code.encode[1:2]]  # X_0^2 at (1,)
+            else:
+                lower = projective_space(field, self.n - 1)
+                size, mul = len(lower), field._mul
+                squares = [bytes((code.encode[mul[a][a]],)) * size for a in field.elements]
+                rows = [_stack(field, squares, code.encode[1:2])]
+                for column in lower.points.columns:
+                    coded = column.translate(code.encode)
+                    rows.append(_stack(field, [coded.translate(code.scale[a]) for a in field.elements], b"\0"))
+                rows += [_stack(field, [lane] * field.q, b"\0") for lane in lower.monomial_rows()]
             self._monomial_rows = tuple(rows)
         return self._monomial_rows
 
@@ -132,7 +194,7 @@ class ProjectiveSpace:
                     join = flat
                     for x in members:
                         for y in line_through(self.field, x, p):
-                            join |= 1 << self._index[y]
+                            join |= 1 << self.points.index(y)
                     joins.add(join)
                     rest &= ~join
             self._flats.append(tuple(sorted(joins)))

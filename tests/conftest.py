@@ -6,6 +6,7 @@ import itertools
 import multiprocessing
 import os
 import random
+from operator import add
 from types import SimpleNamespace
 
 import pytest
@@ -93,6 +94,31 @@ def points(subspace: LinearSubspace) -> list[tuple[int, ...]]:
         out.add(normalize(field, vec))
     key = field.order_index
     return sorted(out, key=lambda pt: tuple(key(c) for c in pt))
+
+
+def tuple_space(field: Field, n: int) -> tuple[list[tuple[int, ...]], tuple[bytes, ...]]:
+    """Oracle: P^n's points as one tuple each, built by the canonical
+    recursion, and its monomial lanes as coordinate products taken one byte
+    at a time through the multiplication table, pair (i, j > i) after
+    square i."""
+    pts = [(1,)]
+    for k in range(1, n + 1):
+        lower, pts = pts, []
+        for a in field.elements:
+            if a == 1:
+                pts.append((1,) + (0,) * k)
+            pts += [(a,) + p for p in lower]
+    q, mul, encode = field.q, field._mul, field.lane_code.encode
+    products = bytes(encode[mul[a][b]] for a in range(q) for b in range(q))
+    squares = bytes(products[a * q + a] for a in range(q)) + bytes(256 - q)
+    columns = [bytes(col) for col in zip(*pts)]
+    rows = []
+    for i, col in enumerate(columns):
+        rows.append(col.translate(squares))
+        scaled = [a * q for a in col]
+        for other in columns[i + 1 :]:
+            rows.append(bytes(map(products.__getitem__, map(add, scaled, other))))
+    return pts, tuple(rows)
 
 
 # Whether a scan of more than one block with workers=2 starts a pool: it

@@ -42,6 +42,12 @@ _SLICED_Q4_TESTS = [
     "tests/test_census.py::test_census_testers_agree_row_by_row[8-2]",
 ]
 
+# The point view and the block-built lanes, against the tuple build.
+_POINT_VIEW_TESTS = [
+    "tests/test_projspace.py::test_points_and_lanes_equal_the_tuple_build[3-2]",
+    "tests/test_projspace.py::test_points_and_lanes_equal_the_tuple_build[4-2]",
+]
+
 MUTANTS = {
     "witness_unscaled": (
         "src/prmquadrics/census.py",
@@ -168,6 +174,24 @@ MUTANTS = {
         "            pattern &= (1 << start) - 1\n",
         "",
         _SURVEY_TESTS,
+    ),
+    "rank_block_shift_strict": (
+        "src/prmquadrics/projspace.py",
+        "i += a * size + (a >= one)",
+        "i += a * size + (a > one)",
+        _POINT_VIEW_TESTS,
+    ),
+    "unrank_special_point_after_its_block": (
+        "src/prmquadrics/projspace.py",
+        "special = self._one * size",
+        "special = (self._one + 1) * size",
+        _POINT_VIEW_TESTS,
+    ),
+    "cross_lanes_scaled_by_square": (
+        "src/prmquadrics/projspace.py",
+        "coded.translate(code.scale[a])",
+        "coded.translate(code.scale[mul[a][a]])",
+        _POINT_VIEW_TESTS,
     ),
 }
 

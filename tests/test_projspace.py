@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIELD_ORDERS, GRID, points, random_nonzero_vector
+from conftest import FIELD_ORDERS, GRID, points, random_nonzero_vector, tuple_space
 
 from prmquadrics.gf import field_create, field_from_order
 from prmquadrics.linalg import rref, vec_scale
@@ -23,6 +23,7 @@ from prmquadrics.projspace import (
     projective_space,
     subspace_from_vectors,
 )
+from prmquadrics.quadric import monomials
 
 
 def test_projective_size_values():
@@ -68,6 +69,66 @@ def test_every_nonzero_vector_normalizes_into_list(q, n):
         if not any(vec):
             continue
         assert normalize(field, vec) in pts
+
+
+# Every field order and dimension with at most 20,000 points.
+_VIEW_SPACES = [
+    (q, n) for q in FIELD_ORDERS for n in range(14) if projective_size(q, n) <= 20_000
+]
+
+
+@pytest.mark.parametrize("q,n", _VIEW_SPACES)
+def test_points_and_lanes_equal_the_tuple_build(q, n):
+    """The point view and the block-built lanes against one tuple per point
+    and the per-byte product loop: unranking (also from the end), iteration,
+    ranking, membership, every lane byte, and the errors."""
+    field = field_from_order(q)
+    pts, rows = tuple_space(field, n)
+    space = projective_space(field, n)
+    view, size = space.points, len(pts)
+    assert len(view) == size and len(space) == size
+    assert list(view) == pts
+    assert [view[i] for i in range(size)] == pts
+    assert [view[i - size] for i in range(size)] == pts
+    assert [view.index(pt) for pt in pts] == list(range(size))
+    assert all(pt in view for pt in pts)
+    assert space.monomial_rows() == rows
+    for i in (size, -size - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    # Not normalized, zero, the wrong length, not an element.
+    off = [(0,) * (n + 1), (1,) * n, (1,) * (n + 2), (q,) + (0,) * (n - 1) + (1,)]
+    off += [tuple(vec_scale(field, c, pts[-1])) for c in range(2, q)]
+    for vec in off:
+        assert vec not in view, vec
+        with pytest.raises(ValueError):
+            view.index(vec)
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (9, 2), (25, 1)])
+def test_lane_k_is_monomial_k(q, n):
+    """Lane k holds X_i X_j for the k-th (i, j) of ``quadric.monomials``."""
+    field = field_from_order(q)
+    space = projective_space(field, n)
+    decode, mul = field.lane_code.decode, field._mul
+    for (i, j), lane in zip(monomials(n), space.monomial_rows(), strict=True):
+        assert list(lane.translate(decode)) == [mul[pt[i]][pt[j]] for pt in space.points]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data(), qn=st.sampled_from([(25, 4), (3, 10), (2, 14)]))
+def test_rank_unranks_at_the_frontier(data, qn):
+    """At frontier spaces: the point at i is normalized and ranks back to
+    i, and every nonzero multiple of it ranks to i too."""
+    q, n = qn
+    field = field_from_order(q)
+    view = projective_space(field, n).points
+    i = data.draw(st.integers(-len(view), len(view) - 1))
+    pt = view[i]
+    assert normalize(field, pt) == pt
+    assert view.index(pt) == i % len(view)
+    c = data.draw(st.integers(1, q - 1))
+    assert view.index(normalize(field, vec_scale(field, c, pt))) == i % len(view)
 
 
 def test_scaling_invariance_of_normalization():
