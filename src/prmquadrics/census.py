@@ -17,18 +17,18 @@ give the minimal codewords per weight.
 
 Every scan reads ``prm.survey(q, n)``: its class masks, one row mask per
 (class, rank, zero count), its point index, the zero masks read off it by
-range, and the class-rank bytes.  The class-rank census, the Serre scan
-and the characterization census are popcounts of the class masks and run
-in process.  The scans the CLI runs pass ``prm.check_budget`` first.  The
-interpolation and exhaustive censuses and the containment search are
-reductions over one chunk function each, run by ``_scan`` over blocks of
-4,096 survey rows, in-process or in a worker pool, with the same result
-either way.  An interpolation chunk is bit-sliced over its block's rows
-(``prm.minimal_rows``).  A containment chunk returns
-its pairs as four flat columns (form rows, witness rows, scalars, shape
-codes), and ``verify_containment`` concatenates them into a
-``ContainmentTable``, which builds a pair's ``ContainmentViolation`` only
-when it is read.
+range, and, in the containment search only, the class-rank bytes.  The
+class-rank census, the Serre scan and the characterization census are
+popcounts of the class masks and run in process.  The scans the CLI
+runs pass ``prm.check_budget`` first.  The interpolation and exhaustive
+censuses and the containment search are reductions over one chunk
+function each, run by ``_scan`` over blocks of 4,096 survey rows,
+in-process or in a worker pool, with the same result either way.  An
+interpolation chunk is bit-sliced over its block's rows
+(``prm.minimal_rows``).  A containment chunk returns its pairs as four
+flat columns (form rows, witness rows, scalars, shape codes), and
+``verify_containment`` concatenates them into a ``ContainmentTable``,
+which builds a pair's ``ContainmentViolation`` only when it is read.
 """
 
 from __future__ import annotations
@@ -191,9 +191,9 @@ def _scan(chunk_fn, args, q: int, n: int, workers: int):
     The split is the same serial or parallel.
     """
     index = survey(q, n)
-    # Every chunk reads the point index, and the containment chunks the
-    # class-rank bytes: built before any fork, so workers share them.
-    index.point_index, index.class_ranks
+    # Every chunk reads the point index: built before any fork, so workers
+    # share it.
+    index.point_index
     starts = range(0, len(index), _TRANSPOSE_ROWS)
     ranges = [(*args, lo, min(lo + _TRANSPOSE_ROWS, len(index))) for lo in starts]
     # A pool of one worker only adds its start-up: such a scan runs in process.
@@ -512,7 +512,11 @@ def verify_containment(
     come as a ``ContainmentTable`` of the chunks' columns, in chunk order.
     """
     check_budget(q, n, budget)
-    typecode = survey(q, n).point_index[0].typecode
+    index = survey(q, n)
+    # The chunks read the class-rank bytes: built before any fork, so
+    # workers share them.
+    index.class_ranks
+    typecode = index.point_index[0].typecode
     form_rows, witness_rows = array(typecode), array(typecode)
     scalars, shapes = [], []
     for forms, witnesses, part_scalars, part_shapes in _scan(

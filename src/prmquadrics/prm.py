@@ -15,18 +15,18 @@ its rows in ``iter_monic_coeffs`` order: for each point, integers whose
 bit i stands for row i give the rows where the form takes each value
 there (sums of fixed coefficient planes, in the bit-sliced arithmetic of
 ``_sliced`` that ``minimal_rows`` shares), and the zero buckets are the
-point index.  Polarization gives the singular points, and bit-sliced
-counters the zero and singular counts, so each (class, rank, zero count)
-is one row mask and the census reductions are popcounts.  The one query,
-``Survey.strictly_through``, first reorders the index by zero count, most
-zeros first, so the rows that can strictly contain a zero set of size c
-are a prefix, and the ANDs over a point set run only over it, stopping
-once 0.
-A row's zero mask is read back off that index, its class and rank from
-one byte, its coefficients from its row number.  The scans the CLI runs
-and the exhaustive tester pass ``check_budget`` before they build a
-survey: its row count, (q**dim - 1)/(q - 1), may not exceed the budget.
-``build_code`` shares one immutable code per (field, N).
+point index.  Polarization and Euler's identity give the singular
+points, and bit-sliced counters the zero and singular counts, so each
+(class, rank, zero count) is one row mask and the census reductions are
+popcounts.  The one query, ``Survey.strictly_through``, first reorders
+the index by zero count, most zeros first, so the rows that can strictly
+contain a zero set of size c are a prefix, and the ANDs over a point set
+run only over it, stopping once 0.  A row's zero mask is read back off
+that index, its class and rank from one byte, its coefficients from its
+row number.  The scans the CLI runs and the exhaustive tester pass
+``check_budget`` before they build a survey: its row count,
+(q**dim - 1)/(q - 1), may not exceed the budget.  ``build_code`` shares
+one immutable code per (field, N).
 
 A nonzero codeword is minimal when no other nonzero codeword has support
 strictly inside its own; equivalently, the zero set of its form is maximal
@@ -393,28 +393,23 @@ def _coefficient_planes(field: Field, m: int):
 
 
 @lru_cache(maxsize=8)
-def _polarization(q: int, n: int):
+def _polarization(q: int, n: int) -> list[list[tuple[int, int]]]:
     """The point pairs ``survey(q, n)`` reads its polarization from, read off
-    the point sequence once per (q, n): the positions of the unit points e_t;
-    ``serves[r]``, the (p, t, l**2) with p + e_t = l*r; and the (p, t) with
-    p + e_t = 0."""
+    the point sequence once per (q, n): ``serves[r]``, the (p, t) with
+    r = p + e_t and t not p's last nonzero coordinate, which is 1, so r is
+    normalized as it stands."""
     field = field_from_order(q)
     points = projective_space(field, n).points
-    add, mul, inv = field._add, field._mul, field._inv
-    units = [points.index(tuple(int(s == t) for s in range(n + 1))) for t in range(n + 1)]
-    serves: list[list[tuple[int, int, int]]] = [[] for _ in points]
-    vanish = []
+    add = field._add
+    serves: list[list[tuple[int, int]]] = [[] for _ in points]
     for p, point in enumerate(points):
+        last = len(bytes(point).rstrip(b"\0")) - 1
         for t in range(n + 1):
-            v = list(point)
-            v[t] = add[v[t]][1]
-            last = next((c for c in reversed(v) if c), 0)
-            if last:
-                r = points.index(tuple(mul[inv[last]][c] for c in v))
-                serves[r].append((p, t, mul[last][last]))
-            else:
-                vanish.append((p, t))
-    return units, serves, vanish
+            if t != last:
+                v = list(point)
+                v[t] = add[v[t]][1]
+                serves[points.index(v)].append((p, t))
+    return serves
 
 
 @lru_cache(maxsize=8)
@@ -431,27 +426,30 @@ def survey(q: int, n: int) -> Survey:
     the first point.  Past GF(3) an add costs (q-1)**2 plane ANDs, so from
     (7,2) and (4,3) on a recursion over the coefficients would be faster
     (README gives the crossover).  The singular points, where F and every
-    polar partial B(e_t, .) vanish, follow by polarization: with
-    p + e_t = l*r, B(e_t, p) = l**2 F(r) - F(p) - F(e_t), so p is singular
-    on the rows of Z[p] that, for every t, take some value a at r and
-    l**2 a at e_t (F(e_t) = 0 when p + e_t = 0).  Which (p, t) each r
-    serves depends on (q, N) only, so :func:`_polarization` finds it once.
-    The buckets at r are dropped once every (p, t) it serves has read
-    them.  Zero and singular counts are bit-sliced over the rows; the
+    polar partial B(e_t, .) vanish, follow by polarization: on Z[p], with
+    r = p + e_t, B(e_t, p) = F(r) - F(e_t), and F(e_t) is the coefficient
+    of X_t**2, whose planes give its buckets.  By Euler's identity,
+    sum_t p_t B(e_t, p) = B(p, p) = 2F(p), which is 0 on Z[p], so the
+    partial at p's last nonzero coordinate, which is 1, follows from the
+    others.  So p is singular on the rows of Z[p] that, for every other t,
+    take the same value at r as their coefficient of X_t**2.  Which (p, t)
+    each r serves depends on (q, N) only, so :func:`_polarization` finds
+    it once.  The buckets at r are dropped once every (p, t) it serves has
+    read them.  Zero and singular counts are bit-sliced over the rows; the
     singular points are the quadratic radical's, so their count gives the
     rank, and the zero count then the class.
 
     The cache holds up to eight surveys.  At (5,3), 2,441,406 rows and
     the largest budget a test passes, one survey's columns and class masks
     take about 53 MB, its 40 coefficient planes 12 MB more while it is
-    built, and building it peaks at 139 MB ((2,5): 63 MB).  The point
+    built, and building it peaks at 138 MB ((2,5): 60 MB).  The point
     index ordered by zero count replaces the columns on the first query,
-    plus 4 bytes a row for the order and 1 for the class-rank byte: 147 MB
-    peak.
+    plus 4 bytes a row for the order (146 MB peak), and a containment
+    search adds one class-rank byte a row.
     """
     field = field_from_order(q)
     space = projective_space(field, n)
-    m = len(monomials(n))
+    mono = monomials(n)
     mul, inv = field._mul, field._inv
     decode = field.lane_code.decode
     values = list(zip(*(lane.translate(decode) for lane in space.monomial_rows())))
@@ -461,7 +459,7 @@ def survey(q: int, n: int) -> Survey:
     # terms[k][v]: coefficient k's planes times v, plane c taken from plane c/v.
     terms = {
         k: {v: [planes[mul[inv[v]][c] - 1] for c in nonzero] for v in nonzero}
-        for k, planes in _coefficient_planes(field, m)
+        for k, planes in _coefficient_planes(field, len(mono))
     }
 
     def buckets(r: int) -> list[int]:
@@ -470,23 +468,22 @@ def survey(q: int, n: int) -> Survey:
         total = reduce(add_planes, [times[v[k]] for k, times in terms.items() if v[k]])
         return [full ^ reduce(or_, total), *total]
 
+    # diagonal[t][a]: the rows whose coefficient of X_t**2, F(e_t), is a.
+    squares = [terms[mono.index((t, t))][1] for t in range(n + 1)]
+    diagonal = [[full ^ reduce(or_, planes), *planes] for planes in squares]
     columns = [0] * len(values)
-    unit_points, serves, vanish = _polarization(q, n)
-    # units[t]: the buckets at e_t.
-    units = [buckets(r) for r in unit_points]
     singular = [full] * len(values)
-    for p, t in vanish:
-        singular[p] &= units[t][0]
-    for r in range(len(values)):
+    for r, served in enumerate(_polarization(q, n)):
         at_r = buckets(r)
         columns[r] = at_r[0]
         singular[r] &= at_r[0]
-        for p, t, scale in serves[r]:
-            at_e, times = units[t], mul[scale]
+        for p, t in served:
             meet = 0
-            for a in range(q):
-                meet |= at_r[a] & at_e[times[a]]
+            for x, y in zip(at_r, diagonal[t]):
+                meet |= x & y
             singular[p] &= meet
+    # The coefficient planes go before the counts are split (3 MB of peak at (2,5)).
+    del terms, squares, diagonal
     singular = _split_by_count(singular, full)
     found = []
     for zero_count, zero_rows in _split_by_count(columns, full).items():

@@ -44,7 +44,6 @@ from .gf import Field, irreducible_binary_constants
 from .linalg import (
     identity,
     kernel_basis,
-    rref,
     transpose,
     vec_add,
     vec_scale,
@@ -378,9 +377,10 @@ def substitute(form: QuadraticForm, t) -> QuadraticForm:
 def restrict_to_hyperplane(form: QuadraticForm, linear_form) -> QuadraticForm:
     """Section of the quadric by the hyperplane {L = 0}, as a form on P^(N-1).
 
-    Variables are changed so L becomes the last coordinate, which is then
-    dropped.  Rational zeros of the result correspond bijectively to the
-    rational points of the quadric on the hyperplane.
+    F is restricted (:func:`substitute`) to the span of a kernel basis of
+    L, the N columns of an (N+1) x N matrix.  Rational zeros of the result
+    correspond bijectively to the rational points of the quadric on the
+    hyperplane.
     """
     field, n = form.field, form.ambient
     lvec = list(linear_form)
@@ -388,14 +388,7 @@ def restrict_to_hyperplane(form: QuadraticForm, linear_form) -> QuadraticForm:
         raise DimensionMismatch("linear form length mismatch")
     if not any(lvec):
         raise ZeroLinearForm("hyperplane section needs a nonzero linear form")
-    ker = kernel_basis(field, [lvec])
-    pivot = rref(field, [lvec])[1][0]
-    cols = ker + [[1 if i == pivot else 0 for i in range(n + 1)]]
-    t = [[cols[c][r] for c in range(n + 1)] for r in range(n + 1)]
-    g = substitute(form, t)
-    idx = _monomial_index(n)
-    coeffs = tuple(g.coeffs[idx[(i, j)]] for i, j in monomials(n - 1))
-    return QuadraticForm(field, n - 1, coeffs)
+    return substitute(form, transpose(kernel_basis(field, [lvec])))
 
 
 def projective_index_bruteforce(form: QuadraticForm) -> int:

@@ -484,6 +484,16 @@ def test_scans_leave_one_copy_of_each_survey_fact():
     assert len(index.class_ranks) == len(index)
 
 
+@pytest.mark.parametrize("tester", ["interpolation", "exhaustive"])
+def test_census_scans_build_no_class_rank_bytes(tester):
+    """Only the containment chunks read the class-rank bytes, so a census
+    scan on a fresh survey builds the point index and not them."""
+    survey.cache_clear()
+    brute_force_census(2, 3, tester)
+    assert "class_ranks" not in vars(survey(2, 3))
+    assert "point_index" in vars(survey(2, 3))
+
+
 @pytest.mark.parametrize("q, n", GRID + ((7, 2), (8, 2)))
 def test_class_masks_equal_the_per_row_view(q, n):
     """The class masks partition the rows, each row's (class, rank, zero

@@ -4,7 +4,8 @@ Each case is (file, old text, new text, test node ids): the copy gets the
 edit, and pytest run on those ids in the copy must report a failed test.
 The copy holds ``src/``, ``tests/`` and ``pyproject.toml``, so pyproject's
 ``pythonpath = ["src"]`` imports the mutated package, not this one.  The
-cases are marked ``slow``: run them with PRMQUADRICS_SLOW=1.
+cases are marked ``slow``: run them with PRMQUADRICS_SLOW=1.  That each
+old text occurs once in its file is checked on every run.
 """
 
 import os
@@ -175,6 +176,30 @@ MUTANTS = {
         "",
         _SURVEY_TESTS,
     ),
+    "meet_without_bucket_0": (
+        "src/prmquadrics/prm.py",
+        "zip(at_r, diagonal[t])",
+        "zip(at_r[1:], diagonal[t][1:])",
+        _SURVEY_TESTS[:1],
+    ),
+    "diagonal_read_off_cross_term": (
+        "src/prmquadrics/prm.py",
+        "mono.index((t, t))",
+        "mono.index((0, t))",
+        _SURVEY_TESTS[:1],
+    ),
+    "orbit_sign_flipped": (
+        "src/prmquadrics/census.py",
+        "value *= q ** (r // 2) + sign",
+        "value *= q ** (r // 2) - sign",
+        ["tests/test_acceptance.py::test_criterion_6_orbit_counts"],
+    ),
+    "parabolic_scalar_dropped": (
+        "src/prmquadrics/quadric.py",
+        "lam = f[rest[0]]",
+        "lam = 1",
+        ["tests/test_acceptance.py::test_criterion_8c_canonicalization_identity"],
+    ),
     "rank_block_shift_strict": (
         "src/prmquadrics/projspace.py",
         "i += a * size + (a >= one)",
@@ -194,6 +219,14 @@ MUTANTS = {
         _POINT_VIEW_TESTS,
     ),
 }
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_text_occurs_once(name):
+    """Each case's old text occurs exactly once in its file, checked without
+    the slow runs, so a refactor cannot leave a case that mutates nothing."""
+    path, old, _, _ = MUTANTS[name]
+    assert (ROOT / path).read_text().count(old) == 1, f"{name}: {old!r} in {path}"
 
 
 @pytest.mark.slow

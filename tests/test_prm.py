@@ -25,6 +25,7 @@ from prmquadrics.prm import (
     Codeword,
     ZeroCodeword,
     _coefficient_planes,
+    _polarization,
     build_code,
     check_budget,
     interpolation_kernel,
@@ -226,6 +227,31 @@ def test_survey_equals_the_single_form_path(q, n):
         rk = n + 1 - len(radical_quadratic(form))
         cls = discriminate(rk, zeros.bit_count(), n, q)
         assert row == (coeffs, cls, rk, zeros), (q, n)
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_polarization_pairs_every_point_with_its_other_coordinates(q):
+    """``_polarization(q, N)`` lists each (p, t), t not p's last nonzero
+    coordinate, exactly once, at the normalized point p + e_t, and no other
+    pair: over every field order, N = 1 to 3 while P^N has at most 20,000
+    points."""
+    field = field_from_order(q)
+    for n in range(1, 4):
+        points = projective_space(field, n).points
+        if len(points) > 20_000:
+            break
+        serves = _polarization(q, n)
+        assert len(serves) == len(points), (q, n)
+        listed = sorted((p, t, r) for r, served in enumerate(serves) for p, t in served)
+        expected = []
+        for p, point in enumerate(points):
+            last = max(i for i, c in enumerate(point) if c)
+            for t in range(n + 1):
+                if t != last:
+                    v = list(point)
+                    v[t] = field.add(v[t], 1)
+                    expected.append((p, t, points.index(normalize(field, v))))
+        assert listed == expected, (q, n)
 
 
 def test_minimum_distance_bruteforce():
