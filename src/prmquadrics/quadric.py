@@ -15,14 +15,15 @@ canonical form and ``discriminate`` read the sign, not the class.
 ``classify`` decides class membership from two independent measurements:
 the rank, obtained by exact linear algebra on the radical, and the number
 of rational zeros, obtained by exhaustive evaluation.  ``point_set``
-evaluates a form at every point at once on byte lanes (``gf.LaneCode``):
-the sum of c_k times monomial k's lane (``ProjectiveSpace.monomial_rows()``),
-one byte per point, whose zero bytes are the zero set.  ``discriminate``
-insists the measured count matches the closed form for the rank and the
-sign it reads, so every call doubles as a self-check of the counting
-identities.  The survey in ``prm`` measures the rank another way, by
-counting the rational points of the singular locus (``subspace_dimension``),
-and passes through the same check.
+evaluates a form at every point at once on byte lanes (``gf.LaneCode``),
+one byte per point, whose zero bytes are the zero set: ``evaluation_lane``
+builds it by P^N's blocks, each a copy of P^(N-1), from P^(N-1)'s
+monomial lanes and the X_0 terms (``ProjectiveSpace.monomial_rows()``).
+``discriminate`` insists the measured count matches the closed form for
+the rank and the sign it reads, so every call doubles as a self-check of
+the counting identities.  The survey in ``prm`` measures the rank another
+way, by counting the rational points of the singular locus
+(``subspace_dimension``), and passes through the same check.
 
 Canonicalization performs an explicit Witt decomposition in one frame s_k,
 the unit vectors at first, held with F(s_k) and B(s_k, s_l) and changed only
@@ -50,6 +51,7 @@ from .linalg import (
 )
 from .projspace import (
     LinearSubspace,
+    _stack,
     projective_size,
     projective_space,
     subspace_from_vectors,
@@ -229,10 +231,34 @@ def radical_quadratic(form: QuadraticForm) -> list[list[int]]:
 
 def evaluation_lane(form: QuadraticForm) -> bytes:
     """F's values at every point of P^N, one byte per point in canonical
-    order: the sum of c_k times monomial k's lane, in the field's lane code
-    and not yet normalized."""
-    space = projective_space(form.field, form.ambient)
-    return form.field.lane_code.combine(zip(form.coeffs, space.monomial_rows()), len(space))
+    order, in the field's lane code and not yet normalized.
+
+    Built by P^N's blocks (``ProjectiveSpace.monomial_rows()``): on block a,
+    P^(N-1) prefixed by a, F(a, p) = c_00 a^2 + a L(p) + F'(p), with
+    L = sum c_0j X_j and F' the part of F in X_1..X_N.  L and F' are summed
+    at P^(N-1)'s width, L from the X_0 X_j lanes at block a = 1.  The q
+    blocks of a L and of F', each with 0 at (1, 0, ..., 0), and c_00 times
+    X_0^2's lane are at most three lanes (a zero L or F' is left out), which
+    ``LaneCode.terms`` (at least 3 for q <= 25) lets add without
+    normalizing."""
+    field, n, coeffs = form.field, form.ambient, form.coeffs
+    code, space = field.lane_code, projective_space(field, n)
+    rows = space.monomial_rows()
+    lanes = [(coeffs[0], rows[0])]
+    if n:
+        lower = projective_space(field, n - 1)
+        size = len(lower)
+        at = field.order_index(1) * size + 1  # block a = 1, after (1, 0, ..., 0)
+        linear = [(c, lane[at:at + size]) for c, lane in zip(coeffs[1:n + 1], rows[1:]) if c]
+        rest = [(c, lane) for c, lane in zip(coeffs[n + 1:], lower.monomial_rows()) if c]
+        if linear:
+            linear = code.combine(linear, size).translate(code.normal)
+            blocks = [linear.translate(code.scale[a]) for a in field.elements]
+            lanes.append((1, _stack(field, blocks, b"\0")))
+        if rest:
+            rest = code.combine(rest, size).translate(code.normal)
+            lanes.append((1, _stack(field, [rest] * field.q, b"\0")))
+    return code.combine(lanes, len(space))
 
 
 def point_set(form: QuadraticForm) -> int:

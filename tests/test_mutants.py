@@ -49,6 +49,18 @@ _POINT_VIEW_TESTS = [
     "tests/test_projspace.py::test_points_and_lanes_equal_the_tuple_build[4-2]",
 ]
 
+# The block-built evaluation lane, against the m-lane sum.
+_LANE_TESTS = [
+    "tests/test_quadric.py::test_evaluation_lane_equals_the_monomial_sum[3-2]",
+    "tests/test_quadric.py::test_evaluation_lane_equals_the_monomial_sum[4-2]",
+]
+
+# The sample certificate of the interpolation tester, against the full kernel.
+_CERTIFICATE_TESTS = [
+    "tests/test_prm.py::test_sample_certificate_keeps_verdicts_and_witnesses[7-3]",
+    "tests/test_prm.py::test_sample_certificate_keeps_verdicts_and_witnesses[16-3]",
+]
+
 MUTANTS = {
     "witness_unscaled": (
         "src/prmquadrics/census.py",
@@ -217,6 +229,30 @@ MUTANTS = {
         "coded.translate(code.scale[a])",
         "coded.translate(code.scale[mul[a][a]])",
         _POINT_VIEW_TESTS,
+    ),
+    "block_scaled_by_square": (
+        "src/prmquadrics/quadric.py",
+        "linear.translate(code.scale[a])",
+        "linear.translate(code.scale[field._mul[a][a]])",
+        _LANE_TESTS,
+    ),
+    "certificate_accepts_larger_span": (
+        "src/prmquadrics/prm.py",
+        "_sample_mask(code.length, halvings))) == 1",
+        "_sample_mask(code.length, halvings))) >= 1",
+        _CERTIFICATE_TESTS,
+    ),
+    "sample_not_cut_to_zero_set": (
+        "src/prmquadrics/prm.py",
+        "zeros & _sample_mask(",
+        "_sample_mask(",
+        _CERTIFICATE_TESTS,
+    ),
+    "conic_minimal_at_q_3": (
+        "src/prmquadrics/prm.py",
+        "3 + 2 * (q <= 3)",
+        "3 + 2 * (q < 3)",
+        ["tests/test_acceptance.py::test_criterion_4_tester_agreement"],
     ),
 }
 

@@ -17,6 +17,7 @@ from conftest import (
     survey_rows,
 )
 
+from prmquadrics import prm
 from prmquadrics.census import brute_force_census
 from prmquadrics.gf import field_create, field_from_order
 from prmquadrics.linalg import kernel_basis, kernel_basis_gf2
@@ -27,6 +28,7 @@ from prmquadrics.prm import (
     _coefficient_planes,
     _polarization,
     build_code,
+    characterization_minimal,
     check_budget,
     interpolation_kernel,
     interpolation_space,
@@ -58,6 +60,7 @@ from prmquadrics.quadric import (
     point_set,
     radical_quadratic,
     substitute,
+    witt_class,
 )
 
 F2 = field_create(2, 1)
@@ -399,6 +402,103 @@ def test_interpolation_tester_conics():
     code4 = build_code(F4, 2)
     conic4 = form_from_terms(F4, 2, {(0, 0): 1, (1, 2): 1})
     assert is_minimal_interpolation(code4, conic4).minimal
+
+
+def _class_ranks(n: int) -> list[tuple[QuadricClass, int]]:
+    """Every (class, rank) a form on P^n can have."""
+    return [(witt_class(r, s), r) for r in range(1, n + 2) for s in (0, 1, -1) if witt_class(r, s)]
+
+
+def _full_kernel_verdict(code, form) -> tuple[bool, tuple | None]:
+    """(minimal, witness coefficients) from the whole of I(Z): minimal iff
+    its dimension is 1, else the first strictly larger span member."""
+    zeros = point_set(form)
+    basis = interpolation_space(code, zeros)
+    if len(basis) == 1:
+        return True, None
+    count = zeros.bit_count()
+    witness = next(g for g in iter_span_monic(code.field, basis) if point_set(g).bit_count() > count)
+    return False, witness.coeffs
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(point mask, kernel dimension) per ``interpolation_kernel`` call made
+    through the ``prm`` module, in call order."""
+    calls = []
+    kernel = prm.interpolation_kernel
+
+    def spy(code, mask):
+        basis = kernel(code, mask)
+        calls.append((mask, len(basis)))
+        return basis
+
+    monkeypatch.setattr(prm, "interpolation_kernel", spy)
+    return calls
+
+
+@pytest.mark.parametrize("q,n", [(7, 3), (8, 3), (9, 3), (16, 3), (25, 3)])
+def test_sample_certificate_keeps_verdicts_and_witnesses(q, n, kernel_calls):
+    """Canonical forms of every (class, rank) and two random substitutions
+    of each (the double hyperplane is a non-minimal F with |Z| > 4m):
+    verdict and witness equal the full kernel's; the first kernel is on a
+    sample inside Z, a proper one when |Z| >= 4m; and the tester stops
+    there exactly when that sample's kernel has dimension 1."""
+    field, rng = field_from_order(q), random.Random(q * 10 + n)
+    code = build_code(field, n)
+    forms = []
+    for cls, rk in _class_ranks(n):
+        base = canonical_form(field, n, cls, rk)
+        forms += [base] + [
+            substitute(base, random_invertible(field, n + 1, rng)).scale(rng.randrange(1, q))
+            for _ in range(2)
+        ]
+    sampled = 0
+    for form in forms:
+        expected = _full_kernel_verdict(code, form)
+        zeros = point_set(form)
+        kernel_calls.clear()
+        verdict = is_minimal_interpolation(code, form)
+        assert (verdict.minimal, verdict.witness and verdict.witness.coeffs) == expected
+        sample, dim = kernel_calls[0]
+        assert sample & zeros == sample, form.coeffs
+        if zeros.bit_count() >= 4 * code.dimension:
+            assert sample != zeros
+            assert (len(kernel_calls) == 1) == (dim == 1), form.coeffs
+            sampled += 1
+    assert sampled
+
+
+@pytest.mark.parametrize("q,n", [(25, 2), (9, 3)])
+def test_degenerate_sample_falls_back_to_the_full_kernel(q, n, kernel_calls):
+    """The hyperplane pairs X_0 L are minimal.  For some of them the sample
+    of Z lies in a larger linear system than Z (dim I(S) > 1); the full
+    kernel then runs and still answers minimal."""
+    field = field_from_order(q)
+    code = build_code(field, n)
+    fallbacks = 0
+    for v in projective_space(field, n).points:
+        if not any(v[1:]):  # L = X_0, a double hyperplane
+            continue
+        form = form_from_terms(field, n, {(0, j): c for j, c in enumerate(v) if c})
+        kernel_calls.clear()
+        verdict = is_minimal_interpolation(code, form)
+        assert verdict.minimal and verdict.witness is None, v
+        if kernel_calls[0][1] > 1:
+            assert kernel_calls[1:] == [(point_set(form), 1)], v
+            fallbacks += 1
+    assert fallbacks
+
+
+@pytest.mark.parametrize("q,n", [(25, 4), (4, 8), (7, 6), (3, 10)])
+def test_interpolation_equals_the_characterization_at_the_frontier(q, n):
+    """At the largest spaces orbit mode reaches, the interpolation verdict
+    on each (class, rank)'s canonical form equals the characterization."""
+    field = field_from_order(q)
+    code = build_code(field, n)
+    for cls, rk in _class_ranks(n):
+        verdict = is_minimal_interpolation(code, canonical_form(field, n, cls, rk))
+        assert verdict.minimal == characterization_minimal(cls, rk, q), (cls, rk)
 
 
 def test_exhaustive_tester():

@@ -18,6 +18,7 @@ from conftest import (
 
 from prmquadrics.gf import field_create, field_from_order
 from prmquadrics.linalg import kernel_basis, matrix_rank, transpose
+from prmquadrics.prm import build_code
 from prmquadrics.projspace import (
     bits_to_indices,
     line_through,
@@ -38,8 +39,10 @@ from prmquadrics.quadric import (
     canonicalize,
     classify,
     discriminate,
+    evaluation_lane,
     expected_point_count,
     form_from_terms,
+    monomials,
     point_set,
     polarize,
     projective_index_bruteforce,
@@ -253,6 +256,57 @@ def test_point_set_matches_naive_evaluation():
         for _ in range(count):
             f = random_form(field, 3, rng)
             assert bits_to_indices(point_set(f)) == _zeros_by_evaluation(f), (q, f)
+
+
+def _lane_by_monomial_sum(form) -> bytes:
+    """F's values as the sum of c_k times monomial k's lane, decoded."""
+    space, code = projective_space(form.field, form.ambient), form.field.lane_code
+    lane = code.combine(zip(form.coeffs, space.monomial_rows()), len(space))
+    return lane.translate(code.decode)
+
+
+# Every field order at N = 0-3, and larger N at small q.
+_LANE_SPACES = [(q, n) for q in FIELD_ORDERS for n in range(4)]
+_LANE_SPACES += [(2, 6), (2, 9), (3, 5), (4, 4), (5, 4)]
+
+
+@st.composite
+def _block_shaped_forms(draw, q, n):
+    """A form on P^n that is random, or has c_00 = 0, no X_0 X_j part
+    (j >= 1), no part in X_1..X_N, or a single term."""
+    m, field = len(monomials(n)), field_from_order(q)
+    coeffs = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
+    shape = draw(st.sampled_from(["random", "no c00", "no linear", "no rest", "one term"]))
+    if shape == "no c00":
+        coeffs[0] = 0
+    elif shape == "no linear":
+        coeffs[1:n + 1] = [0] * n
+    elif shape == "no rest":
+        coeffs[n + 1:] = [0] * (m - n - 1)
+    elif shape == "one term":
+        k = draw(st.integers(0, m - 1))
+        coeffs = [0] * m
+        coeffs[k] = draw(st.integers(1, q - 1))
+    return QuadraticForm(field, n, tuple(coeffs))
+
+
+@pytest.mark.parametrize("q,n", _LANE_SPACES)
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(data=st.data())
+def test_evaluation_lane_equals_the_monomial_sum(q, n, data):
+    """The block-built lane decodes to the m-lane sum's values, so
+    ``point_set`` reads the same zeros; ``PrmCode.encode``'s values equal
+    ``evaluate`` at each point where P^N has at most 2,000 points."""
+    form = data.draw(_block_shaped_forms(q, n))
+    values = _lane_by_monomial_sum(form)
+    lane_code = form.field.lane_code
+    assert evaluation_lane(form).translate(lane_code.decode) == values, form.coeffs
+    assert point_set(form) == lane_code.zero_mask(values.translate(lane_code.encode))
+    space = projective_space(form.field, n)
+    if n and len(space) <= 2_000:
+        codeword = build_code(form.field, n).encode(form)
+        assert codeword.values == tuple(values)
+        assert list(codeword.values) == [form.evaluate(pt) for pt in space.points]
 
 
 def test_expected_point_count_examples():
