@@ -14,7 +14,11 @@ enumeration in the package (points, forms, codewords) derives from this
 order, so all outputs are bit-for-bit reproducible.
 
 For evaluation at many points at once, :class:`LaneCode` packs one element
-per byte; a row of such bytes, one per point, is a lane.
+per byte; a row of such bytes, one per point, is a lane.  Its tables are the
+field's own: one digit map, ``normal``, and the rest read off it and the
+``_mul`` table by ``bytes.maketrans``.  ``Field.lane_code`` is built on first
+use, because a field of more than 256 elements has no byte code and must
+still construct.
 """
 
 from __future__ import annotations
@@ -190,10 +194,8 @@ class Field:
             for a in range(q)
         ]
         self._mul = [[mul_poly(a, b) for b in range(q)] for a in range(q)]
-        self._neg = [next(b for b in range(q) if self._add[a][b] == 0) for a in range(q)]
-        self._inv = [0] * q
-        for a in range(1, q):
-            self._inv[a] = next(b for b in range(1, q) if self._mul[a][b] == 1)
+        self._neg = [row.index(0) for row in self._add]
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -251,11 +253,17 @@ class LaneCode:
     is the largest base with B**e <= 256.  Each base-B digit slot of a byte
     holds at most B - 1, so ``terms`` = (B-1)//(p-1) encoded values add as
     plain integers, lane against lane, before a slot can overflow into the
-    next byte; ``normal`` then reduces every digit mod p again.  Every other
-    map is one 256-byte ``bytes.translate`` table: ``scale[c]`` multiplies
-    by c (on normal bytes), ``zero`` sends a byte to ``b"1"`` when its value
-    is 0 and to ``b"0"`` otherwise, and ``decode`` gives the element itself.
-    The last three accept any byte a sum of ``terms`` normal bytes can be.
+    next byte.  ``normal``, the one digit map, reduces every digit mod p
+    again and so sends any byte to the code of its value.  The other maps
+    are 256-byte ``bytes.translate`` tables built from it and from the
+    codes: ``decode`` is ``normal`` followed by code -> element, and
+    ``zero`` is ``normal`` followed by 0 -> ``b"1"``, all else -> ``b"0"``,
+    so both accept any byte a sum of ``terms`` normal bytes can be.
+    ``scale[c]`` sends the code of x to the code of c*x, read off row c of
+    the field's ``_mul``, and leaves every other byte as it is; so it
+    multiplies only normal lanes, which is all its callers pass it
+    (:meth:`combine`, ``quadric.evaluation_lane`` and
+    ``ProjectiveSpace.monomial_rows``).
     """
 
     def __init__(self, field: Field):
@@ -265,24 +273,15 @@ class LaneCode:
             base += 1
         self.terms = (base - 1) // (p - 1)
 
-        def digits(v: int) -> list[int]:
-            return [v // base**i % base % p for i in range(e)]
-
         def code(coeffs) -> int:
             return sum(d * base**i for i, d in enumerate(coeffs))
 
-        codes = [code(field.coeffs(x)) for x in range(q)]
-        self.encode = bytes(codes) + bytes(256 - q)
-        self.normal = bytes(code(digits(v)) for v in range(256))
-        self.decode = bytes(field.from_coeffs(digits(v)) for v in range(256))
-        self.zero = bytes(ord("0" if any(digits(v)) else "1") for v in range(256))
-        mul = field._mul
-        self.scale = []
-        for c in range(q):
-            table = bytearray(256)
-            for x in range(q):
-                table[codes[x]] = codes[mul[c][x]]
-            self.scale.append(bytes(table))
+        codes = bytes(code(field.coeffs(x)) for x in range(q))
+        self.encode = codes + bytes(256 - q)
+        self.normal = bytes(code(v // base**i % base % p for i in range(e)) for v in range(256))
+        self.decode = self.normal.translate(bytes.maketrans(codes, bytes(range(q))))
+        self.zero = self.normal.translate(b"1" + b"0" * 255)
+        self.scale = [bytes.maketrans(codes, bytes(codes[y] for y in row)) for row in field._mul]
 
     def combine(self, pairs, width: int) -> bytes:
         """The lane sum(c * lane) over (c, lane) pairs of normal lanes of

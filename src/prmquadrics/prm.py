@@ -116,10 +116,11 @@ class PrmCode:
 
     @cached_property
     def one_masks(self) -> tuple[int, ...]:
-        """Per monomial, the mask of the points where it takes the value 1."""
-        one = self.field.lane_code.encode[1]
-        is_one = bytes(ord("1" if v == one else "0") for v in range(256))
-        return tuple(int(lane.translate(is_one)[::-1], 2) for lane in self.space.monomial_rows())
+        """Per monomial, the mask of the points where it is nonzero, read off
+        its lane's zero mask.  Its one reader, ``interpolation_kernel``,
+        reads it over GF(2), where nonzero is the value 1."""
+        code, full = self.field.lane_code, self.space.full_mask
+        return tuple(full ^ code.zero_mask(lane) for lane in self.space.monomial_rows())
 
     def encode(self, form: QuadraticForm) -> Codeword:
         if form.field != self.field or form.ambient != self.n:
@@ -384,7 +385,7 @@ def _coefficient_planes(field: Field, m: int):
         ones, start = (1 << size) - 1, (q**m - q * size) // (q - 1)
         planes = []
         for e in range(1, q):
-            pattern, period = ones << field.elements.index(e) * size, q * size
+            pattern, period = ones << field.order_index(e) * size, q * size
             while period < start:
                 pattern |= pattern << period
                 period *= 2

@@ -67,8 +67,9 @@ class PointList(Sequence):
 
     P^k lists, for each a in element order, first (1, 0, ..., 0) when a = 1
     and then (a,) + p for every p of P^(k-1) (Hirschfeld & Thas, *General
-    Galois Geometries*).  So ``[i]`` unranks and ``index`` ranks by
-    arithmetic on the block sizes p_(k-1), and iteration reads ``columns``.
+    Galois Geometries*).  So ``index`` ranks by arithmetic on the block
+    sizes p_(k-1), while ``[i]`` and iteration read byte i of each of the
+    ``columns``, which the lanes are built from anyway.
     """
 
     def __init__(self, field: Field, n: int):
@@ -81,13 +82,7 @@ class PointList(Sequence):
         return self._len
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
-        i, out = range(self._len)[i], []
-        for size in self._blocks:
-            special = self._one * size
-            if i == special:
-                return (*out, 1) + (0,) * (self.n - len(out))
-            a, i = divmod(i - (i > special), size)
-            out.append(self.field.elements[a])
+        return tuple(column[i] for column in self.columns)
 
     def index(self, point) -> int:
         """The position of a normalized point; ValueError for anything else."""

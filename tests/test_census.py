@@ -3,6 +3,8 @@
 import hashlib
 import multiprocessing
 import os
+from collections import Counter
+from math import perm
 
 import pytest
 
@@ -119,6 +121,52 @@ def test_orbit_closure_identity(q, n):
     for k, stirling in enumerate(STIRLING):
         moment = sum(size * count**k for size, count in sizes)
         assert moment == sum(s * t for s, t in zip(stirling, through)), (q, n, k)
+
+
+def _zero_count_distribution(q, n):
+    """{z: codewords of the order-2 code with z zeros}: the zero codeword at
+    z = |P^N|, and per (class, rank) q - 1 scalars times
+    gaussian_binomial(N+1, r, q) singular loci times ``orbit_count`` smooth
+    parts at z = ``expected_point_count``."""
+    dist = Counter({projective_size(q, n): 1})
+    for r in range(1, n + 2):
+        for sign in (0,) if r % 2 else (1, -1):
+            cls = witt_class(r, sign)
+            size = gaussian_binomial(n + 1, r, q) * orbit_count(cls, r, q)
+            dist[expected_point_count(cls, r, n, q)] += (q - 1) * size
+    return dist
+
+
+def test_zero_counts_have_the_codes_power_moments():
+    """The closed forms against the Pless power moments of the code, at
+    every field order and N = 1..40, with no point set.  Any t <= 3
+    distinct points impose independent conditions on the m quadratic
+    monomials, so sum over codewords of z(z-1)...(z-t+1) is
+    P(P-1)...(P-t+1) q**(m-t).  Four distinct points do too unless they
+    are collinear: the gaussian_binomial(N+1, 2, q) (q+1)q(q-1)(q-2)
+    ordered collinear quadruples count q**(m-3) each, the rest q**(m-4).
+    The moments are compared times q**t (MacWilliams & Sloane, ch. 5
+    par. 6)."""
+    for q in FIELD_ORDERS:
+        for n in range(1, 41):
+            m, points = len(monomials(n)), projective_size(q, n)
+            dist = _zero_count_distribution(q, n)
+            moments = [sum(c * perm(z, t) for z, c in dist.items()) for t in range(5)]
+            for t in range(4):
+                assert moments[t] * q**t == perm(points, t) * q**m, (q, n, t)
+            collinear = gaussian_binomial(n + 1, 2, q) * (q + 1) * q * (q - 1) * (q - 2)
+            assert moments[4] * q**4 == (perm(points, 4) + (q - 1) * collinear) * q**m, (q, n)
+
+
+@pytest.mark.parametrize("q,n", GRID)
+def test_zero_count_distribution_equals_the_survey(q, n):
+    """Off the zero codeword, the closed-form distribution is q - 1 scalars
+    times the survey's rows per zero count."""
+    rows = Counter()
+    for (_, _, count), mask in survey(q, n).classes.items():
+        rows[count] += (q - 1) * mask.bit_count()
+    rows[projective_size(q, n)] += 1
+    assert rows == _zero_count_distribution(q, n)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3)])

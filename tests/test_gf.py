@@ -255,3 +255,30 @@ def test_lane_code_sums_and_tables(p, e):
         assert raw.translate(code.normal) == bytes(expected).translate(code.encode)
         zeros = sum(1 << i for i, x in enumerate(expected) if x == 0)
         assert code.zero_mask(raw) == zeros
+
+
+@pytest.mark.parametrize("p,e", ALL_ORDERS)
+def test_lane_code_tables_equal_the_digit_formulas(p, e):
+    """Every byte of ``encode``, ``normal``, ``decode`` and ``zero``, and
+    ``scale[c]`` on every code byte, against the tables written out digit
+    by digit: byte v's base-B digits, each reduced mod p, are the
+    coefficients of its value."""
+    f = field_create(p, e)
+    code = f.lane_code
+    base = 2
+    while (base + 1) ** e <= 256:
+        base += 1
+
+    def digits(v):
+        return [v // base**i % base % p for i in range(e)]
+
+    def encode(coeffs):
+        return sum(d * base**i for i, d in enumerate(coeffs))
+
+    assert code.encode[: f.q] == bytes(encode(f.coeffs(x)) for x in range(f.q))
+    assert code.normal == bytes(encode(digits(v)) for v in range(256))
+    assert code.decode == bytes(f.from_coeffs(digits(v)) for v in range(256))
+    assert code.zero == bytes(ord("0" if any(digits(v)) else "1") for v in range(256))
+    for c in range(f.q):
+        for x in range(f.q):
+            assert code.scale[c][encode(f.coeffs(x))] == encode(f.coeffs(f.mul(c, x))), (c, x)

@@ -5,7 +5,8 @@ edit, and pytest run on those ids in the copy must report a failed test.
 The copy holds ``src/``, ``tests/`` and ``pyproject.toml``, so pyproject's
 ``pythonpath = ["src"]`` imports the mutated package, not this one.  The
 cases are marked ``slow``: run them with PRMQUADRICS_SLOW=1.  That each
-old text occurs once in its file is checked on every run.
+old text occurs once in its file, and that each named test is defined in
+its file, is checked on every run.
 """
 
 import os
@@ -60,6 +61,9 @@ _CERTIFICATE_TESTS = [
     "tests/test_prm.py::test_sample_certificate_keeps_verdicts_and_witnesses[7-3]",
     "tests/test_prm.py::test_sample_certificate_keeps_verdicts_and_witnesses[16-3]",
 ]
+
+# The closed forms against the code's power moments.
+_MOMENT_TESTS = ["tests/test_census.py::test_zero_counts_have_the_codes_power_moments"]
 
 MUTANTS = {
     "witness_unscaled": (
@@ -218,10 +222,10 @@ MUTANTS = {
         "i += a * size + (a > one)",
         _POINT_VIEW_TESTS,
     ),
-    "unrank_special_point_after_its_block": (
+    "point_read_one_byte_early": (
         "src/prmquadrics/projspace.py",
-        "special = self._one * size",
-        "special = (self._one + 1) * size",
+        "tuple(column[i] for column in self.columns)",
+        "tuple(column[i - 1] for column in self.columns)",
         _POINT_VIEW_TESTS,
     ),
     "cross_lanes_scaled_by_square": (
@@ -254,6 +258,68 @@ MUTANTS = {
         "3 + 2 * (q < 3)",
         ["tests/test_acceptance.py::test_criterion_4_tester_agreement"],
     ),
+    # Survives at prime q, where every element is its own code.
+    "decode_left_in_code": (
+        "src/prmquadrics/gf.py",
+        "bytes.maketrans(codes, bytes(range(q)))",
+        "bytes.maketrans(codes, codes)",
+        ["tests/test_gf.py::test_lane_code_sums_and_tables[2-2]"],
+    ),
+    "orbits_swapped_from_rank_4": (
+        "src/prmquadrics/census.py",
+        "value *= q ** (r // 2) + sign",
+        "value *= q ** (r // 2) + (sign if r < 4 else -sign)",
+        _MOMENT_TESTS,
+    ),
+    "hyperplane_pair_count_plus_one": (
+        "src/prmquadrics/quadric.py",
+        "return projective_size(q, n - 1) + WITT_SIGN[cls] * q ** (n - rk // 2)",
+        "return projective_size(q, n - 1) + WITT_SIGN[cls] * q ** (n - rk // 2)"
+        " + (cls is QuadricClass.HYPERPLANE_PAIR)",
+        _MOMENT_TESTS,
+    ),
+    "gaussian_binomial_plus_one_at_full_rank": (
+        "src/prmquadrics/projspace.py",
+        "return num // den",
+        "return num // den + (k == n)",
+        _MOMENT_TESTS,
+    ),
+    "point_count_exponent_off_by_one": (
+        "src/prmquadrics/quadric.py",
+        "WITT_SIGN[cls] * q ** (n - rk // 2)",
+        "WITT_SIGN[cls] * q ** (n - 1 - rk // 2)",
+        ["tests/test_acceptance.py::test_criterion_1_point_count_law"],
+    ),
+    "serre_bound_of_conjugate_pair": (
+        "src/prmquadrics/census.py",
+        "expected_point_count(QuadricClass.HYPERPLANE_PAIR, 2, n, q)",
+        "expected_point_count(QuadricClass.CONJUGATE_PAIR, 2, n, q)",
+        ["tests/test_acceptance.py::test_criterion_2_serre_bound"],
+    ),
+    "minimal_count_without_scalars": (
+        "src/prmquadrics/census.py",
+        "counts.get(w, 0) + (q - 1) * size",
+        "counts.get(w, 0) + size",
+        ["tests/test_acceptance.py::test_criterion_3_minimal_codeword_census"],
+    ),
+    "pencil_without_its_conic": (
+        "src/prmquadrics/census.py",
+        "PencilProfile(w + 1, w, 1)",
+        "PencilProfile(w, w, 1)",
+        ["tests/test_acceptance.py::test_criterion_7_conic_pencils"],
+    ),
+    "substitution_overwrites_terms": (
+        "src/prmquadrics/quadric.py",
+        "coeffs[at[j]] = add[coeffs[at[j]]][times[y]]",
+        "coeffs[at[j]] = times[y]",
+        ["tests/test_acceptance.py::test_criterion_8a_rank_class_invariance"],
+    ),
+    "section_drops_a_direction": (
+        "src/prmquadrics/quadric.py",
+        "transpose(kernel_basis(field, [lvec]))",
+        "transpose(kernel_basis(field, [lvec])[1:])",
+        ["tests/test_acceptance.py::test_criterion_8b_section_rank_laws"],
+    ),
 }
 
 
@@ -263,6 +329,16 @@ def test_mutant_text_occurs_once(name):
     the slow runs, so a refactor cannot leave a case that mutates nothing."""
     path, old, _, _ = MUTANTS[name]
     assert (ROOT / path).read_text().count(old) == 1, f"{name}: {old!r} in {path}"
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_killers_exist(name):
+    """Each node id a case names is a test function of its file, checked
+    without the slow runs, where a missing id only reads as a survivor."""
+    for node in MUTANTS[name][3]:
+        path, _, test = node.partition("::")
+        function = test.partition("[")[0]
+        assert f"def {function}(" in (ROOT / path).read_text(), f"{name}: {node}"
 
 
 @pytest.mark.slow

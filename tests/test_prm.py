@@ -357,6 +357,17 @@ def test_gf2_interpolation_kernel_equals_the_row_elimination():
             assert interpolation_kernel(code, mask) == expected, (n, mask)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_masks_are_the_value_1_points(n):
+    """Over GF(2), monomial k's mask holds the points where the form X_i X_j
+    evaluates to 1, point by point."""
+    code = build_code(F2, n)
+    m = code.dimension
+    for k, mask in enumerate(code.one_masks):
+        form = QuadraticForm(F2, n, tuple(int(j == k) for j in range(m)))
+        assert mask == sum(1 << i for i, pt in enumerate(code.space.points) if form.evaluate(pt) == 1)
+
+
 def test_characterization_examples():
     pair = form_from_terms(F2, 3, {(0, 1): 1})
     assert is_minimal_characterization(pair).minimal
