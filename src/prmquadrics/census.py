@@ -16,8 +16,9 @@ one for +-1 over all six classes.  Summed over the minimal classes they
 give the minimal codewords per weight.
 
 Every scan reads ``prm.survey(q, n)``: its class masks, one row mask per
-(class, rank, zero count), its point index, the zero masks read off it by
-range, and, in the containment search only, the class-rank bytes.  The
+(class, rank, zero count), its point index, read a range at a time
+(``Survey.supersets``), and, in the containment search only, the
+class-rank bytes and the rows' supports.  The
 class-rank census, the Serre scan and the characterization census are
 popcounts of the class masks and run in process.  The scans the CLI
 runs pass ``prm.check_budget`` first.  The interpolation and exhaustive
@@ -39,8 +40,10 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from heapq import merge
 from itertools import repeat
-from operator import itemgetter
+from operator import and_, countOf, itemgetter, neg, or_
 
 from .formexpr import render_form
 from .gf import field_from_order
@@ -54,7 +57,7 @@ from .prm import (
     monic_coeffs_at,
     survey,
 )
-from .projspace import gaussian_binomial, projective_size
+from .projspace import bits_to_indices, gaussian_binomial, projective_size
 from .quadric import (
     WITT_SIGN,
     InternalInconsistency,
@@ -184,7 +187,7 @@ def _scan(chunk_fn, args, q: int, n: int, workers: int):
     ``_TRANSPOSE_ROWS`` rows of ``survey(q, n)``, in order, the last one
     shorter.
 
-    A chunk transposes only its own block of zero masks, once, and one
+    A chunk transposes only its own block of the point index, once, and one
     block's results, not the whole scan's, are in memory at a time
     (containments cluster among the low-lead forms); a bit-sliced
     interpolation chunk gets wide enough to pay for its plane operations.
@@ -221,7 +224,7 @@ def _own_cpu(slots) -> None:
 
 def _census_chunk(args) -> dict[int, int]:
     """Minimal codewords per weight among the chunk's forms: by the
-    interpolation kernel's dimension or the strict-containment query.
+    interpolation kernel's dimension or the bulk query ``Survey.supersets``.
 
     The interpolation tester takes its range in point-index order: bits
     ``start`` to ``stop - 1`` of each point's index column are that point's
@@ -238,12 +241,10 @@ def _census_chunk(args) -> dict[int, int]:
         at = [(minimal & rows).bit_count() for rows in at_least]
         weights = zip(range(code.length, -2, -1), at, at[1:])
         return {w: (q - 1) * (k - fewer) for w, k, fewer in weights if k > fewer}
-    tally: dict[int, int] = {}
-    for mask in index.masks(start, stop):
-        if not index.strictly_through(mask):
-            weight = code.length - mask.bit_count()
-            tally[weight] = tally.get(weight, 0) + (q - 1)
-    return tally
+    tally: Counter[int] = Counter()
+    for c, _, _, hits in index.supersets(start, stop):
+        tally[code.length - c] += (q - 1) * countOf(hits, 0)
+    return +tally  # without the weights that no minimal row has
 
 
 def brute_force_census(
@@ -347,118 +348,102 @@ def _admissible_shape(
     return None
 
 
+@lru_cache(maxsize=None)
+def _span_order(free: int) -> itemgetter:
+    """A getter of the nonzero patterns of ``free``'s bits in span order:
+    by highest bit, the first coordinate, descending, then ascending."""
+    patterns, x = [], free
+    while x:
+        patterns.append(x)
+        x = x - 1 & free
+    return itemgetter(*sorted(patterns, key=lambda x: (-x.bit_length(), x)))
+
+
 def _containment_chunk(args) -> tuple[array, array, bytes, bytes]:
     """The strict containments of the chunk's forms as four columns: form
     rows, witness rows, scalars and shape codes (indices into ``SHAPES``);
-    the witness is the scalar times its survey row.
+    the witness is the scalar times its survey row.  Only the rows that
+    ``Survey.supersets`` gives a strict witness are visited, in row order.
 
-    The strict witnesses of a form F with zero set Z are the rows the point
-    index gives (a form with none is skipped).  Witnesses come in the order
-    and with the scalars of ``iter_span_monic(interpolation_space(...))``.
-    That kernel basis has vector i equal to 1 at free column f_i, 0 at the
-    other free columns and 0 right of f_i, so the free columns are the
-    members' last nonzero positions and a member's span coordinates are its
-    coefficients there.  The span lists each member once, scaled so that
-    its first nonzero coordinate is 1: by the number of zero coordinates
-    before that one, the lead, then by the order indices of the scaled
-    coordinates.  Shapes are looked up per chunk by the two rows'
-    class-rank bytes.
+    Witnesses come in the order and with the scalars of
+    ``iter_span_monic(interpolation_space(...))``, whose kernel basis has
+    vector i equal to 1 at free column f_i, 0 at the other free columns and
+    0 right of f_i: the free columns are the members' last nonzero
+    positions, the lowest bits of their ``Survey.supports``, and a member's
+    span coordinates are its coefficients there, listed once, scaled to a
+    first nonzero coordinate 1, by lead and then by the order indices of
+    the scaled coordinates.  Over GF(2) support v has coordinates v & free,
+    and a dict by pattern is read in :func:`_span_order`; past GF(2) they
+    come off ``Survey.coefficient_columns`` and are sorted.  A shape is the
+    witness's class-rank byte translated by its form's table.
 
     The members vanishing at a point off Z are strict witnesses, at least
     (q**(d-1) - 1)/(q - 1) of them, d = dim I(Z); so F is the only form
-    with zero set Z iff the witnesses and F, whose last nonzero positions
-    give the d free columns, are all (q**d - 1)/(q - 1) monic members.  A
-    form failing that count, and a pair of no admissible shape, raise
-    ``InadmissibleViolation``, at the first such form or pair.
-
-    Over GF(2) no row is decoded: row j is read as the m-bit integer v with
-    coefficient k at bit m - 1 - k.  The rows of lead L are the 2**(m-1-L)
-    tails after the rows of smaller lead, so they start at 2**m - 2**(m-L),
-    and v is the lead bit 2**(m-1-L) plus the tail j - 2**m + 2**(m-L):
-    v = j - 2**m + 3 * 2**(m-1-L), where m - L is the bit length of
-    2**m - 1 - j.  A row's last nonzero position is then v's lowest set bit,
-    the free columns are the OR of those bits, every scalar is 1, and the
-    span coordinates are x = v & free, the first coordinate in x's highest
-    bit.  A smaller lead is a longer x, and within a lead the tails compare
-    as integers, so x - (x.bit_length() << m) ascending is the span order.
+    with zero set Z iff the witnesses and F are all (q**d - 1)/(q - 1) monic
+    members.  A form failing that count, and a pair of no admissible shape,
+    raise ``InadmissibleViolation``, and two members with one pattern
+    ``InternalInconsistency``, at the first such form or pair.
     """
     q, n, start, stop = args
     index = survey(q, n)
     # labels[b]: the survey key, (class, rank, zero count), of class-rank byte b
-    codes, labels = index.class_ranks, tuple(index.classes)
+    codes, labels, supports = index.class_ranks, tuple(index.classes), index.supports
     typecode = index.point_index[0].typecode
     field = field_from_order(q)
     inv, mul, rank = field._inv, field._mul, field._order_index
     # ranked[s]: the byte translation c -> order index of s*c.
     ranked = [bytes(rank[mul[s][c]] for c in range(q)) + bytes(256 - q) for s in range(q)]
-    m = len(monomials(n))
-    top = 1 << m
-    # row -> (coefficient bytes, last nonzero position), for q >= 3
-    rows: dict[int, tuple[bytes, int]] = {}
-    shapes: dict[int, int] = {}
+    # tables[b]: per witness class-rank byte, its shape code under a form's
+    # byte b, _INADMISSIBLE (the index of None) for no admissible shape
+    tables: dict[int, bytes] = {}
     form_rows, witness_rows = array(typecode), array(typecode)
     scalars, shape_codes = bytearray(), bytearray()
-    for i, mask in enumerate(index.masks(start, stop), start):
+    # The runs, merged by row, hold one wide mask of witnesses each at a time.
+    runs = list(index.supersets(start, stop))
+    for i, hits in merge(*(filter(itemgetter(1), zip(rows, hits)) for _, rows, _, hits in runs)):
         cls, rk, _ = labels[codes[i]]
         if cls in (QuadricClass.DOUBLE_HYPERPLANE, QuadricClass.CONJUGATE_PAIR):
             continue
-        hits = index.strictly_through(mask)
-        if not hits:
-            continue
         strict = index.row_numbers(hits)
-        if q == 2:
-            bits = [j - top + (3 << ((top - 1 - j).bit_length() - 1)) for j in (*strict, i)]
-            free = 0
-            for v in bits:
-                free |= v & -v
-            d = free.bit_count()
-        else:
-            free = set()
-            for j in (*strict, i):
-                row = rows.get(j)
-                if row is None:
-                    data = bytes(monic_coeffs_at(field, m, j))
-                    row = rows[j] = (data, len(data.rstrip(b"\0")) - 1)
-                free.add(row[1])
-            d = len(free)
-        if len(strict) + 1 != (q**d - 1) // (q - 1):
+        members = (i, *strict)
+        held = itemgetter(*members)(supports)
+        free = reduce(or_, map(and_, held, map(neg, held)))
+        d = free.bit_count()
+        if len(members) != (q**d - 1) // (q - 1):
             raise InadmissibleViolation(
                 f"equal zero sets: another form vanishes exactly where {cls.value} rank {rk} does"
             )
-        # found: (span order key, witness row, scalar), sorted by the key
+        # The count holds, so d >= 2: two witnesses or more, and tuple getters.
         if q == 2:
-            found = [
-                ((x := v & free) - (x.bit_length() << m), j, 1) for v, j in zip(bits, strict)
-            ]
+            by_pattern = dict(zip(map(and_, held, repeat(free)), members))
+            if len(by_pattern) != len(members):
+                raise InternalInconsistency(f"span members share a pattern: {cls.value} rank {rk}")
+            witnesses = list(_span_order(free)(by_pattern))
+            witnesses.remove(i)
+            found_scalars = b"\1" * len(strict)
         else:
-            # At least two free columns now, so the getter returns a tuple.
-            at_free = itemgetter(*sorted(free))
-            found = []
-            for j in strict:
-                coords = bytes(at_free(rows[j][0]))
-                tail = coords.lstrip(b"\0")
+            at, keyed = itemgetter(*strict), []
+            # The free columns left to right are free's bits top down.
+            columns = [at(index.coefficient_columns[-1 - b]) for b in bits_to_indices(free)]
+            for j, coords in zip(strict, zip(*reversed(columns))):
+                tail = bytes(coords).lstrip(b"\0")
                 scalar = inv[tail[0]]
-                lead = len(coords) - len(tail)
-                found.append(((lead, tail.translate(ranked[scalar])), j, scalar))
-        found.sort()
-        _, found_rows, found_scalars = zip(*found)
-        code = codes[i] << 8  # above every witness's code
-        found_shapes = bytearray()
-        for j in found_rows:
-            pair = code | codes[j]
-            shape = shapes.get(pair)
-            if shape is None:
-                name = _admissible_shape(q, cls, rk, *labels[codes[j]][:2])
-                shape = shapes[pair] = _INADMISSIBLE if name is None else SHAPES.index(name)
-            found_shapes.append(shape)
+                keyed.append(((d - len(tail), tail.translate(ranked[scalar])), j, scalar))
+            _, witnesses, found_scalars = zip(*sorted(keyed))
+        table = tables.get(codes[i])
+        if table is None:
+            table = tables[codes[i]] = bytes(
+                (*SHAPES, None).index(_admissible_shape(q, cls, rk, *label[:2])) for label in labels
+            ).ljust(256, bytes((_INADMISSIBLE,)))
+        found_shapes = bytes(itemgetter(*witnesses)(codes)).translate(table)
         if _INADMISSIBLE in found_shapes:
-            wcls, wrk, _ = labels[codes[found_rows[found_shapes.index(_INADMISSIBLE)]]]
+            wcls, wrk, _ = labels[codes[witnesses[found_shapes.index(_INADMISSIBLE)]]]
             raise InadmissibleViolation(
                 f"inadmissible containment: {cls.value} rank "
                 f"{rk} inside {wcls.value} rank {wrk}"
             )
-        form_rows.extend(repeat(i, len(found)))
-        witness_rows.extend(found_rows)
+        form_rows.extend(repeat(i, len(strict)))
+        witness_rows.extend(witnesses)
         scalars.extend(found_scalars)
         shape_codes.extend(found_shapes)
     return form_rows, witness_rows, bytes(scalars), bytes(shape_codes)
@@ -513,9 +498,8 @@ def verify_containment(
     """
     check_budget(q, n, budget)
     index = survey(q, n)
-    # The chunks read the class-rank bytes: built before any fork, so
-    # workers share them.
-    index.class_ranks
+    # Built before any fork, so that workers share them.
+    index.class_ranks, index.supports
     typecode = index.point_index[0].typecode
     form_rows, witness_rows = array(typecode), array(typecode)
     scalars, shapes = [], []

@@ -313,7 +313,10 @@ def main(argv=None) -> int:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
         if getattr(args, "limit", 0) < 0:
             raise UsageError(f"--limit must be at least 0, got {args.limit}")
-        if (getattr(args, "budget", None) or 0) > MAX_BUDGET:
+        budget = getattr(args, "budget", None)
+        if budget is not None and budget < 1:
+            raise UsageError(f"--budget must be at least 1, got {budget}")
+        if (budget or 0) > MAX_BUDGET:
             raise UsageError(
                 f"--budget {args.budget} exceeds the supported bound {MAX_BUDGET}"
             )

@@ -18,12 +18,12 @@ there (sums of fixed coefficient planes, in the bit-sliced arithmetic of
 point index.  Polarization and Euler's identity give the singular
 points, and bit-sliced counters the zero and singular counts, so each
 (class, rank, zero count) is one row mask and the census reductions are
-popcounts.  The one query, ``Survey.strictly_through``, first reorders
-the index by zero count, most zeros first, so the rows that can strictly
-contain a zero set of size c are a prefix, and the ANDs over a point set
-run only over it, stopping once 0.  A row's zero mask is read back off
-that index, its class and rank from one byte, its coefficients from its
-row number.  The scans the CLI runs and the exhaustive tester pass
+popcounts.  The point index is ordered by zero count, most zeros first,
+so the rows that can strictly contain a zero set of size c are a prefix.
+``Survey.supersets`` answers a range of rows at once, one C-level AND
+``reduce`` per row and no bytecode; ``Survey.strictly_through`` one point
+set.  A row's class and rank are one byte, its coefficients its row
+number.  The scans the CLI runs and the exhaustive tester pass
 ``check_budget`` before they build a survey: its row count,
 (q**dim - 1)/(q - 1), may not exceed the budget.  ``build_code`` shares
 one immutable code per (field, N).
@@ -50,6 +50,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import compress, repeat
 from operator import and_, itemgetter, or_
 
 from .formexpr import render_form
@@ -201,11 +202,11 @@ class Survey:
     ``classes`` maps each (class, rank, zero count) to the mask of its
     rows, in order of each key's first row.  ``columns[p]``, held only
     until ``point_index`` is built from it, has bit i set when row i's zero
-    set contains point p.  The one query, ``strictly_through``, answers in
-    index order, by zero count, most zeros first; ``row_numbers`` maps an
-    answer to survey rows.  ``masks`` reads zero masks back off the
-    index, ``class_ranks`` gives each row's key in ``classes``, and the
-    coefficients decode from the row number (:func:`monic_coeffs_at`).
+    set contains point p.  ``supersets`` and ``strictly_through`` answer in
+    index order, most zeros first; ``row_numbers`` maps an answer to survey
+    rows.  The containment search alone builds ``class_ranks``, each row's
+    key in ``classes``, and its ``supports`` and ``coefficient_columns``;
+    else coefficients decode from the row number (:func:`monic_coeffs_at`).
     """
 
     def __init__(self, q: int, n: int, columns: tuple[int, ...], classes: dict):
@@ -279,51 +280,67 @@ class Survey:
             columns[p] = int(b"".join(coded.translate(*pick) for pick in picks), 2)
         return order, tuple(columns), at_least
 
-    def masks(self, start: int, stop: int) -> list[int]:
-        """The zero masks of rows ``start`` to ``stop - 1``, transposed off
-        ``point_index`` at most ``_TRANSPOSE_ROWS`` rows at a time.  The
-        index keeps survey order within one zero count, so a range's rows
-        of count c are one run of index bits, after the rows with more
-        zeros and the rows of count c before the range."""
-        _, columns, at_least = self.point_index
-        stop = min(stop, len(self))
-        out: list[int] = []
-        for low in range(start, stop, _TRANSPOSE_ROWS):
-            size = min(stop - low, _TRANSPOSE_ROWS)
-            block = [0] * size
-            for c, rows in self._by_count().items():
-                run = rows >> low & (1 << size) - 1
-                k = run.bit_count()
-                if not k:
-                    continue
-                first = at_least[c + 1].bit_length() + (rows & (1 << low) - 1).bit_count()
-                # One column per k characters, highest point first and
-                # each column's last row first, so every mask is a numeral.
-                table = "".join(
-                    format(col >> first & (1 << k) - 1, f"0{k}b") for col in reversed(columns)
-                )
-                for t, i in enumerate(bits_to_indices(run)):
-                    block[i] = int(table[k - 1 - t :: k], 2)
-            out += block
+    @cached_property
+    def supports(self) -> array:
+        """Row j's support, bit m - 1 - k set when coefficient k is nonzero
+        (over GF(2) the row itself): the tails of k + 1 coefficients are
+        those of k, then q - 1 times the rows of lead m - 1 - k, bit k set."""
+        tails, blocks = array(self.point_index[0].typecode, [0]), []
+        for k in range(len(monomials(self.n))):
+            blocks.append(array(tails.typecode, map((1 << k).__or__, tails)))
+            tails += blocks[-1] * (self.q - 1)
+        return reduce(array.__iadd__, reversed(blocks))
+
+    @cached_property
+    def coefficient_columns(self) -> list[bytes]:
+        """Byte j of column k is row j's coefficient k: (q**k - 1)/(q - 1)
+        periods of each element in turn for q**(m-1-k) rows on the blocks
+        of smaller lead, then 1 on block k and 0 past it."""
+        q, m, out = self.q, len(monomials(self.n)), []
+        for k in range(m):
+            size = q ** (m - 1 - k)
+            run = b"".join(bytes((e,)) * size for e in field_from_order(q).elements)
+            out.append(run * ((q**k - 1) // (q - 1)) + b"\1" * size + bytes((size - 1) // (q - 1)))
         return out
 
-    def strictly_through(self, zeros: int) -> int:
-        """The mask, in index order, of the rows whose zero set strictly
-        contains ``zeros``: those with more zeros whose zero set contains
-        it.  The points are peeled off the top, so the ANDs stop as soon
-        as the running AND is 0."""
+    def supersets(self, start: int, stop: int):
+        """``(c, rows, selectors, hits)`` per zero count c of rows ``start``
+        to ``stop - 1``, ``_TRANSPOSE_ROWS`` rows at a time: iterators of
+        the rows of count c and of their ``strictly_through``, and a list of
+        their zero sets as bytes (byte j for point P - 1 - j).  The rows are
+        one run of index bits, so one table of the run's bits per point gives
+        each selector as a slice, and a C-level ``reduce`` ANDs what it picks."""
         _, columns, at_least = self.point_index
-        through = at_least[zeros.bit_count() + 1]
-        while zeros and through:
-            p = zeros.bit_length() - 1
-            through &= columns[p]
-            zeros ^= 1 << p
-        return through
+        backwards = columns[::-1]
+        bits = bytes.maketrans(b"01", b"\0\1")
+        for low in range(start, min(stop, len(self)), _TRANSPOSE_ROWS):
+            size = min(stop, len(self), low + _TRANSPOSE_ROWS) - low
+            for c, rows in self._by_count().items():
+                run = format(rows >> low & (1 << size) - 1, f"0{size}b").encode().translate(bits)
+                k = run.count(1)
+                if k:
+                    first = at_least[c].bit_length() - (rows >> low).bit_count()
+                    # A column per k bytes, highest point and last row first.
+                    table = b"".join(
+                        format(col >> first & (1 << k) - 1, f"0{k}b").encode() for col in backwards
+                    ).translate(bits)
+                    cuts = map(slice, range(k - 1, -1, -1), repeat(None), repeat(k))
+                    selectors = list(map(table.__getitem__, cuts))
+                    picked = map(compress, repeat(backwards), selectors)
+                    hits = map(reduce, repeat(and_), picked, repeat(at_least[c + 1]))
+                    yield c, compress(range(low, low + size), run[::-1]), selectors, hits
+
+    def strictly_through(self, zeros: int) -> int:
+        """The mask, in index order, of the rows with more zeros whose zero
+        set contains ``zeros``: one ``reduce`` of ANDs, as in ``supersets``."""
+        _, columns, at_least = self.point_index
+        picked = map(columns.__getitem__, bits_to_indices(zeros))
+        return reduce(and_, picked, at_least[zeros.bit_count() + 1])
 
     def row_numbers(self, mask: int) -> list[int]:
-        """The survey rows of a mask in index order."""
-        order = self.point_index[0]
-        return [order[k] for k in bits_to_indices(mask)]
+        """The survey rows of a mask in index order (two leading dummies
+        make the getter return a tuple for any mask)."""
+        return list(itemgetter(0, 0, *bits_to_indices(mask))(self.point_index[0])[2:])
 
 
 def _row_count(q: int, n: int) -> int:
@@ -443,11 +460,10 @@ def survey(q: int, n: int) -> Survey:
 
     The cache holds up to eight surveys.  At (5,3), 2,441,406 rows and
     the largest budget a test passes, one survey's columns and class masks
-    take about 53 MB, its 40 coefficient planes 12 MB more while it is
-    built, and building it peaks at 138 MB ((2,5): 60 MB).  The point
-    index ordered by zero count replaces the columns on the first query,
-    plus 4 bytes a row for the order (146 MB peak), and a containment
-    search adds one class-rank byte a row.
+    take about 53 MB, and building it peaks at 138 MB ((2,5): 60 MB).  The
+    ordered point index replaces the columns on the first query, plus 4
+    bytes a row (146 MB peak); a containment search adds a class-rank byte
+    and a support a row, and past GF(2) a byte per row and coefficient.
     """
     field = field_from_order(q)
     space = projective_space(field, n)

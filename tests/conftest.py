@@ -56,10 +56,14 @@ def survey_rows(q: int, n: int) -> list[tuple]:
     """``(coeffs, class, rank, zero mask)`` per row of ``survey(q, n)``, in
     survey order, read through its accessors: the coefficients decoded from
     the row number, class and rank from the class-rank byte, the mask from
-    the block reader."""
+    the row's selector in ``Survey.supersets``."""
     index = survey(q, n)
     field, m, keys = field_from_order(q), len(monomials(n)), tuple(index.classes)
-    masks = index.masks(0, len(index))
+    masks = [0] * len(index)
+    numeral = bytes.maketrans(b"\0\1", b"01")
+    for _, rows, selectors, _ in index.supersets(0, len(index)):
+        for i, selector in zip(rows, selectors):
+            masks[i] = int(selector.translate(numeral), 2)
     return [
         (monic_coeffs_at(field, m, i), *keys[code][:2], mask)
         for i, (code, mask) in enumerate(zip(index.class_ranks, masks))

@@ -524,12 +524,16 @@ def test_equal_zero_set_fails_the_scan(hidden_strict_witness, pools, workers):
 
 def test_scans_leave_one_copy_of_each_survey_fact():
     """After a containment scan the survey holds its class masks, the
-    ordered point index and one class-rank byte per row: no per-row view,
-    no zero masks, no survey-order columns."""
+    ordered point index, one class-rank byte and one support per row, and,
+    past GF(2), one byte per row and coefficient: no per-row view, no zero
+    masks, no survey-order columns."""
     verify_containment(3, 3)
     index = survey(3, 3)
-    assert set(vars(index)) == {"q", "n", "classes", "point_index", "class_ranks"}
-    assert len(index.class_ranks) == len(index)
+    facts = {"q", "n", "classes", "point_index", "class_ranks", "supports"}
+    assert set(vars(index)) == facts | {"coefficient_columns"}
+    assert len(index.class_ranks) == len(index.supports) == len(index)
+    verify_containment(2, 3)
+    assert set(vars(survey(2, 3))) == facts
 
 
 @pytest.mark.parametrize("tester", ["interpolation", "exhaustive"])

@@ -363,10 +363,14 @@ def test_budget_above_the_ceiling_refused_before_any_survey():
     for argv in (
         ["census", "--q", "25", "--N", "3", "--budget", "4000000000000"],
         ["verify", "serre", "--q", "25", "--N", "3", "--budget", str(MAX_BUDGET + 1)],
+        ["census", "--q", "2", "--N", "2", "--budget", "-1"],
+        ["verify", "containment", "--q", "2", "--N", "2", "--budget", "0"],
     ):
         code, out, err = run_cli(argv)
         assert (code, out) == (2, ""), (argv, err)
         assert err.startswith("error: --budget") and err.count("\n") == 1, (argv, err)
+    code, _, err = run_cli(["census", "--q", "2", "--N", "2", "--budget", "-1"])
+    assert err == "error: --budget must be at least 1, got -1\n"
     assert survey.cache_info() == before
     code, _, err = run_cli(
         ["census", "--q", "2", "--N", "2", "--workers", "1", "--budget", str(MAX_BUDGET)]

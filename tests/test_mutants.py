@@ -107,21 +107,36 @@ MUTANTS = {
     ),
     "gf2_key_without_lead": (
         "src/prmquadrics/census.py",
-        "((x := v & free) - (x.bit_length() << m), j, 1)",
-        "((x := v & free), j, 1)",
+        "key=lambda x: (-x.bit_length(), x)",
+        "key=lambda x: x",
         _GF2_SCAN_TESTS,
     ),
     "gf2_free_column_from_lead": (
         "src/prmquadrics/census.py",
-        "free |= v & -v",
-        "free |= 1 << (v.bit_length() - 1)",
+        "free = reduce(or_, map(and_, held, map(neg, held)))",
+        "free = reduce(or_, (1 << (v.bit_length() - 1) for v in held))",
         _GF2_SCAN_TESTS,
     ),
     "gf2_row_without_lead_bit": (
-        "src/prmquadrics/census.py",
-        "j - top + (3 << ((top - 1 - j).bit_length() - 1))",
-        "j - top + (1 << ((top - 1 - j).bit_length() - 1))",
+        "src/prmquadrics/prm.py",
+        "map((1 << k).__or__, tails)",
+        "map((1 << k >> 1).__or__, tails)",
         _GF2_SCAN_TESTS,
+    ),
+    "bulk_query_not_strict": (
+        "src/prmquadrics/prm.py",
+        "repeat(at_least[c + 1])",
+        "repeat(at_least[c])",
+        [
+            "tests/test_census.py::test_census_tester_independence_small",
+            "tests/test_census.py::test_containment_allpairs_crosscheck_matches",
+        ],
+    ),
+    "shape_table_all_cones": (
+        "src/prmquadrics/census.py",
+        "(*SHAPES, None).index(_admissible_shape(q, cls, rk, *label[:2]))",
+        'SHAPES.index("rank3_in_hyperplane_pair")',
+        [_GF2_SCAN_TESTS[1]],
     ),
     "sliced_pivot_line_kept": (
         "src/prmquadrics/prm.py",

@@ -3,6 +3,7 @@
 import itertools
 import random
 from collections import Counter
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -163,26 +164,56 @@ def test_point_index_is_the_transpose_of_the_survey():
     assert after.point_index == before and after.point_index[1] is not before[1]
 
 
-@pytest.mark.parametrize("q, n", GRID)
+def _supersets_by_row(index, start: int, stop: int) -> dict[int, tuple]:
+    """{row: (zero count, selector, strict supersets)} over one range."""
+    out = {}
+    for c, rows, selectors, hits in index.supersets(start, stop):
+        rows, hits = list(rows), list(hits)
+        assert len(rows) == len(selectors) == len(hits) > 0
+        out.update(zip(rows, zip(repeat(c), selectors, hits)))
+    return out
+
+
+@pytest.mark.parametrize("q, n", GRID + ((7, 2), (8, 2)))
 def test_block_masks_equal_point_set(q, n):
-    """Each row's zero mask from the block reader is ``point_set`` of its
-    decoded coefficients, over any range of rows, across block edges, and
-    again from a new survey after the cache is cleared."""
+    """Each row's selector from the bulk query is ``point_set`` of its
+    decoded coefficients, byte j standing for point P - 1 - j, and its
+    hits are ``strictly_through`` of that zero set, over any range of rows,
+    across block edges, and again from a new survey after the cache is
+    cleared."""
     field = field_from_order(q)
     m = len(monomials(n))
     index = survey(q, n)
-    masks = index.masks(0, len(index))
-    assert len(masks) == len(index)
-    for i, mask in enumerate(masks):
-        assert mask == point_set(QuadraticForm(field, n, monic_coeffs_at(field, m, i))), (q, n, i)
+    points = projective_size(q, n)
+    whole = _supersets_by_row(index, 0, len(index))
+    assert sorted(whole) == list(range(len(index)))
+    for i, (c, selector, hits) in whole.items():
+        zeros = point_set(QuadraticForm(field, n, monic_coeffs_at(field, m, i)))
+        assert selector == bytes(zeros >> p & 1 for p in reversed(range(points))), (q, n, i)
+        assert c == zeros.bit_count() and hits == index.strictly_through(zeros), (q, n, i)
     edge = min(4096, len(index))
     for start, stop in [(edge - 3, edge + 5), (0, 1), (len(index) - 2, len(index)), (7, 7)]:
-        assert index.masks(start, stop) == masks[start:stop], (q, n, start, stop)
+        part = _supersets_by_row(index, start, stop)
+        assert part == {i: whole[i] for i in range(start, min(stop, len(index)))}, (q, n, start)
     survey.cache_clear()
     after = survey(q, n)
     assert "point_index" not in vars(after) and after is not index
-    assert after.masks(0, len(after)) == masks
+    assert _supersets_by_row(after, 0, len(after)) == whole
     assert "columns" not in vars(after)
+
+
+@pytest.mark.parametrize("q, n", GRID + ((7, 2),))
+def test_supports_and_coefficient_columns_decode_every_row(q, n):
+    """Row j's support has bit m - 1 - k set when its coefficient k is
+    nonzero, and byte j of coefficient column k is that coefficient."""
+    field = field_from_order(q)
+    m = len(monomials(n))
+    index = survey(q, n)
+    rows = list(iter_monic_coeffs(field, m))
+    assert list(index.supports) == [
+        sum(1 << m - 1 - k for k, a in enumerate(coeffs) if a) for coeffs in rows
+    ]
+    assert index.coefficient_columns == [bytes(column) for column in zip(*rows)]
 
 
 def test_monic_coeffs_at_refuses_both_ends():
