@@ -47,7 +47,6 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import compress, repeat
@@ -165,29 +164,25 @@ def iter_monic_coeffs(field: Field, length: int):
             yield head + tail
 
 
-@lru_cache(maxsize=8)
-def _monic_tails(elements: tuple[int, ...], length: int) -> tuple[list[int], list[tuple]]:
-    """For :func:`monic_coeffs_at`, keyed by the field's element order (a
-    tuple hashes without a Python call): the first index of each lead's
-    block, then the row count, and every tail of ``length // 2`` digits."""
-    sizes = (len(elements) ** (length - 1 - lead) for lead in range(length))
-    starts = list(itertools.accumulate(sizes, initial=0))
-    return starts, list(itertools.product(elements, repeat=length // 2))
-
-
 def monic_coeffs_at(field: Field, length: int, index: int) -> tuple[int, ...]:
-    """The ``index``-th tuple of :func:`iter_monic_coeffs`: its block, the
-    forms with leading coefficient at position L, holds q**(length-1-L)
-    tuples, and inside it the tail is a mixed-radix number whose last
-    digit varies fastest, digits in ``field.elements`` order: two lookups
-    in a table of tails of half the length."""
-    starts, tails = _monic_tails(field.elements, length)
-    if not 0 <= index < starts[-1]:
+    """The ``index``-th tuple of :func:`iter_monic_coeffs`, by the row rule
+    that the survey's coefficient planes and columns apply in bulk.  The
+    block of lead L, the tuples whose first nonzero coefficient is at L,
+    holds q**(length-1-L) rows.  Coefficient k of row i is 0 for k < L and
+    1 for k = L.  For k > L it is the element of order index
+    i // q**(length-1-k) mod q: the tail counts in base q, last digit
+    fastest, and every block of lead below k starts at a multiple of
+    q**(length-k), that digit's period."""
+    q = field.q
+    if not 0 <= index < (q**length - 1) // (q - 1):
         raise IndexError("monic coefficient index out of range")
-    lead = bisect_right(starts, index) - 1
-    high, low = divmod(index - starts[lead], len(tails))
-    tail = tails[high] + tails[low]
-    return (0,) * lead + (1,) + tail[len(tail) + lead + 1 - length :]
+    # Row i is in the first block that ends past it.
+    lead = next(L for L in range(length) if index * (q - 1) < q**length - q ** (length - 1 - L))
+    elements = field.elements
+    return tuple(
+        elements[index // q ** (length - 1 - k) % q] if k > lead else int(k == lead)
+        for k in range(length)
+    )
 
 
 # Rows per transposed block of the point index, and per scan chunk: one
@@ -205,8 +200,8 @@ class Survey:
     set contains point p.  ``supersets`` and ``strictly_through`` answer in
     index order, most zeros first; ``row_numbers`` maps an answer to survey
     rows.  The containment search alone builds ``class_ranks``, each row's
-    key in ``classes``, and its ``supports`` and ``coefficient_columns``;
-    else coefficients decode from the row number (:func:`monic_coeffs_at`).
+    key in ``classes``, and its ``supports`` and ``coefficient_columns``,
+    the row rule of :func:`monic_coeffs_at` applied to every row at once.
     """
 
     def __init__(self, q: int, n: int, columns: tuple[int, ...], classes: dict):
@@ -283,8 +278,9 @@ class Survey:
     @cached_property
     def supports(self) -> array:
         """Row j's support, bit m - 1 - k set when coefficient k is nonzero
-        (over GF(2) the row itself): the tails of k + 1 coefficients are
-        those of k, then q - 1 times the rows of lead m - 1 - k, bit k set."""
+        (over GF(2) the row itself), by the row rule of :func:`monic_coeffs_at`:
+        the tails of k + 1 coefficients are those of k, then q - 1 times the
+        rows of lead m - 1 - k, bit k set."""
         tails, blocks = array(self.point_index[0].typecode, [0]), []
         for k in range(len(monomials(self.n))):
             blocks.append(array(tails.typecode, map((1 << k).__or__, tails)))
@@ -293,9 +289,9 @@ class Survey:
 
     @cached_property
     def coefficient_columns(self) -> list[bytes]:
-        """Byte j of column k is row j's coefficient k: (q**k - 1)/(q - 1)
-        periods of each element in turn for q**(m-1-k) rows on the blocks
-        of smaller lead, then 1 on block k and 0 past it."""
+        """Byte j of column k is row j's coefficient k, by the row rule of
+        :func:`monic_coeffs_at`: the digit's period repeated over the blocks
+        of lead below k, then 1 on block k and 0 past it."""
         q, m, out = self.q, len(monomials(self.n)), []
         for k in range(m):
             size = q ** (m - 1 - k)
@@ -338,9 +334,9 @@ class Survey:
         return reduce(and_, picked, at_least[zeros.bit_count() + 1])
 
     def row_numbers(self, mask: int) -> list[int]:
-        """The survey rows of a mask in index order (two leading dummies
-        make the getter return a tuple for any mask)."""
-        return list(itemgetter(0, 0, *bits_to_indices(mask))(self.point_index[0])[2:])
+        """The survey rows of a mask in index order."""
+        order = self.point_index[0]
+        return [order[k] for k in bits_to_indices(mask)]
 
 
 def _row_count(q: int, n: int) -> int:
@@ -390,12 +386,10 @@ def _split_by_count(columns, full: int) -> dict[int, int]:
 
 def _coefficient_planes(field: Field, m: int):
     """(k, planes) for each coefficient k, from m - 1 down: its bit-sliced
-    planes (:func:`_sliced`) over the rows of :func:`iter_monic_coeffs`.
-    It is 1 on block k, 0 past it, and before it a digit of period
-    q**(m-k) rows, which every earlier block starts at a multiple of: one
-    pattern, doubled and cut at block k.  The widest
-    planes come first, so sums of them are allocated at full width once
-    and not regrown (which left 2 MB of freed heap at (2,5))."""
+    planes (:func:`_sliced`) by the row rule of :func:`monic_coeffs_at`,
+    one pattern of a digit's period, doubled and cut at block k.  The
+    widest planes come first, so sums of them are allocated at full width
+    once and not regrown (which left 2 MB of freed heap at (2,5))."""
     q = field.q
     for k in range(m - 1, -1, -1):
         size = q ** (m - 1 - k)
@@ -442,12 +436,12 @@ def survey(q: int, n: int) -> Survey:
     monomial k at p: a permutation of the planes, plane c taken from
     plane c/v_k.  Bucket 0 is the rows in no plane of the sum,
     ``columns[p]``.  All m*(q-1) coefficient planes are built once, before
-    the first point.  Past GF(3) an add costs (q-1)**2 plane ANDs, so from
-    (7,2) and (4,3) on a recursion over the coefficients would be faster
-    (README gives the crossover).  The singular points, where F and every
-    polar partial B(e_t, .) vanish, follow by polarization: on Z[p], with
-    r = p + e_t, B(e_t, p) = F(r) - F(e_t), and F(e_t) is the coefficient
-    of X_t**2, whose planes give its buckets.  By Euler's identity,
+    the first point.  Past GF(3) an add costs (q-1)**2 plane ANDs; the
+    ROADMAP's digit-plane item holds the numbers.  The singular points,
+    where F and every polar partial B(e_t, .) vanish, follow by
+    polarization: on Z[p], with r = p + e_t, B(e_t, p) = F(r) - F(e_t),
+    and F(e_t) is the coefficient of X_t**2, whose planes give its
+    buckets.  By Euler's identity,
     sum_t p_t B(e_t, p) = B(p, p) = 2F(p), which is 0 on Z[p], so the
     partial at p's last nonzero coordinate, which is 1, follows from the
     others.  So p is singular on the rows of Z[p] that, for every other t,
@@ -724,7 +718,9 @@ def characterization_minimal(cls: QuadricClass, rk: int, q: int) -> bool:
 
 def is_minimal_characterization(form: QuadraticForm) -> MinimalityVerdict:
     """Class-based verdict by :func:`characterization_minimal`.  Produces
-    no witness."""
+    no witness; like the other testers it needs a code, so N >= 1."""
+    if form.ambient < 1:
+        raise PrmError("code needs ambient dimension N >= 1")
     if form.is_zero:
         raise ZeroForm("minimality of the zero form is undefined")
     report = classify(form)

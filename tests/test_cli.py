@@ -19,6 +19,8 @@ from conftest import TWO_CPUS
 import prmquadrics
 from prmquadrics import census, prm, quadric
 from prmquadrics.cli import MAX_BUDGET, main
+from prmquadrics.formexpr import render_form
+from prmquadrics.gf import field_from_order
 from prmquadrics.prm import survey
 
 
@@ -65,6 +67,39 @@ def test_minimal_methods_agree():
     assert all(not v["minimal"] for v in verdicts.values())
     assert verdicts["char"]["witness"] is None
     assert verdicts["interp"]["witness"] is not None
+
+
+def test_minimal_needs_a_code_for_every_method():
+    """P^0 carries no code: every tester exits 2 with the code's one line
+    and the characterization refuses in the library too, while
+    ``classify`` and ``points`` still answer there."""
+    for method in ("char", "interp", "exhaustive"):
+        result = run_cli(["minimal", "X0^2", "--q", "3", "--N", "0", "--method", method])
+        assert result == (2, "", "error: code needs ambient dimension N >= 1\n"), method
+    with pytest.raises(prm.PrmError):
+        prm.is_minimal_characterization(quadric.QuadraticForm(field_from_order(3), 0, (1,)))
+    for command in ("classify", "points"):
+        assert run_cli([command, "X0^2", "--q", "3", "--N", "0"])[0] == 0, command
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_minimal_methods_agree_on_every_canonical_form(q):
+    """On the canonical form of every admissible (class, rank) on P^0 to
+    P^2, the three methods either all exit 2 or all exit 0 with the same
+    verdict; their witnesses may differ."""
+    field = field_from_order(q)
+    for n in range(3):
+        for rk in range(1, n + 2):
+            for cls in quadric.QuadricClass:
+                if quadric.witt_class(rk, quadric.WITT_SIGN[cls]) is not cls:
+                    continue
+                form = render_form(quadric.canonical_form(field, n, cls, rk))
+                answers = set()
+                for method in ("char", "interp", "exhaustive"):
+                    argv = ["minimal", form, "--q", str(q), "--N", str(n), "--method", method]
+                    code, out, _ = run_cli(argv)
+                    answers.add((code, json.loads(out)["minimal"] if code == 0 else None))
+                assert len(answers) == 1 and next(iter(answers))[0] in (0, 2), (form, n, answers)
 
 
 def test_census_exhaustive_2_3(pools):

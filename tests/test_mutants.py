@@ -273,6 +273,19 @@ MUTANTS = {
         "3 + 2 * (q < 3)",
         ["tests/test_acceptance.py::test_criterion_4_tester_agreement"],
     ),
+    # Survives at prime q, where every element is its own order index.
+    "row_digit_not_through_element_order": (
+        "src/prmquadrics/prm.py",
+        "elements[index // q ** (length - 1 - k) % q]",
+        "index // q ** (length - 1 - k) % q",
+        ["tests/test_prm.py::test_monic_coeffs_at_is_the_enumeration[4]"],
+    ),
+    "row_lead_read_as_digit": (
+        "src/prmquadrics/prm.py",
+        "if k > lead else",
+        "if k >= lead else",
+        ["tests/test_prm.py::test_monic_coeffs_at_is_the_enumeration[2]"],
+    ),
     # Survives at prime q, where every element is its own code.
     "decode_left_in_code": (
         "src/prmquadrics/gf.py",

@@ -216,6 +216,29 @@ def test_supports_and_coefficient_columns_decode_every_row(q, n):
     assert index.coefficient_columns == [bytes(column) for column in zip(*rows)]
 
 
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_monic_coeffs_at_is_the_enumeration(q):
+    """The row rule decodes every row of :func:`iter_monic_coeffs`, for
+    each tuple length while it has at most 5,000 rows."""
+    field = field_from_order(q)
+    m = 1
+    while (q**m - 1) // (q - 1) <= 5_000:
+        rows = list(iter_monic_coeffs(field, m))
+        assert [monic_coeffs_at(field, m, i) for i in range(len(rows))] == rows, (q, m)
+        m += 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(q=st.sampled_from(FIELD_ORDERS), m=st.integers(4, 15), index=st.integers(0, 99_999))
+def test_monic_coeffs_at_matches_the_enumeration_at_length(q, m, index):
+    """At longer tuples, a row below 10**5 decodes to the enumeration's
+    tuple at that position."""
+    field = field_from_order(q)
+    index %= (q**m - 1) // (q - 1)
+    expected = next(itertools.islice(iter_monic_coeffs(field, m), index, None))
+    assert monic_coeffs_at(field, m, index) == expected
+
+
 def test_monic_coeffs_at_refuses_both_ends():
     """Row numbers outside 0 .. rows - 1 raise ``IndexError`` at either
     end; the two ends themselves decode to the first and last tuple."""
@@ -231,7 +254,9 @@ def test_monic_coeffs_at_refuses_both_ends():
 
 @pytest.mark.parametrize(
     "q, m",
-    [(q, m) for q in (2, 3) for m in range(1, 7)] + [(q, m) for q in (4, 5, 7, 8, 9) for m in range(1, 5)],
+    [(q, m) for q in (2, 3) for m in range(1, 7)]
+    + [(q, m) for q in (4, 5, 7, 8, 9) for m in range(1, 5)]
+    + [(16, 3), (25, 3)],
 )
 def test_coefficient_planes_hold_the_decoded_coefficients(q, m):
     """Plane s of coefficient k has bit i set exactly when row i's
