@@ -87,6 +87,12 @@ class BudgetExceeded(PrmError):
 DEFAULT_FORM_BUDGET = 60_000
 
 
+def require_code(n: int) -> None:
+    """Refuse N < 1: P^0 carries no code, so no tester answers there."""
+    if n < 1:
+        raise PrmError("code needs ambient dimension N >= 1")
+
+
 @dataclass(frozen=True)
 class Codeword:
     values: tuple[int, ...]
@@ -98,8 +104,7 @@ class PrmCode:
     """The order-2 code on P^N(F_q); immutable, shared by :func:`build_code`."""
 
     def __init__(self, field: Field, n: int):
-        if n < 1:
-            raise PrmError("code needs ambient dimension N >= 1")
+        require_code(n)
         self.field = field
         self.n = n
         self.space = projective_space(field, n)
@@ -718,9 +723,8 @@ def characterization_minimal(cls: QuadricClass, rk: int, q: int) -> bool:
 
 def is_minimal_characterization(form: QuadraticForm) -> MinimalityVerdict:
     """Class-based verdict by :func:`characterization_minimal`.  Produces
-    no witness; like the other testers it needs a code, so N >= 1."""
-    if form.ambient < 1:
-        raise PrmError("code needs ambient dimension N >= 1")
+    no witness; like the other testers it needs a code (:func:`require_code`)."""
+    require_code(form.ambient)
     if form.is_zero:
         raise ZeroForm("minimality of the zero form is undefined")
     report = classify(form)

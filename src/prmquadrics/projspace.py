@@ -95,6 +95,13 @@ class PointList(Sequence):
             i += a * size + (a >= one)
         return i + one * self._blocks[len(head) - 1]
 
+    def __contains__(self, point) -> bool:
+        try:
+            self.index(point)
+        except (TypeError, ValueError):
+            return False
+        return True
+
     def __iter__(self):
         return zip(*self.columns)
 

@@ -69,13 +69,12 @@ def test_minimal_methods_agree():
     assert verdicts["interp"]["witness"] is not None
 
 
-def test_minimal_needs_a_code_for_every_method():
-    """P^0 carries no code: every tester exits 2 with the code's one line
-    and the characterization refuses in the library too, while
-    ``classify`` and ``points`` still answer there."""
-    for method in ("char", "interp", "exhaustive"):
-        result = run_cli(["minimal", "X0^2", "--q", "3", "--N", "0", "--method", method])
-        assert result == (2, "", "error: code needs ambient dimension N >= 1\n"), method
+def test_minimal_needs_a_code():
+    """P^0 carries no code: the characterization exits 2 with the code's
+    line, as the other methods do (the agreement test below), and refuses
+    in the library too, while ``classify`` and ``points`` still answer."""
+    argv = ["minimal", "X0^2", "--q", "3", "--N", "0", "--method", "char"]
+    assert run_cli(argv) == (2, "", "error: code needs ambient dimension N >= 1\n")
     with pytest.raises(prm.PrmError):
         prm.is_minimal_characterization(quadric.QuadraticForm(field_from_order(3), 0, (1,)))
     for command in ("classify", "points"):
@@ -85,8 +84,8 @@ def test_minimal_needs_a_code_for_every_method():
 @pytest.mark.parametrize("q", (2, 3, 4, 5))
 def test_minimal_methods_agree_on_every_canonical_form(q):
     """On the canonical form of every admissible (class, rank) on P^0 to
-    P^2, the three methods either all exit 2 or all exit 0 with the same
-    verdict; their witnesses may differ."""
+    P^2, the three methods either all exit 2 with the same error line or
+    all exit 0 with the same verdict; their witnesses may differ."""
     field = field_from_order(q)
     for n in range(3):
         for rk in range(1, n + 2):
@@ -97,8 +96,8 @@ def test_minimal_methods_agree_on_every_canonical_form(q):
                 answers = set()
                 for method in ("char", "interp", "exhaustive"):
                     argv = ["minimal", form, "--q", str(q), "--N", str(n), "--method", method]
-                    code, out, _ = run_cli(argv)
-                    answers.add((code, json.loads(out)["minimal"] if code == 0 else None))
+                    code, out, err = run_cli(argv)
+                    answers.add((code, json.loads(out)["minimal"] if code == 0 else err))
                 assert len(answers) == 1 and next(iter(answers))[0] in (0, 2), (form, n, answers)
 
 

@@ -81,7 +81,7 @@ _VIEW_SPACES = [
 def test_points_and_lanes_equal_the_tuple_build(q, n):
     """The point view and the block-built lanes against one tuple per point
     and the per-byte product loop: unranking (also from the end), iteration,
-    ranking, every lane byte, and the errors."""
+    ranking, membership, every lane byte, and the errors."""
     field = field_from_order(q)
     pts, rows = tuple_space(field, n)
     space = projective_space(field, n)
@@ -91,6 +91,7 @@ def test_points_and_lanes_equal_the_tuple_build(q, n):
     assert [view[i] for i in range(size)] == pts
     assert [view[i - size] for i in range(size)] == pts
     assert [view.index(pt) for pt in pts] == list(range(size))
+    assert all(pt in view for pt in pts)
     assert space.monomial_rows() == rows
     for i in (size, -size - 1):
         with pytest.raises(IndexError):
