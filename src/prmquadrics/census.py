@@ -48,13 +48,13 @@ from operator import and_, countOf, itemgetter, neg, or_
 from .formexpr import render_form
 from .gf import field_from_order
 from .prm import (
-    _TRANSPOSE_ROWS,
     build_code,
     characterization_minimal,
     check_budget,
     least_minimal_rank,
     minimal_rows,
     monic_coeffs_at,
+    require_code,
     survey,
 )
 from .projspace import bits_to_indices, gaussian_binomial, projective_size
@@ -147,8 +147,7 @@ def minimal_count_closed_form(q: int, n: int) -> MinimalCountTable:
     singular loci times ``orbit_count`` smooth parts, at weight |P^N|
     minus ``expected_point_count``; empty ranges contribute no rows.
     """
-    if n < 1:
-        raise CensusError("census needs N >= 1")
+    require_code(n)
     length = projective_size(q, n)
     counts: dict[int, int] = {}
     for sign in (1, 0, -1):
@@ -182,9 +181,14 @@ def serre_scan(q: int, n: int, budget: int | None = None) -> tuple[int, int, boo
     return bound, max_seen, only_pairs and max_seen == bound
 
 
+# Rows per scan chunk: a chunk's ``Survey.supersets`` tables its whole
+# range, points * rows characters, which for all rows would be 1 MB at (2,4).
+_CHUNK_ROWS = 4096
+
+
 def _scan(chunk_fn, args, q: int, n: int, workers: int):
     """Yield ``chunk_fn((*args, start, stop))`` over the blocks of
-    ``_TRANSPOSE_ROWS`` rows of ``survey(q, n)``, in order, the last one
+    ``_CHUNK_ROWS`` rows of ``survey(q, n)``, in order, the last one
     shorter.
 
     A chunk transposes only its own block of the point index, once, and one
@@ -197,8 +201,8 @@ def _scan(chunk_fn, args, q: int, n: int, workers: int):
     # Every chunk reads the point index: built before any fork, so workers
     # share it.
     index.point_index
-    starts = range(0, len(index), _TRANSPOSE_ROWS)
-    ranges = [(*args, lo, min(lo + _TRANSPOSE_ROWS, len(index))) for lo in starts]
+    starts = range(0, len(index), _CHUNK_ROWS)
+    ranges = [(*args, lo, min(lo + _CHUNK_ROWS, len(index))) for lo in starts]
     # A pool of one worker only adds its start-up: such a scan runs in process.
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     size = min(workers, len(ranges), len(cpus) or os.cpu_count() or 1)

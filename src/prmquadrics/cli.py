@@ -214,10 +214,17 @@ def build_parser() -> argparse.ArgumentParser:
         "minimal-codeword verification over small finite fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "q": {"help": "field order (prime power <= 25)"},
+        "N": {"help": "ambient projective dimension"},
+        "workers": {"default": os.cpu_count() or 1},
+        "budget": {"help": "max survey rows: (q**dim - 1)/(q - 1) forms up to scalar"},
+        "limit": {"default": 10, "help": "violations to include in the dump"},
+    }
 
-    def common(p, formats=("json", "table")):
-        p.add_argument("--q", type=int, required=True, help="field order (prime power <= 25)")
-        p.add_argument("--N", type=int, required=True, help="ambient projective dimension")
+    def common(p, formats=("json", "table"), reads=("q", "N"), required=True):
+        for flag in reads:
+            p.add_argument(f"--{flag}", type=int, required=required, **flags[flag])
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", metavar="FILE", default=None, help="write output to FILE")
 
@@ -244,26 +251,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="minimal-codeword counts, closed form vs brute force")
     p.add_argument("--method", choices=sorted(METHODS), default="char")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    p.add_argument(
-        "--budget", type=int, default=None,
-        help="max survey rows: (q**dim - 1)/(q - 1) forms up to scalar",
-    )
+    for flag in ("workers", "budget"):
+        p.add_argument(f"--{flag}", type=int, **flags[flag])
     common(p, ("json", "csv", "table"))
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify", help="run an exhaustive verification")
-    p.add_argument("target", choices=("containment", "exception", "serre", "pencil"))
-    # None marks a flag not given: _verify_flags rejects one the target
-    # does not read and fills in the defaults.
-    p.add_argument("--q", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--limit", type=int, help="violations to include in the dump")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--out", metavar="FILE", default=None)
-    p.set_defaults(func=cmd_verify)
+    targets = p.add_subparsers(dest="target", required=True)
+    for target, reads in (
+        ("containment", ("q", "N", "workers", "budget", "limit")),
+        ("exception", ()),
+        ("serre", ("q", "N", "budget")),
+        ("pencil", ("q", "budget")),
+    ):
+        t = targets.add_parser(target)
+        common(t, reads=reads, required=False)
+        # q and N also where unread, for main's bound checks.
+        t.set_defaults(func=cmd_verify, q=2, N=3)
 
     return parser
 
@@ -281,28 +285,9 @@ def _exceeds_max_points(q: int, n: int) -> bool:
     return False
 
 
-def _verify_flags(args) -> None:
-    """Reject a flag given to a ``verify`` target that does not read it,
-    then fill in the defaults of the flags not given."""
-    reads = {
-        "exception": (),
-        "pencil": ("q", "budget"),
-        "serre": ("q", "N", "budget"),
-        "containment": ("q", "N", "workers", "budget", "limit"),
-    }[args.target]
-    defaults = {"q": 2, "N": 3, "workers": os.cpu_count() or 1, "budget": None, "limit": 10}
-    for flag, default in defaults.items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
-        elif flag not in reads:
-            raise UsageError(f"verify {args.target} does not read --{flag}")
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "verify":
-            _verify_flags(args)
         if args.q > MAX_Q:
             raise UsageError(f"field order {args.q} exceeds the supported bound {MAX_Q}")
         if _exceeds_max_points(args.q, args.N):

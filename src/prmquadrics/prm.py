@@ -190,11 +190,6 @@ def monic_coeffs_at(field: Field, length: int, index: int) -> tuple[int, ...]:
     )
 
 
-# Rows per transposed block of the point index, and per scan chunk: one
-# numeral table of all rows would take points * rows characters, 1 MB at (2,4).
-_TRANSPOSE_ROWS = 4096
-
-
 class Survey:
     """The forms up to scalar of :func:`survey`: class masks over the rows
     and one point index, ordered by zero count on the first query.
@@ -306,30 +301,29 @@ class Survey:
 
     def supersets(self, start: int, stop: int):
         """``(c, rows, selectors, hits)`` per zero count c of rows ``start``
-        to ``stop - 1``, ``_TRANSPOSE_ROWS`` rows at a time: iterators of
-        the rows of count c and of their ``strictly_through``, and a list of
-        their zero sets as bytes (byte j for point P - 1 - j).  The rows are
-        one run of index bits, so one table of the run's bits per point gives
-        each selector as a slice, and a C-level ``reduce`` ANDs what it picks."""
+        to ``stop - 1``: iterators of the rows of count c and of their
+        ``strictly_through``, and a list of their zero sets as bytes (byte j
+        for point P - 1 - j).  The rows are one run of index bits, so one
+        table of the run's bits per point gives each selector as a slice, and
+        a C-level ``reduce`` ANDs what it picks."""
         _, columns, at_least = self.point_index
         backwards = columns[::-1]
         bits = bytes.maketrans(b"01", b"\0\1")
-        for low in range(start, min(stop, len(self)), _TRANSPOSE_ROWS):
-            size = min(stop, len(self), low + _TRANSPOSE_ROWS) - low
-            for c, rows in self._by_count().items():
-                run = format(rows >> low & (1 << size) - 1, f"0{size}b").encode().translate(bits)
-                k = run.count(1)
-                if k:
-                    first = at_least[c].bit_length() - (rows >> low).bit_count()
-                    # A column per k bytes, highest point and last row first.
-                    table = b"".join(
-                        format(col >> first & (1 << k) - 1, f"0{k}b").encode() for col in backwards
-                    ).translate(bits)
-                    cuts = map(slice, range(k - 1, -1, -1), repeat(None), repeat(k))
-                    selectors = list(map(table.__getitem__, cuts))
-                    picked = map(compress, repeat(backwards), selectors)
-                    hits = map(reduce, repeat(and_), picked, repeat(at_least[c + 1]))
-                    yield c, compress(range(low, low + size), run[::-1]), selectors, hits
+        size = max(0, min(stop, len(self)) - start)
+        for c, rows in self._by_count().items():
+            run = format(rows >> start & (1 << size) - 1, f"0{size}b").encode().translate(bits)
+            k = run.count(1)
+            if k:
+                first = at_least[c].bit_length() - (rows >> start).bit_count()
+                # A column per k bytes, highest point and last row first.
+                table = b"".join(
+                    format(col >> first & (1 << k) - 1, f"0{k}b").encode() for col in backwards
+                ).translate(bits)
+                cuts = map(slice, range(k - 1, -1, -1), repeat(None), repeat(k))
+                selectors = list(map(table.__getitem__, cuts))
+                picked = map(compress, repeat(backwards), selectors)
+                hits = map(reduce, repeat(and_), picked, repeat(at_least[c + 1]))
+                yield c, compress(range(start, start + size), run[::-1]), selectors, hits
 
     def strictly_through(self, zeros: int) -> int:
         """The mask, in index order, of the rows with more zeros whose zero
@@ -350,12 +344,11 @@ def _row_count(q: int, n: int) -> int:
 
 
 def check_budget(q: int, n: int, budget: int | None = None) -> None:
-    """Refuse a q that is no field order, N < 1, and a survey with more
-    rows, (q**dim - 1)/(q - 1) forms up to scalar, than the budget
-    (``DEFAULT_FORM_BUDGET`` when None), before any survey is built."""
+    """Refuse a q that is no field order, N < 1 (:func:`require_code`), and
+    a survey with more rows, (q**dim - 1)/(q - 1) forms up to scalar, than
+    the budget (``DEFAULT_FORM_BUDGET`` when None), before any survey is built."""
     field_from_order(q)
-    if n < 1:
-        raise PrmError(f"scan needs N >= 1, got N = {n}")
+    require_code(n)
     budget = DEFAULT_FORM_BUDGET if budget is None else budget
     rows = _row_count(q, n)
     if rows > budget:

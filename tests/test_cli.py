@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -277,6 +278,7 @@ def test_usage_errors_exit_2(tmp_path):
         ["verify", "pencil", "--limit", "3"],
         ["verify", "serre", "--q", "2", "--N", "2", "--workers", "1"],
         ["verify", "serre", "--limit", "0"],
+        ["verify", "--q", "3", "containment"],                # a flag before the target
         # argparse's own errors, a form read as an option among them
         ["classify", "-X0^2", "--q", "3", "--N", "2"],
         ["census", "--q", "2", "--N", "2", "--method", "bogus"],
@@ -291,14 +293,16 @@ def test_usage_errors_exit_2(tmp_path):
     for argv in one_line:
         _, _, err = run_cli(argv)
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-    _, _, err = run_cli(["verify", "serre", "--q", "2", "--N", "0"])
-    assert "N >= 1" in err, err
+    for argv in (["census", "--q", "2", "--N", "0"], ["verify", "serre", "--q", "2", "--N", "0"],
+                 ["verify", "containment", "--q", "2", "--N", "0"]):
+        _, _, err = run_cli(argv)
+        assert err == "error: code needs ambient dimension N >= 1\n", (argv, err)
     _, _, err = run_cli(["classify", "-X0^2", "--q", "3", "--N", "2"])
     assert "'--'" in err, err
     _, _, err = run_cli(["verify", "exception", "--q", "5", "--N", "7"])
-    assert err == "error: verify exception does not read --q\n", err
+    assert err == "error: unrecognized arguments: --q 5 --N 7\n", err
     _, _, err = run_cli(["verify", "pencil", "--q", "3", "--N", "40"])
-    assert err == "error: verify pencil does not read --N\n", err
+    assert err == "error: unrecognized arguments: --N 40\n", err
     for command, form in (("classify", "X0^2"), ("points", "0")):
         _, _, err = run_cli([command, form, "--q", "2", "--N", "-1"])
         assert err == "error: --N must be at least 0, got -1\n", err
@@ -308,6 +312,21 @@ def test_help_exits_0():
     for argv in (["--help"], ["classify", "--help"], ["verify", "--help"]):
         code, out, err = run_cli(argv)
         assert (code, err) == (0, "") and out.startswith("usage: prmquadrics"), argv
+
+
+@pytest.mark.parametrize(
+    "target, reads",
+    [
+        ("containment", {"--q", "--N", "--workers", "--budget", "--limit"}),
+        ("exception", set()),
+        ("serre", {"--q", "--N", "--budget"}),
+        ("pencil", {"--q", "--budget"}),
+    ],
+)
+def test_verify_help_names_the_flags_its_target_reads(target, reads):
+    code, out, err = run_cli(["verify", target, "--help"])
+    assert (code, err) == (0, "") and out.startswith(f"usage: prmquadrics verify {target}")
+    assert set(re.findall(r"--\w+", out)) == reads | {"--help", "--format", "--out"}, out
 
 
 def _failed_check(argv) -> dict:

@@ -348,6 +348,18 @@ MUTANTS = {
         "transpose(kernel_basis(field, [lvec])[1:])",
         ["tests/test_acceptance.py::test_criterion_8b_section_rank_laws"],
     ),
+    "code_admits_n_0": (
+        "src/prmquadrics/prm.py",
+        "if n < 1:",
+        "if n < 0:",
+        ["tests/test_cli.py::test_minimal_needs_a_code"],
+    ),
+    "verify_target_declares_an_unread_flag": (
+        "src/prmquadrics/cli.py",
+        '("exception", ()),',
+        '("exception", ("q",)),',
+        ["tests/test_cli.py::test_usage_errors_exit_2"],
+    ),
 }
 
 
